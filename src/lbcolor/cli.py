@@ -1,7 +1,8 @@
 """Command-line front end: solve, generate, and check subcommands.
 
 Exit codes: 0 feasible / valid, 1 infeasible / invalid coloring, 2 usage or
-structural error.  ``solve`` prints exactly one JSON object on stdout.
+structural error or any other failure.  ``solve`` prints exactly one JSON
+object on stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 from . import basic, cographs, split, treewidth
@@ -40,9 +42,9 @@ def _run_cograph(inst, objective):
     return cographs.dp_cograph(inst, ct, objective)
 
 
-def _run_treewidth_edge(inst):
+def _run_treewidth_edge(inst, objective):
     dec, _ = treewidth.build_nice_decomposition(inst)
-    return treewidth.dp_edge(inst, dec)
+    return treewidth.dp_edge(inst, dec, objective)
 
 
 def _run_cograph_edge(inst):
@@ -68,7 +70,7 @@ SOLVERS = {
         _DECIDE_ONLY,
         lambda inst, obj, cg: split.solve_split_singular(inst, clique_general=cg),
     ),
-    "treewidth-edge": (_DECIDE_ONLY, lambda inst, obj, cg: _run_treewidth_edge(inst)),
+    "treewidth-edge": (("decide", "maximize"), lambda inst, obj, cg: _run_treewidth_edge(inst, obj)),
     "cograph-edge": (_DECIDE_ONLY, lambda inst, obj, cg: _run_cograph_edge(inst)),
     "split-edge": (_DECIDE_ONLY, lambda inst, obj, cg: split.solve_split_edges(inst)),
 }
@@ -79,7 +81,7 @@ def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
     report = classify_graph(inst.n, inst.edges)
     if inst.mode == "edge":
         if objective != "decide":
-            return "oracle"
+            return "treewidth-edge"
         if report.split:
             return "split-edge"
         if report.cograph:
@@ -177,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--objective", default="decide", choices=["decide", "maximize", "minimize"])
     ps.add_argument("--clique-general", action="store_true", dest="clique_general",
                     help="allow clique lists/weights in the singular-color solver")
-    ps.add_argument("--seed", type=int, default=0,
-                    help="reserved for randomized tie-breaking; current solvers are deterministic")
     ps.set_defaults(fn=cmd_solve)
 
     pg = sub.add_parser("generate", help="generate an instance from a source problem")
@@ -207,6 +207,10 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not exit 1 and read as "infeasible"
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,6 @@ edges-array order in edge mode.  Vertices are 0-based, colors and parts
 
 from __future__ import annotations
 
-import io
 import json
 
 from .errors import InstanceFormatError
@@ -37,14 +36,25 @@ def _require(doc: dict, key: str, kind, path: str = ""):
     return value
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(raw, name: str):
+    for i, x in enumerate(raw):
+        if not _is_int(x):
+            raise InstanceFormatError(f"{name}[{i}]: expected an integer")
+    return tuple(raw)
+
+
 def _int_pairs(raw, name: str):
     pairs = []
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
             raise InstanceFormatError(f"{name}[{i}]: expected a pair")
-        a, b = item
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not all(_is_int(x) for x in item):
             raise InstanceFormatError(f"{name}[{i}]: expected integers")
+        a, b = item
         pairs.append((a, b))
     return tuple(pairs)
 
@@ -54,9 +64,8 @@ def _int_rows(raw, name: str):
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise InstanceFormatError(f"{name}[{i}]: expected a list")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InstanceFormatError(f"{name}[{i}]: expected integers")
+        if not all(_is_int(x) for x in row):
+            raise InstanceFormatError(f"{name}[{i}]: expected integers")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -89,8 +98,8 @@ def instance_from_doc(doc: dict) -> ColoringInstance:
         edges=_int_pairs(_require(doc, "edges", list), "edges"),
         k=_require(doc, "k", int),
         p=_require(doc, "p", int),
-        part_of=tuple(_require(doc, "part_of", list)),
-        weight=tuple(_require(doc, "weight", list)),
+        part_of=_int_list(_require(doc, "part_of", list), "part_of"),
+        weight=_int_list(_require(doc, "weight", list), "weight"),
         bounds=_int_rows(_require(doc, "bounds", list), "bounds"),
         allowed=tuple(frozenset(row) for row in allowed_rows),
         profit=profit,
@@ -125,10 +134,7 @@ def coloring_from_doc(doc: dict) -> Coloring:
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected a JSON object")
     colors = _require(doc, "color_of", list)
-    for i, c in enumerate(colors):
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise InstanceFormatError(f"color_of[{i}]: expected an integer")
-    return Coloring(tuple(colors))
+    return Coloring(_int_list(colors, "color_of"))
 
 
 def coloring_to_doc(col: Coloring) -> dict:
@@ -170,9 +176,3 @@ def read_coloring(source) -> Coloring:
 
 def write_coloring(col: Coloring, target) -> None:
     _dump(coloring_to_doc(col), target)
-
-
-def instance_to_json(inst: ColoringInstance) -> str:
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    return buf.getvalue()

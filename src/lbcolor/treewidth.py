@@ -1,8 +1,8 @@
 """Nice tree decompositions and the coloring DPs that run over them.
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
-forget(v), introduce(v), or join nodes.  Both DP engines keep sparse tables:
-per node, a map from (bag coloring, flattened part-by-color weight tuple) to
+forget(v), introduce(v), or join nodes.  The DP keeps sparse tables: per
+node, a map from (bag coloring, flattened part-by-color weight tuple) to
 the predecessor that produced it, so unreachable states are simply absent and
 witnesses fall out of a top-down trace.
 """
@@ -476,26 +476,6 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
     return tables
 
 
-def _trace(inst, dec, tables, root_key, root_tup, maximize, record):
-    stack = [(dec.root, root_key, root_tup)]
-    while stack:
-        node, key, tup = stack.pop()
-        record(node, key)
-        entry = tables[node][key][tup]
-        pred = entry[1] if maximize else entry
-        if pred is None:
-            continue
-        tag = pred[0]
-        if tag == "i":
-            stack.append((dec.children[node][0], pred[1], pred[2]))
-        elif tag == "f":
-            stack.append((dec.children[node][0], pred[1], pred[2]))
-        else:
-            left, right = dec.children[node]
-            stack.append((left, key, pred[1]))
-            stack.append((right, key, pred[2]))
-
-
 def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
     """Vertex-coloring DP over a nice decomposition; decide or maximize profit."""
     if inst.mode != "vertex":
@@ -523,18 +503,28 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
     if chosen_key is None:
         return SolveOutcome.infeasible_outcome()
 
+    # witness: follow the stored predecessors down from the root state
     color_of = [0] * inst.n
-
-    def record(node, key):
+    stack = [(dec.root, chosen_key, target)]
+    while stack:
+        node, key, tup = stack.pop()
         for v, c in zip(dec.bags[node], key):
             color_of[v] = c
-
-    _trace(inst, dec, tables, chosen_key, target, maximize, record)
+        entry = tables[node][key][tup]
+        pred = entry[1] if maximize else entry
+        if pred is None:
+            continue
+        if pred[0] in ("i", "f"):
+            stack.append((dec.children[node][0], pred[1], pred[2]))
+        else:
+            left, right = dec.children[node]
+            stack.append((left, key, pred[1]))
+            stack.append((right, key, pred[2]))
     return SolveOutcome.feasible_from(inst, color_of)
 
 
 # ---------------------------------------------------------------------------
-# edge DP
+# edge DP: the vertex DP on the line graph
 
 
 def _bag_edge_ids(inst, bag):
@@ -542,112 +532,6 @@ def _bag_edge_ids(inst, bag):
     return tuple(
         idx for idx, (u, v) in enumerate(inst.edges) if u in bag_set and v in bag_set
     )
-
-
-def _edge_tables(inst: ColoringInstance, dec: NiceDecomposition):
-    bounds = inst.bounds_flat
-    dim = len(bounds)
-    tables: list[dict] = [None] * dec.size
-    bag_edges = [_bag_edge_ids(inst, dec.bags[node]) for node in range(dec.size)]
-
-    def slot(e, c):
-        return inst.flat_index(inst.part_of[e], c)
-
-    def share_vertex(e, f):
-        a, b = inst.edges[e]
-        return a in inst.edges[f] or b in inst.edges[f]
-
-    for node in dec.post_order():
-        kind = dec.kinds[node]
-        ys = bag_edges[node]
-        table: dict = {}
-
-        if kind == "leaf":
-            pairs = [
-                (i, j)
-                for i in range(len(ys))
-                for j in range(i + 1, len(ys))
-                if share_vertex(ys[i], ys[j])
-            ]
-            for key in product(*[sorted(inst.allowed[e]) for e in ys]):
-                if any(key[i] == key[j] for i, j in pairs):
-                    continue
-                tup = [0] * dim
-                ok = True
-                for e, c in zip(ys, key):
-                    s = slot(e, c)
-                    tup[s] += inst.weight[e]
-                    if tup[s] > bounds[s]:
-                        ok = False
-                        break
-                if ok:
-                    _store_decide(table, key, tuple(tup), None)
-
-        elif kind == "introduce":
-            child = dec.children[node][0]
-            old = bag_edges[child]
-            old_set = set(old)
-            new = tuple(e for e in ys if e not in old_set)
-            old_pos = {e: i for i, e in enumerate(old)}
-            key_order = {e: i for i, e in enumerate(ys)}
-            # conflicts of each new edge against old bag edges and other new edges
-            old_conf = [[old_pos[f] for f in old if share_vertex(e, f)] for e in new]
-            new_conf = [
-                [j for j in range(i) if share_vertex(new[i], new[j])] for i in range(len(new))
-            ]
-            for ckey in sorted(tables[child]):
-                for ctup in sorted(tables[child][ckey]):
-                    for new_cols in product(*[sorted(inst.allowed[e]) for e in new]):
-                        ok = True
-                        for i, c in enumerate(new_cols):
-                            if any(ckey[p] == c for p in old_conf[i]) or any(
-                                new_cols[j] == c for j in new_conf[i]
-                            ):
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        tup = list(ctup)
-                        for e, c in zip(new, new_cols):
-                            s = slot(e, c)
-                            tup[s] += inst.weight[e]
-                            if tup[s] > bounds[s]:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        merged = {e: ckey[old_pos[e]] for e in old}
-                        merged.update(dict(zip(new, new_cols)))
-                        key = tuple(merged[e] for e in ys)
-                        _store_decide(table, key, tuple(tup), ("i", ckey, ctup))
-
-        elif kind == "forget":
-            child = dec.children[node][0]
-            old = bag_edges[child]
-            ys_set = set(ys)
-            keep_pos = [i for i, e in enumerate(old) if e in ys_set]
-            for ckey in sorted(tables[child]):
-                key = tuple(ckey[i] for i in keep_pos)
-                for ctup in sorted(tables[child][ckey]):
-                    _store_decide(table, key, ctup, ("f", ckey, ctup))
-
-        else:  # join
-            left, right = dec.children[node]
-            lt, rt = tables[left], tables[right]
-            for key in sorted(set(lt) & set(rt)):
-                bag_w = [0] * dim
-                for e, c in zip(ys, key):
-                    bag_w[slot(e, c)] += inst.weight[e]
-                for ta in sorted(lt[key]):
-                    for tb in sorted(rt[key]):
-                        assert all(a >= bw and b >= bw for a, b, bw in zip(ta, tb, bag_w))
-                        tup = tuple(a + b - bw for a, b, bw in zip(ta, tb, bag_w))
-                        if any(x > bound for x, bound in zip(tup, bounds)):
-                            continue
-                        _store_decide(table, key, tup, ("j", ta, tb))
-
-        tables[node] = table
-    return tables, bag_edges
 
 
 def _check_conflicts_coresident(inst: ColoringInstance, dec: NiceDecomposition) -> None:
@@ -662,32 +546,37 @@ def _check_conflicts_coresident(inst: ColoringInstance, dec: NiceDecomposition) 
             )
 
 
-def dp_edge(inst: ColoringInstance, dec: NiceDecomposition) -> SolveOutcome:
-    """Edge-coloring DP over a nice decomposition of the underlying graph.
+def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
+    """The vertex-mode instance on L(G): one vertex per edge, same lists and bounds."""
+    return ColoringInstance(
+        mode="vertex", n=len(inst.edges), edges=inst.conflict_pairs, k=inst.k, p=inst.p,
+        part_of=inst.part_of, weight=inst.weight, bounds=inst.bounds,
+        allowed=inst.allowed, profit=inst.profit,
+    )
 
-    Conflicts are checked between co-resident bag edges, so the decomposition
-    must gather every pair of adjacent edges into some bag;
+
+def _lift_decomposition(inst: ColoringInstance, dec: NiceDecomposition) -> NiceDecomposition:
+    """Replace every bag by the edges inside it, keeping the tree.
+
+    The bags holding edge uv are those holding u and v, an intersection of
+    two subtrees and so a subtree; once every two adjacent edges share a bag
+    this is a tree decomposition of the line graph.
+    """
+    bags = tuple(_bag_edge_ids(inst, bag) for bag in dec.bags)
+    tree_edges = tuple((node, child) for node in range(dec.size) for child in dec.children[node])
+    return normalize_decomposition(RawDecomposition(bags=bags, tree_edges=tree_edges, root=dec.root))
+
+
+def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
+    """Edge-coloring DP: dp_vertex on the line graph over the lifted decomposition.
+
+    The decomposition must gather every pair of adjacent edges into some bag;
     build_nice_decomposition does this for edge-mode instances.
     """
     if inst.mode != "edge":
         raise UsageError("dp_edge: requires an edge-mode instance")
     _check_conflicts_coresident(inst, dec)
-    tables, bag_edges = _edge_tables(inst, dec)
-    target = inst.bounds_flat
-    root_table = tables[dec.root]
-    chosen_key = None
-    for key in sorted(root_table):
-        if target in root_table[key]:
-            chosen_key = key
-            break
-    if chosen_key is None:
-        return SolveOutcome.infeasible_outcome()
-
-    color_of = [0] * len(inst.edges)
-
-    def record(node, key):
-        for e, c in zip(bag_edges[node], key):
-            color_of[e] = c
-
-    _trace(inst, dec, tables, chosen_key, target, maximize=False, record=record)
-    return SolveOutcome.feasible_from(inst, color_of)
+    outcome = dp_vertex(_line_graph_instance(inst), _lift_decomposition(inst, dec), objective)
+    if not outcome.feasible:
+        return outcome
+    return SolveOutcome.feasible_from(inst, outcome.witness.color_of)

@@ -74,7 +74,9 @@ def random_vertex_instance(
     )
 
 
-def random_edge_instance(rng, n_max=6, m_max=7, k_max=3, p_max=2, w_max=3, edges=None, n=None):
+def random_edge_instance(
+    rng, n_max=6, m_max=7, k_max=3, p_max=2, w_max=3, profit=False, edges=None, n=None
+):
     if edges is None:
         n = n if n is not None else rng.randint(2, n_max)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -87,9 +89,10 @@ def random_edge_instance(rng, n_max=6, m_max=7, k_max=3, p_max=2, w_max=3, edges
     part_of = tuple(rng.randint(1, p) for _ in range(m))
     allowed = tuple(random_allowed(rng, k) for _ in range(m))
     bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
+    prof = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(m)) if profit else None
     return ColoringInstance(
         mode="edge", n=n, edges=edges, k=k, p=p, part_of=part_of,
-        weight=weight, bounds=bounds, allowed=allowed,
+        weight=weight, bounds=bounds, allowed=allowed, profit=prof,
     )
 
 

@@ -171,8 +171,7 @@ def test_determinism_same_args_same_output(tmp_path, capsys):
         write_instance(inst, str(path))
         outs = []
         for _ in range(2):
-            code, out, _ = run(capsys, ["solve", "--input", str(path), "--seed", "0",
-                                        "--objective", "maximize"])
+            code, out, _ = run(capsys, ["solve", "--input", str(path), "--objective", "maximize"])
             doc = json.loads(out)
             doc.pop("elapsed_ms")
             outs.append(json.dumps(doc, sort_keys=True))
@@ -228,10 +227,67 @@ def test_auto_dispatch_order():
     assert named(5, c5) == "treewidth"  # C5: not split, not a cograph
 
 
-def test_edge_mode_maximize_goes_to_oracle():
+def test_edge_mode_maximize_goes_to_treewidth_edge():
     rng = random.Random(199)
     inst = random_edge_instance(rng)
-    assert auto_solver_name(inst, "maximize") == "oracle"
+    assert auto_solver_name(inst, "maximize") == "treewidth-edge"
+
+
+def test_edge_mode_maximize_and_minimize_through_auto_match_oracle():
+    rng = random.Random(227)
+    for _ in range(200):
+        inst = random_edge_instance(rng, profit=True)
+        for objective in ("maximize", "minimize"):
+            out = solve_with(auto_solver_name(inst, objective), inst, objective)
+            ref = brute_force_solve(inst, objective)
+            assert (out.status, out.objective) == (ref.status, ref.objective)
+            assert_outcome(inst, out)
+
+
+def prism_edge_doc():
+    # C6 x K2: 18 edges, 3^18 colorings (past the oracle cap); rungs take
+    # color 3 and each hexagon alternates colors 1 and 2
+    edges, planted = [], []
+    for ring in (0, 6):
+        for i in range(6):
+            edges.append([ring + i, ring + (i + 1) % 6])
+            planted.append(1 + i % 2)
+    for i in range(6):
+        edges.append([i, i + 6])
+        planted.append(3)
+    part_of = [1 + e % 2 for e in range(18)]
+    weight = [1 + e % 3 for e in range(18)]
+    bounds = [[0] * 3 for _ in range(2)]
+    for e, c in enumerate(planted):
+        bounds[part_of[e] - 1][c - 1] += weight[e]
+    return {
+        "mode": "edge", "n": 12, "edges": edges, "k": 3, "p": 2,
+        "part_of": part_of, "weight": weight, "bounds": bounds,
+        "allowed": [full(3)] * 18,
+        "profit": [[(e * 7 + c) % 5 - 2 for c in range(3)] for e in range(18)],
+    }
+
+
+def test_edge_mode_maximize_past_the_oracle_cap(tmp_path, capsys):
+    path = write_doc(tmp_path, "prism.json", prism_edge_doc())
+    code, out, _ = run(capsys, ["solve", "--input", path, "--objective", "maximize"])
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "feasible"
+    assert doc["solver_used"] == "treewidth-edge"
+    code, _, _ = run(capsys, ["solve", "--input", path, "--objective", "maximize",
+                              "--solver", "oracle"])
+    assert code == 2
+
+
+def test_crash_exits_two_not_infeasible(tmp_path, capsys, monkeypatch):
+    def boom(inst, obj, cg):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(SOLVERS, "treewidth", (SOLVERS["treewidth"][0], boom))
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "treewidth"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: ZeroDivisionError: division by zero"
 
 
 def test_unknown_solver_rejected():

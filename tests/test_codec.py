@@ -58,6 +58,17 @@ def test_zero_based_color_rejected():
                                  weight=[2], bounds=[[1, 1]], allowed=[[0]]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("edges", [[True, False]]),
+    ("part_of", [True, 1]),
+    ("weight", [True, True]),
+])
+def test_json_booleans_rejected(field, value):
+    doc = doc_of(**{field: value})
+    with pytest.raises(InstanceFormatError, match=field):
+        instance_from_doc(json.loads(json.dumps(doc)))
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(InstanceFormatError, match="mode"):
         instance_from_doc(doc_of(mode="hyperedge"))

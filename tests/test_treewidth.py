@@ -13,7 +13,8 @@ from lbcolor import (
     dp_vertex,
 )
 from lbcolor.treewidth import (
-    _edge_tables,
+    _lift_decomposition,
+    _line_graph_instance,
     _vertex_tables,
     exact_elimination_order,
     heuristic_width,
@@ -310,23 +311,31 @@ def test_dp_edge_matches_oracle():
         assert_outcome(inst, out)
 
 
+def test_lifted_decomposition_is_valid_for_the_line_graph():
+    rng = random.Random(83)
+    for _ in range(60):
+        inst = random_edge_instance(rng)
+        dec, _ = build_nice_decomposition(inst)
+        line = _line_graph_instance(inst)
+        lifted = _lift_decomposition(inst, dec)
+        tree_edges = [(node, c) for node in range(lifted.size) for c in lifted.children[node]]
+        raw = RawDecomposition(bags=lifted.bags, tree_edges=tree_edges, root=lifted.root)
+        validate_raw_decomposition(line.n, line.edges, raw)
+
+
 def test_edge_join_conservation():
+    # the edge DP is the vertex DP on the line graph: check its join tables there
     rng = random.Random(79)
     total = 0
     for _ in range(30):
         inst = random_edge_instance(rng, m_max=6)
         dec, _ = build_nice_decomposition(inst)
-        tables, bag_edges = _edge_tables(inst, dec)
-        for node in range(dec.size):
-            if dec.kinds[node] != "join":
-                continue
-            for key, row in tables[node].items():
-                bag_w = [0] * len(inst.bounds_flat)
-                for e, c in zip(bag_edges[node], key):
-                    bag_w[(inst.part_of[e] - 1) * inst.k + (c - 1)] += inst.weight[e]
-                for tup, pred in row.items():
-                    tag, qa, qb = pred
-                    assert tag == "j"
-                    assert all(a + b == t + w for a, b, t, w in zip(qa, qb, tup, bag_w))
-                    total += 1
+        line = _line_graph_instance(inst)
+        lifted = _lift_decomposition(inst, dec)
+        tables = _vertex_tables(line, lifted, maximize=False)
+
+        def bag_slots(node):
+            return [(line.part_of[e] - 1, line.weight[e]) for e in lifted.bags[node]]
+
+        total += trace_join_conservation(line, lifted, tables, bag_slots)
     assert total > 0
