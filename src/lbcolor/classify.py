@@ -1,14 +1,18 @@
-"""Graph-class recognition used for solver auto-dispatch."""
+"""Graph-class recognition and the solver auto-dispatch that reads it.
+
+Runners call solver functions as module attributes (``treewidth.dp_vertex``),
+so a wrapper set on such an attribute sees every call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import basic, cographs, split, treewidth
 from .cographs import is_cograph, is_complete, is_complete_bipartite
 from .errors import UsageError
-from .instance import ColoringInstance
+from .instance import ColoringInstance, SolveOutcome
+from .oracle import brute_force_solve
 from .split import is_split
-from .treewidth import EXACT_WIDTH_LIMIT, exact_elimination_order, heuristic_width
 
 
 @dataclass(frozen=True)
@@ -18,28 +22,108 @@ class ClassReport:
     complete_bipartite: bool
     split: bool
     cograph: bool
-    treewidth: int
-    treewidth_exact: bool
 
 
 def classify_graph(n: int, edges) -> ClassReport:
-    exact = n <= EXACT_WIDTH_LIMIT
-    if exact:
-        _, width = exact_elimination_order(n, edges)
-    else:
-        width = heuristic_width(n, edges)
     return ClassReport(
         edgeless=not edges,
         complete=is_complete(n, edges),
         complete_bipartite=is_complete_bipartite(n, edges),
         split=is_split(n, edges),
         cograph=is_cograph(n, edges),
-        treewidth=width,
-        treewidth_exact=exact,
     )
 
 
-def classify_instance(inst: ColoringInstance) -> ClassReport:
-    if inst.mode != "vertex":
-        raise UsageError("classify_instance: requires a vertex-mode instance")
-    return classify_graph(inst.n, inst.edges)
+# ---------------------------------------------------------------------------
+# solver registry
+
+_DECIDE_ONLY = ("decide",)
+_WITH_PROFIT = ("decide", "maximize", "minimize")
+
+
+def _run_treewidth(inst, objective):
+    dec, _ = treewidth.build_nice_decomposition(inst)
+    return treewidth.dp_vertex(inst, dec, objective)
+
+
+def _run_cograph(inst, objective):
+    ct = cographs.build_cotree(inst)
+    return cographs.dp_cograph(inst, ct, objective)
+
+
+def _run_treewidth_edge(inst, objective):
+    dec, _ = treewidth.build_nice_decomposition(inst)
+    return treewidth.dp_edge(inst, dec, objective)
+
+
+SOLVERS = {
+    # name: (objectives, runner(inst, objective, clique_general))
+    "oracle": (_WITH_PROFIT, lambda inst, obj, cg: brute_force_solve(inst, obj)),
+    "components-k2": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_components_k2(inst)),
+    "isolated-unit": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_isolated_unit(inst)),
+    "isolated-kfixed": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_isolated_k_fixed(inst)),
+    "treewidth": (("decide", "maximize"), lambda inst, obj, cg: _run_treewidth(inst, obj)),
+    "cograph": (("decide", "maximize"), lambda inst, obj, cg: _run_cograph(inst, obj)),
+    "complete": (("decide", "maximize"), lambda inst, obj, cg: cographs.solve_complete_graph(inst)),
+    "complete-bipartite": (
+        _DECIDE_ONLY,
+        lambda inst, obj, cg: cographs.solve_complete_bipartite(inst),
+    ),
+    "split-kfixed": (_DECIDE_ONLY, lambda inst, obj, cg: split.solve_split_k_fixed(inst)),
+    "split-singular": (
+        _DECIDE_ONLY,
+        lambda inst, obj, cg: split.solve_split_singular(inst, clique_general=cg),
+    ),
+    "treewidth-edge": (("decide", "maximize"), lambda inst, obj, cg: _run_treewidth_edge(inst, obj)),
+    "cograph-edge": (_DECIDE_ONLY, lambda inst, obj, cg: cographs.solve_cograph_edges(inst)),
+    "split-edge": (_DECIDE_ONLY, lambda inst, obj, cg: split.solve_split_edges(inst)),
+}
+
+
+def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
+    """Most specific applicable solver, specialized classes before the DPs."""
+    if inst.mode == "edge" and objective != "decide":
+        return "treewidth-edge"
+    report = classify_graph(inst.n, inst.edges)
+    if inst.mode == "edge":
+        if report.split:
+            return "split-edge"
+        if report.cograph:
+            return "cograph-edge"
+        return "treewidth-edge"
+    if objective == "decide":
+        if report.complete:
+            return "complete"
+        if report.complete_bipartite:
+            return "complete-bipartite"
+        if report.edgeless:
+            return "isolated-unit" if inst.unit_weights else "isolated-kfixed"
+        if report.split:
+            return "split-kfixed"
+        if report.cograph:
+            return "cograph"
+        return "treewidth"
+    if report.complete:
+        return "complete"
+    if report.cograph:
+        return "cograph"
+    return "treewidth"
+
+
+def solve_with(name: str, inst: ColoringInstance, objective: str = "decide", clique_general: bool = False) -> SolveOutcome:
+    """Run a registry solver; minimize runs as maximize over negated profits."""
+    if name not in SOLVERS:
+        raise UsageError(f"unknown solver {name!r}")
+    objectives, runner = SOLVERS[name]
+    effective = "maximize" if objective == "minimize" and name != "oracle" else objective
+    if effective not in objectives:
+        raise UsageError(f"solver {name!r} does not support objective {objective!r}")
+    if objective in ("maximize", "minimize") and inst.profit is None:
+        raise UsageError(f"objective {objective!r} requires a profit matrix")
+    if objective == "minimize" and name != "oracle":
+        negated = replace(inst, profit=tuple(tuple(-x for x in row) for row in inst.profit))
+        outcome = runner(negated, "maximize", clique_general)
+        if not outcome.feasible:
+            return outcome
+        return SolveOutcome.feasible_from(inst, outcome.witness.color_of)
+    return runner(inst, objective, clique_general)

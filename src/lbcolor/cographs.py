@@ -79,7 +79,8 @@ def find_induced_p4(vertices, adjacency):
 
 
 def build_cotree_graph(n: int, edges) -> Cotree:
-    """Recursive cotree construction; raises NotACographError with a P4 witness."""
+    """Cotree construction with an explicit stack, so deep cotrees (threshold
+    graphs) never recurse; raises NotACographError with a P4 witness."""
     adjacency = [set() for _ in range(n)]
     for u, v in edges:
         adjacency[u].add(v)
@@ -110,26 +111,39 @@ def build_cotree_graph(n: int, edges) -> Cotree:
             left -= seen
         return out
 
-    def build(vertices) -> int:
-        if len(vertices) == 1:
-            return add("leaf", v=vertices[0])
+    def split_module(vertices):
         vset = set(vertices)
         parts = comps(vertices, lambda u: adjacency[u] & vset)
-        kind = "union"
-        if len(parts) == 1:
-            parts = comps(vertices, lambda u: vset - adjacency[u] - {u})
-            kind = "join"
+        if len(parts) > 1:
+            return "union", parts
+        parts = comps(vertices, lambda u: vset - adjacency[u] - {u})
         if len(parts) == 1:
             raise NotACographError(find_induced_p4(vertices, adjacency))
-        top = build(parts[0])
-        for part in parts[1:]:
-            top = add(kind, (top, build(part)))
-        return top
+        return "join", parts
 
     if n == 0:
         raise UsageError("cotree: the graph has no vertices")
-    root = build(list(range(n)))
-    return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=root)
+    # frames [kind, parts, next part, node so far]; parts fold left into binary nodes
+    frames = []
+    vertices = list(range(n))
+    while True:
+        while len(vertices) > 1:
+            kind, parts = split_module(vertices)
+            frames.append([kind, parts, 1, None])
+            vertices = parts[0]
+        node = add("leaf", v=vertices[0])
+        while frames:
+            frame = frames[-1]
+            kind, parts, nxt, top = frame
+            if top is not None:
+                node = add(kind, (top, node))
+            if nxt < len(parts):
+                frame[2:] = [nxt + 1, node]
+                vertices = parts[nxt]
+                break
+            frames.pop()
+        else:
+            return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
 
 
 def build_cotree(inst: ColoringInstance) -> Cotree:
@@ -390,12 +404,14 @@ def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
 # cograph edge coloring
 
 
-def solve_cograph_edges(inst: ColoringInstance, ct: Cotree) -> SolveOutcome:
+def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     """Edge coloring in cographs with few colors: components are small (their
     diameter is at most two), so enumerate each component's proper list
     edge-colorings and combine the reachable weight tuples across components."""
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
+    if inst.n:
+        build_cotree_graph(inst.n, inst.edges)  # raises NotACographError off cographs
     degree = [0] * inst.n
     for u, v in inst.edges:
         degree[u] += 1

@@ -44,8 +44,6 @@ def split_partition_graph(n: int, edges) -> SplitPartition | None:
         return None
     clique = sorted(order[:m])
     independent = sorted(order[m:])
-    assert all(b in adjacency[a] for i, a in enumerate(clique) for b in clique[i + 1 :])
-    assert all(b not in adjacency[a] for i, a in enumerate(independent) for b in independent[i + 1 :])
     # at most one independent vertex can be adjacent to the whole clique
     for v in independent:
         if all(u in adjacency[v] for u in clique):

@@ -349,12 +349,6 @@ def build_nice_decomposition(
     return nice, nice.width
 
 
-def heuristic_width(n: int, edges) -> int:
-    """Width of the min-fill decomposition (an upper bound on tree-width)."""
-    raw = order_to_raw(n, edges, min_fill_order(n, edges))
-    return max(len(b) for b in raw.bags) - 1
-
-
 # ---------------------------------------------------------------------------
 # vertex DP
 
@@ -462,7 +456,6 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
                     ea = lt[key][ta]
                     for tb in sorted(rt[key]):
                         eb = rt[key][tb]
-                        assert all(a >= bw and b >= bw for a, b, bw in zip(ta, tb, bag_w))
                         tup = tuple(a + b - bw for a, b, bw in zip(ta, tb, bag_w))
                         if any(x > bound for x, bound in zip(tup, bounds)):
                             continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from lbcolor import ColoringInstance, validate_coloring
-from lbcolor.treewidth import heuristic_width
+from lbcolor.treewidth import min_fill_order, order_to_raw
 
 
 def assert_outcome(inst, outcome):
@@ -22,6 +22,12 @@ def assert_outcome(inst, outcome):
             assert outcome.objective == value
     else:
         assert outcome.witness is None
+
+
+def min_fill_width(n, edges):
+    """Width of the min-fill decomposition (an upper bound on tree-width)."""
+    raw = order_to_raw(n, edges, min_fill_order(n, edges))
+    return max(len(b) for b in raw.bags) - 1
 
 
 def random_allowed(rng, k):
@@ -61,7 +67,7 @@ def random_vertex_instance(
             edges = tuple(
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_p
             )
-            if tw_cap is None or heuristic_width(n, edges) <= tw_cap:
+            if tw_cap is None or min_fill_width(n, edges) <= tw_cap:
                 break
     weight = tuple(rng.randint(1, w_max) for _ in range(n))
     part_of = tuple(rng.randint(1, p) for _ in range(n))

@@ -28,7 +28,7 @@ from lbcolor import (
     split_partition,
     validate_coloring,
 )
-from lbcolor.cographs import bipartition, build_cotree_graph
+from lbcolor.cographs import bipartition
 from lbcolor.generators import ThreePartitionSource
 
 from corpus import (
@@ -131,7 +131,7 @@ def run_criterion_3(seed):
         ok = out.status == oracle.status
         report = classify_graph(inst.n, inst.edges)
         if report.cograph:
-            ce = solve_cograph_edges(inst, build_cotree_graph(inst.n, inst.edges))
+            ce = solve_cograph_edges(inst)
             rec.outcome(inst, f"3.cograph[{i}]", ce)
             ok = ok and ce.status == oracle.status
         if report.split:

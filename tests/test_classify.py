@@ -1,9 +1,8 @@
 import random
 from itertools import combinations
 
-import pytest
-
-from lbcolor import ColoringInstance, UsageError, classify_graph, classify_instance
+from lbcolor import ColoringInstance, auto_solver_name, classify_graph, treewidth
+from lbcolor.treewidth import exact_elimination_order
 
 from corpus import random_vertex_instance, treewidth_by_elimination_orders
 
@@ -12,7 +11,7 @@ def test_three_isolated_vertices():
     rep = classify_graph(3, ())
     assert rep.edgeless and rep.cograph and rep.split
     assert not rep.complete and not rep.complete_bipartite
-    assert rep.treewidth == 0 and rep.treewidth_exact
+    assert exact_elimination_order(3, ())[1] == 0
 
 
 def test_p4_flags():
@@ -20,22 +19,23 @@ def test_p4_flags():
     # P4 is the forbidden structure for cographs, yet it is a split graph
     # (clique = the middle edge, independent set = the endpoints)
     assert not rep.cograph and rep.split
-    assert rep.treewidth == 1
+    assert exact_elimination_order(4, ((0, 1), (1, 2), (2, 3)))[1] == 1
 
 
 def test_k22_flags():
     rep = classify_graph(4, ((0, 2), (0, 3), (1, 2), (1, 3)))
     assert rep.complete_bipartite and rep.cograph and not rep.split
-    assert rep.treewidth == 2 and rep.treewidth_exact
+    assert exact_elimination_order(4, ((0, 2), (0, 3), (1, 2), (1, 3)))[1] == 2
     assert treewidth_by_elimination_orders(4, ((0, 2), (0, 3), (1, 2), (1, 3))) == 2
 
 
 def test_single_vertex_and_complete_graphs():
     rep = classify_graph(1, ())
     assert rep.complete and rep.edgeless and rep.split and rep.cograph
-    rep = classify_graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    rep = classify_graph(4, k4)
     assert rep.complete and rep.split and rep.cograph and not rep.complete_bipartite
-    assert rep.treewidth == 3
+    assert exact_elimination_order(4, k4)[1] == 3
 
 
 def brute_flags(n, edges):
@@ -98,14 +98,31 @@ def test_flags_match_brute_force_definitions():
         assert rep.split == split
         assert rep.complete_bipartite == cb
         assert rep.edgeless == (not edges)
-        assert rep.treewidth == treewidth_by_elimination_orders(n, edges)
+        assert exact_elimination_order(n, edges)[1] == treewidth_by_elimination_orders(n, edges)
 
 
-def test_classify_instance_requires_vertex_mode():
-    inst = ColoringInstance(mode="edge", n=2, edges=((0, 1),), k=1, p=1,
-                            part_of=(1,), weight=(1,), bounds=((1,),),
-                            allowed=(frozenset({1}),))
-    with pytest.raises(UsageError):
-        classify_instance(inst)
-    vert = random_vertex_instance(random.Random(0))
-    assert classify_instance(vert) == classify_graph(vert.n, vert.edges)
+
+def test_dispatch_builds_no_elimination_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dispatch computed a tree-width")
+
+    monkeypatch.setattr(treewidth, "min_fill_order", refuse)
+    monkeypatch.setattr(treewidth, "exact_elimination_order", refuse)
+    rng = random.Random(0)
+    # three disjoint 4-cycles: a cograph, neither split nor complete bipartite
+    cycles = tuple(
+        edge
+        for base in (0, 4, 8)
+        for edge in ((base, base + 1), (base + 1, base + 2), (base + 2, base + 3), (base, base + 3))
+    )
+    assert auto_solver_name(random_vertex_instance(rng, n=12, edges=cycles)) == "cograph"
+    # clique {0..5}, each of 6..11 joined to two clique vertices
+    split = tuple((u, v) for u in range(6) for v in range(u + 1, 6))
+    split += tuple((u, v) for v in range(6, 12) for u in (v - 6, (v - 5) % 6))
+    assert auto_solver_name(random_vertex_instance(rng, n=12, edges=split)) == "split-kfixed"
+    # two disjoint triangles in edge mode: a cograph that is not split
+    triangles = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+    edge_inst = ColoringInstance(mode="edge", n=6, edges=triangles, k=3, p=1,
+                                 part_of=(1,) * 6, weight=(1,) * 6, bounds=((2, 2, 2),),
+                                 allowed=(frozenset({1, 2, 3}),) * 6)
+    assert auto_solver_name(edge_inst) == "cograph-edge"

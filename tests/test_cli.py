@@ -1,9 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
-from lbcolor import instance_to_doc, write_instance
+from lbcolor import cli, instance_to_doc, write_instance
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
 
@@ -297,3 +298,34 @@ def test_unknown_solver_rejected():
 
     with pytest.raises(UsageError):
         solve_with("newton", inst)
+
+
+def test_elapsed_ms_covers_dispatch(tmp_path, capsys, monkeypatch):
+    def slow_dispatch(inst, objective="decide"):
+        time.sleep(0.05)
+        return "treewidth"
+
+    monkeypatch.setattr(cli, "auto_solver_name", slow_dispatch)
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    code, out, _ = run(capsys, ["solve", "--input", path])
+    doc = json.loads(out)
+    assert code == 0 and doc["solver_used"] == "treewidth"
+    assert doc["elapsed_ms"] >= 50
+    assert set(doc) == {"status", "witness", "objective", "solver_used", "elapsed_ms"}
+
+
+def test_forced_cograph_edge_checks_its_class(tmp_path, capsys):
+    c5 = {
+        "mode": "edge", "n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+        "k": 3, "p": 1, "part_of": [1] * 5, "weight": [1] * 5, "bounds": [[2, 2, 1]],
+        "allowed": [full(3)] * 5,
+    }
+    path = write_doc(tmp_path, "c5.json", c5)
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "cograph-edge"])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: not a cograph: induced P4 on vertices (0, 1, 2, 3)"
+    empty = {"mode": "edge", "n": 0, "edges": [], "k": 1, "p": 1, "part_of": [],
+             "weight": [], "bounds": [[0]], "allowed": []}
+    path = write_doc(tmp_path, "empty.json", empty)
+    code, out, _ = run(capsys, ["solve", "--input", path, "--solver", "cograph-edge"])
+    assert code == 0 and json.loads(out)["status"] == "feasible"

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from lbcolor import (
     UsageError,
     brute_force_solve,
     build_cotree,
+    classify_graph,
     build_nice_decomposition,
     dp_cograph,
     dp_vertex,
@@ -53,6 +56,27 @@ def test_p4_reports_witness_path():
     with pytest.raises(NotACographError) as err:
         build_cotree_graph(4, ((0, 1), (1, 2), (2, 3)))
     assert err.value.witness == (0, 1, 2, 3)
+
+
+def test_deep_threshold_cotree_needs_no_recursion():
+    # every odd vertex is joined to all earlier ones: split and a cograph,
+    # with one cotree level per vertex
+    n = 300
+    edges = tuple((u, v) for v in range(1, n, 2) for u in range(v))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        ct = build_cotree_graph(n, edges)
+        report = classify_graph(n, edges)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.split and report.cograph
+    assert reconstruct_graph(ct) == (n, tuple(sorted(edges)))
+    depth = [0] * len(ct.kinds)
+    for node in reversed(ct.post_order()):
+        for child in ct.children[node]:
+            depth[child] = depth[node] + 1
+    assert max(depth) >= n - 1
 
 
 def test_random_cographs_round_trip():
@@ -238,19 +262,19 @@ def edge_inst(n, edges, k, p, part_of, weight, bounds, allowed=None):
 
 def test_single_edge_single_color():
     inst = edge_inst(2, ((0, 1),), 1, 1, (1,), (3,), ((3,),))
-    out = solve_cograph_edges(inst, build_cotree_graph(2, inst.edges))
+    out = solve_cograph_edges(inst)
     assert out.feasible
     assert_outcome(inst, out)
 
 
 def test_degree_bound_rejects_star():
     inst = edge_inst(4, ((0, 1), (0, 2), (0, 3)), 2, 1, (1,) * 3, (1,) * 3, ((2, 1),))
-    assert not solve_cograph_edges(inst, build_cotree_graph(4, inst.edges)).feasible
+    assert not solve_cograph_edges(inst).feasible
 
 
 def test_two_disjoint_edges():
     inst = edge_inst(4, ((0, 1), (2, 3)), 2, 1, (1, 1), (1, 1), ((1, 1),))
-    out = solve_cograph_edges(inst, build_cotree_graph(4, inst.edges))
+    out = solve_cograph_edges(inst)
     assert out.feasible
     assert_outcome(inst, out)
 
@@ -262,7 +286,7 @@ def test_cograph_edges_matches_oracle():
         inst = random_edge_instance(rng)
         if not is_cograph(inst.n, inst.edges):
             continue
-        out = solve_cograph_edges(inst, build_cotree_graph(inst.n, inst.edges))
+        out = solve_cograph_edges(inst)
         assert out.status == brute_force_solve(inst).status
         assert_outcome(inst, out)
         tested += 1

@@ -10,6 +10,7 @@ from lbcolor import (
     ThreePartitionSource,
     UsageError,
     brute_force_solve,
+    build_nice_decomposition,
     classify_graph,
     gen_from_one_in_three_sat,
     gen_from_partition,
@@ -123,8 +124,8 @@ def test_three_partition_star_forest_structure():
         assert inst.allowed[v] == frozenset(range(n * i + 3 * n + 1, n * i + 4 * n + 1))
         v += 1
     assert v == inst.n
-    rep = classify_graph(inst.n, inst.edges)
-    assert rep.cograph and rep.treewidth <= 1
+    assert classify_graph(inst.n, inst.edges).cograph
+    assert build_nice_decomposition(inst)[1] <= 1
 
 
 def test_three_partition_ground_truth():
@@ -283,8 +284,8 @@ def test_star_forest_outputs_are_star_forests():
     for _ in range(10):
         src = random_one_in_three_source(rng)
         inst = gen_from_one_in_three_sat(src, "star_forest").instance
-        rep = classify_graph(inst.n, inst.edges)
-        assert rep.cograph and rep.treewidth <= 1
+        assert classify_graph(inst.n, inst.edges).cograph
+        assert build_nice_decomposition(inst)[1] <= 1
 
 
 def test_unknown_variant_rejected():

@@ -81,6 +81,13 @@ def test_split_recognition_matches_brute_force():
             assert sp is None
         else:
             assert sp is not None
+            edge_set = set(edges)
+            clique, independent = sp.clique, sp.independent
+            assert sorted(clique + independent) == list(range(n))
+            assert all((a, b) in edge_set for i, a in enumerate(clique) for b in clique[i + 1 :])
+            assert all(
+                (a, b) not in edge_set for i, a in enumerate(independent) for b in independent[i + 1 :]
+            )
             if edges:
                 assert len(sp.clique) == expected
             else:

@@ -17,7 +17,6 @@ from lbcolor.treewidth import (
     _line_graph_instance,
     _vertex_tables,
     exact_elimination_order,
-    heuristic_width,
     normalize_decomposition,
     order_to_raw,
     validate_raw_decomposition,
@@ -25,6 +24,7 @@ from lbcolor.treewidth import (
 
 from corpus import (
     assert_outcome,
+    min_fill_width,
     random_edge_instance,
     random_vertex_instance,
     treewidth_by_elimination_orders,
@@ -63,7 +63,7 @@ def test_heuristic_width_at_least_exact():
         n = 8
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3)
         exact = treewidth_by_elimination_orders(n, edges)
-        assert heuristic_width(n, edges) >= exact
+        assert min_fill_width(n, edges) >= exact
         _, subset_dp = exact_elimination_order(n, edges)
         assert subset_dp == exact
 
@@ -216,7 +216,8 @@ def test_stored_tuples_stay_within_bounds():
 
 
 def trace_join_conservation(inst, dec, tables, slot_weight):
-    """Walk every stored join entry and check q + q' = omega + bag weight."""
+    """Walk every stored join entry and check q + q' = omega + bag weight,
+    with each child tuple q, q' at least the bag weight."""
     checked = 0
     for node in range(dec.size):
         if dec.kinds[node] != "join":
@@ -229,6 +230,7 @@ def trace_join_conservation(inst, dec, tables, slot_weight):
                 tag, qa, qb = pred
                 assert tag == "j"
                 assert all(a + b == t + w for a, b, t, w in zip(qa, qb, tup, bag_w))
+                assert all(a >= w and b >= w for a, b, w in zip(qa, qb, bag_w))
                 checked += 1
     return checked
 
