@@ -5,31 +5,30 @@ from __future__ import annotations
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
+from .packed import PackedBounds
 
 
 def part_weight_assignment(weights, choices, bound_row):
     """Assign one color per item so color c gathers exactly bound_row[c-1] weight.
 
     ``choices[i]`` lists the colors item i may take.  Items are independent
-    (no adjacency), so this is a reachability DP over partial weight vectors,
-    one layer per item.  Returns the chosen colors or None.
+    (no adjacency), so this is a reachability DP over packed partial weight
+    vectors, one layer per item.  Returns the chosen colors or None.
     """
-    k = len(bound_row)
-    target = tuple(bound_row)
-    layers = [{(0,) * k: None}]
+    packing = PackedBounds(bound_row, max(weights, default=0))
+    layers = [{0: None}]
     for i, w in enumerate(weights):
+        steps = [(c, packing.unit(c - 1, w)) for c in sorted(choices[i])]
         nxt = {}
         for state in layers[-1]:
-            for c in sorted(choices[i]):
-                pos = c - 1
-                if state[pos] + w > bound_row[pos]:
-                    continue
-                ns = state[:pos] + (state[pos] + w,) + state[pos + 1 :]
-                if ns not in nxt:
+            for c, step in steps:
+                ns = state + step
+                if packing.fits(ns) and ns not in nxt:
                     nxt[ns] = (state, c)
         if not nxt:
             return None
         layers.append(nxt)
+    target = packing.target
     if target not in layers[-1]:
         return None
     colors = []
@@ -130,6 +129,8 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
 
     adjacency = inst.adjacency
     caps = tuple(inst.bounds[h][0] for h in range(inst.p))
+    # a component's color-1 weight in a part is at most the part's total weight
+    packing = PackedBounds(caps, max(sum(row) for row in inst.bounds))
 
     options_per_comp = []
     comps = _components(inst.n, adjacency)
@@ -153,24 +154,24 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
             for v in comp:
                 if coloring[v] == 1:
                     vec[inst.part_of[v] - 1] += inst.weight[v]
-            options.append((tuple(vec), coloring))
+            options.append((packing.pack(vec), coloring))
         if not options:
             return SolveOutcome.infeasible_outcome()
         options_per_comp.append(options)
 
-    layers = [{(0,) * inst.p: None}]
+    layers = [{0: None}]
     for options in options_per_comp:
         nxt = {}
         for state in layers[-1]:
             for idx, (vec, _coloring) in enumerate(options):
-                ns = tuple(s + d for s, d in zip(state, vec))
-                if all(x <= cap for x, cap in zip(ns, caps)) and ns not in nxt:
+                ns = state + vec
+                if packing.fits(ns) and ns not in nxt:
                     nxt[ns] = (state, idx)
         if not nxt:
             return SolveOutcome.infeasible_outcome()
         layers.append(nxt)
 
-    target = caps
+    target = packing.target
     if target not in layers[-1]:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * inst.n

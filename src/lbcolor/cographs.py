@@ -78,14 +78,18 @@ def find_induced_p4(vertices, adjacency):
     return None
 
 
-def build_cotree_graph(n: int, edges) -> Cotree:
-    """Cotree construction with an explicit stack, so deep cotrees (threshold
-    graphs) never recurse; raises NotACographError with a P4 witness."""
+def _adjacency_sets(n: int, edges) -> list[set[int]]:
     adjacency = [set() for _ in range(n)]
     for u, v in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
+    return adjacency
 
+
+def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
+    """Cotree construction with an explicit stack, so deep cotrees (threshold
+    graphs) never recurse.  Off cographs it returns the first module that is
+    neither a union nor a join (it contains an induced P4)."""
     kinds, children, vertex = [], [], []
 
     def add(kind, kids=(), v=None):
@@ -118,7 +122,7 @@ def build_cotree_graph(n: int, edges) -> Cotree:
             return "union", parts
         parts = comps(vertices, lambda u: vset - adjacency[u] - {u})
         if len(parts) == 1:
-            raise NotACographError(find_induced_p4(vertices, adjacency))
+            return "prime", None
         return "join", parts
 
     if n == 0:
@@ -129,6 +133,8 @@ def build_cotree_graph(n: int, edges) -> Cotree:
     while True:
         while len(vertices) > 1:
             kind, parts = split_module(vertices)
+            if kind == "prime":
+                return vertices
             frames.append([kind, parts, 1, None])
             vertices = parts[0]
         node = add("leaf", v=vertices[0])
@@ -146,6 +152,15 @@ def build_cotree_graph(n: int, edges) -> Cotree:
             return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
 
 
+def build_cotree_graph(n: int, edges) -> Cotree:
+    """The cotree of a cograph; raises NotACographError with a P4 witness."""
+    adjacency = _adjacency_sets(n, edges)
+    found = _cotree_or_prime(n, adjacency)
+    if not isinstance(found, Cotree):
+        raise NotACographError(find_induced_p4(found, adjacency))
+    return found
+
+
 def build_cotree(inst: ColoringInstance) -> Cotree:
     if inst.mode != "vertex":
         raise UsageError("build_cotree: requires a vertex-mode instance")
@@ -153,13 +168,7 @@ def build_cotree(inst: ColoringInstance) -> Cotree:
 
 
 def is_cograph(n: int, edges) -> bool:
-    if n == 0:
-        return True
-    try:
-        build_cotree_graph(n, edges)
-        return True
-    except NotACographError:
-        return False
+    return n == 0 or isinstance(_cotree_or_prime(n, _adjacency_sets(n, edges)), Cotree)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +178,11 @@ def is_cograph(n: int, edges) -> bool:
 def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") -> SolveOutcome:
     """Coloring DP over a cotree.
 
-    Tables map reachable weight tuples to predecessors.  At union nodes child
-    tuples simply add; at join nodes they add under the exclusivity rule that
-    each color draws weight from at most one child, which is what keeps the
-    combined coloring proper across the join.
+    Tables map reachable packed weight vectors (see ``packed``) to
+    predecessors.  At union nodes child states simply add; at join nodes they
+    add under the exclusivity rule that each color draws weight from at most
+    one child, which is what keeps the combined coloring proper across the
+    join.
     """
     if inst.mode != "vertex":
         raise UsageError("dp_cograph: requires a vertex-mode instance")
@@ -182,52 +192,45 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     if maximize and inst.profit is None:
         raise UsageError("dp_cograph: maximize requires a profit matrix")
 
-    bounds = inst.bounds_flat
+    packing = inst.packing
     k = inst.k
-    p = inst.p
     tables: list[dict] = [None] * len(ct.kinds)
 
-    def color_sums(tup):
-        return tuple(sum(tup[h * k + c] for h in range(p)) for c in range(k))
+    columns = [packing.mask(range(c, packing.dim, k)) for c in range(k)]
+
+    def colors(state):
+        """Bit c-1 set when color c carries weight in some part."""
+        return sum(1 << c for c, column in enumerate(columns) if state & column)
 
     for node in ct.post_order():
         kind = ct.kinds[node]
         table: dict = {}
         if kind == "leaf":
             v = ct.vertex[node]
-            for c in sorted(inst.allowed[v]):
-                s = inst.flat_index(inst.part_of[v], c)
-                if inst.weight[v] > bounds[s]:
-                    continue
-                tup = tuple(inst.weight[v] if i == s else 0 for i in range(len(bounds)))
-                entry = (inst.profit_of(v, c), c) if maximize else c
-                if tup not in table:
-                    table[tup] = entry
-                elif maximize and entry[0] > table[tup][0]:
-                    table[tup] = entry
+            for c in sorted(inst.allowed[v]):  # one slot per color, so no collisions
+                state = packing.unit(inst.flat_index(inst.part_of[v], c), inst.weight[v])
+                if packing.fits(state):
+                    table[state] = (inst.profit_of(v, c), c) if maximize else c
         else:
             left, right = ct.children[node]
             lt, rt = tables[left], tables[right]
             joining = kind == "join"
-            lsums = {t: color_sums(t) for t in lt} if joining else None
-            rsums = {t: color_sums(t) for t in rt} if joining else None
-            for ta in sorted(lt):
-                for tb in sorted(rt):
-                    if joining and any(a and b for a, b in zip(lsums[ta], rsums[tb])):
-                        continue
-                    tup = tuple(a + b for a, b in zip(ta, tb))
-                    if any(x > bound for x, bound in zip(tup, bounds)):
+            rcolors = {tb: colors(tb) for tb in rt} if joining else None
+            for ta, ea in lt.items():
+                mine = colors(ta) if joining else 0
+                for tb, state in packing.sums(ta, rt):
+                    if joining and mine & rcolors[tb]:
                         continue
                     if maximize:
-                        profit = lt[ta][0] + rt[tb][0]
-                        cur = table.get(tup)
+                        profit = ea[0] + rt[tb][0]
+                        cur = table.get(state)
                         if cur is None or profit > cur[0]:
-                            table[tup] = (profit, (ta, tb))
-                    elif tup not in table:
-                        table[tup] = (ta, tb)
+                            table[state] = (profit, (ta, tb))
+                    elif state not in table:
+                        table[state] = (ta, tb)
         tables[node] = table
 
-    target = inst.bounds_flat
+    target = packing.target
     if target not in tables[ct.root]:
         return SolveOutcome.infeasible_outcome()
 
@@ -407,7 +410,7 @@ def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
 def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     """Edge coloring in cographs with few colors: components are small (their
     diameter is at most two), so enumerate each component's proper list
-    edge-colorings and combine the reachable weight tuples across components."""
+    edge-colorings and combine the reachable weight vectors across components."""
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
     if inst.n:
@@ -419,8 +422,7 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     if any(d > inst.k for d in degree):
         return SolveOutcome.infeasible_outcome()
 
-    bounds = inst.bounds_flat
-    dim = len(bounds)
+    packing = inst.packing
 
     # edge ids grouped by connected component, skipping isolated vertices
     parent = list(range(inst.n))
@@ -438,55 +440,49 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
         groups.setdefault(find(u), []).append(idx)
     comp_edges = [groups[r] for r in sorted(groups)]
 
-    def component_tuples(edge_ids):
-        """All reachable weight tuples of one component, with one witness each."""
+    def component_states(edge_ids):
+        """All reachable packed weight vectors of one component, with one witness each."""
         adjacent = [
             [f for f in edge_ids if f != e and (set(inst.edges[e]) & set(inst.edges[f]))]
             for e in edge_ids
         ]
         pos = {e: i for i, e in enumerate(edge_ids)}
-        found: dict[tuple, tuple] = {}
+        found: dict[int, tuple] = {}
         colors = [0] * len(edge_ids)
 
-        def backtrack(i, tup):
+        def backtrack(i, state):
             if i == len(edge_ids):
-                key = tuple(tup)
-                if key not in found:
-                    found[key] = tuple(colors)
+                if state not in found:
+                    found[state] = tuple(colors)
                 return
             e = edge_ids[i]
-            s_base = (inst.part_of[e] - 1) * inst.k - 1
             for c in sorted(inst.allowed[e]):
                 if any(pos[f] < i and colors[pos[f]] == c for f in adjacent[i]):
                     continue
-                s = s_base + c
-                if tup[s] + inst.weight[e] > bounds[s]:
-                    continue
-                tup[s] += inst.weight[e]
-                colors[i] = c
-                backtrack(i + 1, tup)
-                tup[s] -= inst.weight[e]
+                nxt = state + packing.unit(inst.flat_index(inst.part_of[e], c), inst.weight[e])
+                if packing.fits(nxt):
+                    colors[i] = c
+                    backtrack(i + 1, nxt)
             colors[i] = 0
 
-        backtrack(0, [0] * dim)
+        backtrack(0, 0)
         return found
 
-    layers = [{(0,) * dim: None}]
+    layers = [{0: None}]
     per_comp = []
     for edge_ids in comp_edges:
-        options = component_tuples(edge_ids)
+        options = component_states(edge_ids)
         per_comp.append((edge_ids, options))
         nxt = {}
         for state in layers[-1]:
-            for delta in sorted(options):
-                ns = tuple(a + b for a, b in zip(state, delta))
-                if all(x <= bound for x, bound in zip(ns, bounds)) and ns not in nxt:
+            for delta, ns in packing.sums(state, options):
+                if ns not in nxt:
                     nxt[ns] = (state, delta)
         if not nxt:
             return SolveOutcome.infeasible_outcome()
         layers.append(nxt)
 
-    target = inst.bounds_flat
+    target = packing.target
     if target not in layers[-1]:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * len(inst.edges)

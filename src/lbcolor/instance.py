@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InstanceFormatError, UsageError
+from .packed import PackedBounds
 
 MODES = ("vertex", "edge")
 
@@ -151,6 +152,11 @@ class ColoringInstance:
     @cached_property
     def bounds_flat(self) -> tuple[int, ...]:
         return tuple(b for row in self.bounds for b in row)
+
+    @cached_property
+    def packing(self) -> PackedBounds:
+        """Packed weight vectors over ``bounds_flat``, wide enough for any one weight."""
+        return PackedBounds(self.bounds_flat, max(self.weight, default=0))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:

@@ -1,0 +1,49 @@
+"""Part-by-color weight vectors packed into one int, checked against bounds.
+
+Coordinate i occupies bits [i*width, (i+1)*width), whose top bit is a guard.
+Adding two packed vectors is one int add, and a vector is within the bounds
+exactly when adding ``offset`` (guard - 1 - bound in every field) sets no
+guard bit.  ``width`` holds every sum the DPs form before checking it (a
+state within the bounds plus one weight, or plus another such state), so no
+field ever carries into the next.
+"""
+
+from __future__ import annotations
+
+
+class PackedBounds:
+    """Packing for one bound vector; ``max_weight`` is the most any single
+    step adds to one coordinate of a state within the bounds."""
+
+    __slots__ = ("dim", "width", "offset", "guard", "target")
+
+    def __init__(self, bounds, max_weight: int = 0):
+        top = max(bounds, default=0)
+        self.dim = len(bounds)
+        self.width = max(2 * top, top + max_weight).bit_length() + 1
+        half = 1 << (self.width - 1)
+        self.offset = self.pack([half - 1 - b for b in bounds])
+        self.guard = self.pack([half] * self.dim)
+        self.target = self.pack(bounds)
+
+    def pack(self, vec) -> int:
+        return sum(x << (i * self.width) for i, x in enumerate(vec))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        mask = (1 << self.width) - 1
+        return tuple(x >> (i * self.width) & mask for i in range(self.dim))
+
+    def mask(self, coords) -> int:
+        """The bits of the given coordinates: x & mask is 0 iff all of them are."""
+        return sum(((1 << self.width) - 1) << (i * self.width) for i in coords)
+
+    def unit(self, i: int, w: int) -> int:
+        return w << (i * self.width)
+
+    def fits(self, x: int) -> bool:
+        return not (x + self.offset) & self.guard
+
+    def sums(self, a: int, others):
+        """(b, a + b) for each b in ``others`` whose sum with ``a`` fits."""
+        offset, guard = self.offset, self.guard
+        return [(b, x) for b in others if not ((x := a + b) + offset) & guard]

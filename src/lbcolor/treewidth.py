@@ -2,9 +2,10 @@
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
 forget(v), introduce(v), or join nodes.  The DP keeps sparse tables: per
-node, a map from (bag coloring, flattened part-by-color weight tuple) to
-the predecessor that produced it, so unreachable states are simply absent and
-witnesses fall out of a top-down trace.
+node, a map from bag coloring to a row, and per row a map from the packed
+part-by-color weight vector (see ``packed``) to the predecessor that produced
+it, so unreachable states are simply absent and witnesses fall out of a
+top-down trace.
 """
 
 from __future__ import annotations
@@ -353,27 +354,14 @@ def build_nice_decomposition(
 # vertex DP
 
 
-def _store_decide(table, key, tup, pred):
-    row = table.setdefault(key, {})
-    if tup not in row:
-        row[tup] = pred
-
-
-def _store_max(table, key, tup, pred, profit):
-    row = table.setdefault(key, {})
-    cur = row.get(tup)
-    if cur is None or profit > cur[0]:
-        row[tup] = (profit, pred)
-
-
 def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
-    bounds = inst.bounds_flat
-    dim = len(bounds)
+    packing = inst.packing
     adjacency = inst.adjacency
+    units = [
+        {c: packing.unit(inst.flat_index(inst.part_of[v], c), inst.weight[v]) for c in inst.allowed[v]}
+        for v in range(inst.n)
+    ]
     tables: list[dict] = [None] * dec.size
-
-    def slot(v, c):
-        return inst.flat_index(inst.part_of[v], c)
 
     for node in dec.post_order():
         kind = dec.kinds[node]
@@ -390,80 +378,71 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             for key in product(*[sorted(inst.allowed[v]) for v in bag]):
                 if any(key[i] == key[j] for i, j in pairs):
                     continue
-                tup = [0] * dim
-                ok = True
+                state = 0
                 for v, c in zip(bag, key):
-                    s = slot(v, c)
-                    tup[s] += inst.weight[v]
-                    if tup[s] > bounds[s]:
-                        ok = False
+                    state += units[v][c]
+                    if not packing.fits(state):
                         break
-                if not ok:
-                    continue
-                tup = tuple(tup)
-                if maximize:
-                    _store_max(table, key, tup, None, sum(inst.profit_of(v, c) for v, c in zip(bag, key)))
                 else:
-                    _store_decide(table, key, tup, None)
+                    if maximize:
+                        table[key] = {state: (sum(inst.profit_of(v, c) for v, c in zip(bag, key)), None)}
+                    else:
+                        table[key] = {state: None}
 
         elif kind == "introduce":
             child = dec.children[node][0]
             v = dec.vertex[node]
             pos = bag.index(v)
-            child_bag = dec.bags[child]
-            nbr_pos = [i for i, u in enumerate(child_bag) if u in adjacency[v]]
-            w = inst.weight[v]
-            for ckey in sorted(tables[child]):
-                for ctup in sorted(tables[child][ckey]):
-                    centry = tables[child][ckey][ctup]
-                    for c in sorted(inst.allowed[v]):
-                        if any(ckey[i] == c for i in nbr_pos):
-                            continue
-                        s = slot(v, c)
-                        if ctup[s] + w > bounds[s]:
-                            continue
-                        tup = ctup[:s] + (ctup[s] + w,) + ctup[s + 1 :]
-                        key = ckey[:pos] + (c,) + ckey[pos:]
-                        pred = ("i", ckey, ctup)
-                        if maximize:
-                            _store_max(table, key, tup, pred, centry[0] + inst.profit_of(v, c))
-                        else:
-                            _store_decide(table, key, tup, pred)
+            nbr_pos = [i for i, u in enumerate(dec.bags[child]) if u in adjacency[v]]
+            colors = sorted(inst.allowed[v])
+            # each (child key, color) makes its own key, and adding the unit is injective
+            for ckey, crow in tables[child].items():
+                for c in colors:
+                    if any(ckey[i] == c for i in nbr_pos):
+                        continue
+                    gain = inst.profit_of(v, c)
+                    fitting = packing.sums(units[v][c], crow)
+                    if maximize:
+                        row = {state: (crow[cstate][0] + gain, ("i", ckey, cstate)) for cstate, state in fitting}
+                    else:
+                        row = {state: ("i", ckey, cstate) for cstate, state in fitting}
+                    if row:
+                        table[ckey[:pos] + (c,) + ckey[pos:]] = row
 
         elif kind == "forget":
             child = dec.children[node][0]
-            v = dec.vertex[node]
-            pos = dec.bags[child].index(v)
-            for ckey in sorted(tables[child]):
-                key = ckey[:pos] + ckey[pos + 1 :]
-                for ctup in sorted(tables[child][ckey]):
-                    centry = tables[child][ckey][ctup]
-                    pred = ("f", ckey, ctup)
+            pos = dec.bags[child].index(dec.vertex[node])
+            for ckey, crow in tables[child].items():
+                row = table.setdefault(ckey[:pos] + ckey[pos + 1 :], {})
+                for cstate, centry in crow.items():
                     if maximize:
-                        _store_max(table, key, ctup, pred, centry[0])
-                    else:
-                        _store_decide(table, key, ctup, pred)
+                        cur = row.get(cstate)
+                        if cur is None or centry[0] > cur[0]:
+                            row[cstate] = (centry[0], ("f", ckey, cstate))
+                    elif cstate not in row:
+                        row[cstate] = ("f", ckey, cstate)
 
-        else:  # join
+        else:  # join: child states each count the bag weight once, so subtract one copy
             left, right = dec.children[node]
-            lt, rt = tables[left], tables[right]
-            for key in sorted(set(lt) & set(rt)):
-                bag_w = [0] * dim
-                for v, c in zip(bag, key):
-                    bag_w[slot(v, c)] += inst.weight[v]
+            rt = tables[right]
+            for key, arow in tables[left].items():
+                brow = rt.get(key)
+                if brow is None:
+                    continue
+                bag_w = sum(units[v][c] for v, c in zip(bag, key))
                 bag_profit = sum(inst.profit_of(v, c) for v, c in zip(bag, key)) if maximize else 0
-                for ta in sorted(lt[key]):
-                    ea = lt[key][ta]
-                    for tb in sorted(rt[key]):
-                        eb = rt[key][tb]
-                        tup = tuple(a + b - bw for a, b, bw in zip(ta, tb, bag_w))
-                        if any(x > bound for x, bound in zip(tup, bounds)):
-                            continue
-                        pred = ("j", ta, tb)
+                row = {}
+                for ta, ea in arow.items():
+                    for tb, state in packing.sums(ta - bag_w, brow):
                         if maximize:
-                            _store_max(table, key, tup, pred, ea[0] + eb[0] - bag_profit)
-                        else:
-                            _store_decide(table, key, tup, pred)
+                            profit = ea[0] + brow[tb][0] - bag_profit
+                            cur = row.get(state)
+                            if cur is None or profit > cur[0]:
+                                row[state] = (profit, ("j", ta, tb))
+                        elif state not in row:
+                            row[state] = ("j", ta, tb)
+                if row:
+                    table[key] = row
 
         tables[node] = table
     return tables
@@ -480,16 +459,16 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
         raise UsageError("dp_vertex: maximize requires a profit matrix")
 
     tables = _vertex_tables(inst, dec, maximize)
-    target = inst.bounds_flat
+    target = inst.packing.target
     root_table = tables[dec.root]
     chosen_key = None
     best = None
-    for key in sorted(root_table):
-        if target in root_table[key]:
+    for key, row in root_table.items():
+        if target in row:
             if not maximize:
                 chosen_key = key
                 break
-            profit = root_table[key][target][0]
+            profit = row[target][0]
             if best is None or profit > best:
                 best = profit
                 chosen_key = key

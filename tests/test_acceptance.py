@@ -290,6 +290,7 @@ def run_criterion_7(seed):
         inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, tw_cap=3)
         dec, _ = build_nice_decomposition(inst)
         tables = _vertex_tables(inst, dec, maximize=False)
+        unpack = inst.packing.unpack
         for node in range(dec.size):
             if dec.kinds[node] != "join":
                 continue
@@ -297,10 +298,11 @@ def run_criterion_7(seed):
                 bag_w = [0] * len(inst.bounds_flat)
                 for v, c in zip(dec.bags[node], key):
                     bag_w[(inst.part_of[v] - 1) * inst.k + (c - 1)] += inst.weight[v]
-                for tup, pred in row.items():
+                for state, pred in row.items():
                     tag, qa, qb = pred
                     if tag != "j" or any(
-                        a + b != t + w for a, b, t, w in zip(qa, qb, tup, bag_w)
+                        a + b != t + w
+                        for a, b, t, w in zip(unpack(qa), unpack(qb), unpack(state), bag_w)
                     ):
                         violations += 1
                     joins_checked += 1

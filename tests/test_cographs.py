@@ -18,6 +18,7 @@ from lbcolor import (
     solve_complete_bipartite,
     solve_complete_graph,
 )
+from lbcolor import cographs
 from lbcolor.cographs import build_cotree_graph, is_cograph, reconstruct_graph
 
 from corpus import (
@@ -115,6 +116,23 @@ def test_non_cograph_detection_matches_p4_scan():
                 has_p4 = True
                 break
         assert is_cograph(n, edges) == (not has_p4)
+
+
+def test_recognition_builds_no_p4_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("recognition searched for a P4 witness")
+
+    monkeypatch.setattr(cographs, "find_induced_p4", refuse)
+    # a random tree on 240 vertices with shuffled labels
+    rng = random.Random(97)
+    label = list(range(240))
+    rng.shuffle(label)
+    parent = [rng.randrange(v) for v in range(1, 240)]
+    edges = tuple(sorted(
+        tuple(sorted((label[v], label[u]))) for v, u in enumerate(parent, start=1)
+    ))
+    assert not is_cograph(240, edges)
+    assert not classify_graph(240, edges).cograph
 
 
 # ---------------------------------------------------------------------------

@@ -210,14 +210,16 @@ def test_stored_tuples_stay_within_bounds():
         tables = _vertex_tables(inst, dec, maximize=False)
         for table in tables:
             for row in table.values():
-                for tup in row:
+                for state in row:
+                    tup = inst.packing.unpack(state)
                     assert all(x <= b for x, b in zip(tup, inst.bounds_flat))
                     assert all(x >= 0 for x in tup)
 
 
 def trace_join_conservation(inst, dec, tables, slot_weight):
     """Walk every stored join entry and check q + q' = omega + bag weight,
-    with each child tuple q, q' at least the bag weight."""
+    with each child vector q, q' at least the bag weight (states unpacked)."""
+    unpack = inst.packing.unpack
     checked = 0
     for node in range(dec.size):
         if dec.kinds[node] != "join":
@@ -226,9 +228,10 @@ def trace_join_conservation(inst, dec, tables, slot_weight):
             bag_w = [0] * len(inst.bounds_flat)
             for element, c in zip(slot_weight(node), key):
                 bag_w[element[0] * inst.k + (c - 1)] += element[1]
-            for tup, pred in row.items():
+            for state, pred in row.items():
                 tag, qa, qb = pred
                 assert tag == "j"
+                tup, qa, qb = unpack(state), unpack(qa), unpack(qb)
                 assert all(a + b == t + w for a, b, t, w in zip(qa, qb, tup, bag_w))
                 assert all(a >= w and b >= w for a, b, w in zip(qa, qb, bag_w))
                 checked += 1
