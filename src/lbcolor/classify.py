@@ -24,14 +24,18 @@ class ClassReport:
     cograph: bool
 
 
-def classify_graph(n: int, edges) -> ClassReport:
+def _report(n: int, edges, cograph: bool) -> ClassReport:
     return ClassReport(
         edgeless=not edges,
         complete=is_complete(n, edges),
         complete_bipartite=is_complete_bipartite(n, edges),
         split=is_split(n, edges),
-        cograph=is_cograph(n, edges),
+        cograph=cograph,
     )
+
+
+def classify_graph(n: int, edges) -> ClassReport:
+    return _report(n, edges, is_cograph(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +88,9 @@ def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
     """Most specific applicable solver, specialized classes before the DPs."""
     if inst.mode == "edge" and objective != "decide":
         return "treewidth-edge"
-    report = classify_graph(inst.n, inst.edges)
+    # recognition builds the instance's cotree, which the cotree solvers reuse
+    cograph = inst.n == 0 or isinstance(inst.cotree_or_prime, cographs.Cotree)
+    report = _report(inst.n, inst.edges, cograph)
     if inst.mode == "edge":
         if report.split:
             return "split-edge"

@@ -152,19 +152,24 @@ def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
             return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
 
 
-def build_cotree_graph(n: int, edges) -> Cotree:
-    """The cotree of a cograph; raises NotACographError with a P4 witness."""
-    adjacency = _adjacency_sets(n, edges)
-    found = _cotree_or_prime(n, adjacency)
+def _require_cotree(found: Cotree | list[int], adjacency) -> Cotree:
     if not isinstance(found, Cotree):
         raise NotACographError(find_induced_p4(found, adjacency))
     return found
 
 
+def build_cotree_graph(n: int, edges) -> Cotree:
+    """The cotree of a cograph; raises NotACographError with a P4 witness."""
+    adjacency = _adjacency_sets(n, edges)
+    return _require_cotree(_cotree_or_prime(n, adjacency), adjacency)
+
+
 def build_cotree(inst: ColoringInstance) -> Cotree:
+    """The instance's cotree (built once per instance, see
+    ``ColoringInstance.cotree_or_prime``)."""
     if inst.mode != "vertex":
         raise UsageError("build_cotree: requires a vertex-mode instance")
-    return build_cotree_graph(inst.n, inst.edges)
+    return _require_cotree(inst.cotree_or_prime, inst.adjacency)
 
 
 def is_cograph(n: int, edges) -> bool:
@@ -414,7 +419,7 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
     if inst.n:
-        build_cotree_graph(inst.n, inst.edges)  # raises NotACographError off cographs
+        _require_cotree(inst.cotree_or_prime, inst.adjacency)  # NotACographError off cographs
     degree = [0] * inst.n
     for u, v in inst.edges:
         degree[u] += 1

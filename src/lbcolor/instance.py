@@ -167,6 +167,15 @@ class ColoringInstance:
         return tuple(frozenset(s) for s in nbr)
 
     @cached_property
+    def cotree_or_prime(self):
+        """The graph's cotree, or off cographs a prime module (it holds an
+        induced P4); recognition and the cotree solvers share this one build.
+        Raises UsageError when n = 0."""
+        from .cographs import _adjacency_sets, _cotree_or_prime  # cographs imports this module
+
+        return _cotree_or_prime(self.n, _adjacency_sets(self.n, self.edges))
+
+    @cached_property
     def conflict_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs of elements that must receive different colors."""
         if self.mode == "vertex":

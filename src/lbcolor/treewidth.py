@@ -10,6 +10,7 @@ top-down trace.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -73,7 +74,7 @@ def _reach_count(adj, eliminated: int, v: int) -> int:
             nxt |= adj[low.bit_length() - 1]
             inner ^= low
         frontier = nxt & ~seen
-    return bin(found).count("1")
+    return found.bit_count()
 
 
 def exact_elimination_order(n: int, edges) -> tuple[list[int], int]:
@@ -109,36 +110,71 @@ def exact_elimination_order(n: int, edges) -> tuple[list[int], int]:
     return order, best[full]
 
 
+def _fill_key(adj, v: int) -> tuple[int, int, int]:
+    # (fill edges eliminating v would add, degree of v, v) in the graph `adj`
+    nbrs = adj[v]
+    degree = nbrs.bit_count()
+    inside = 0  # twice the edges already present among the neighbors
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        inside += (adj[low.bit_length() - 1] & nbrs).bit_count()
+        rest ^= low
+    return (degree * (degree - 1) - inside) // 2, degree, v
+
+
 def min_fill_order(n: int, edges) -> list[int]:
-    """Greedy elimination order picking the vertex adding fewest fill edges."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    remaining = set(range(n))
+    """Greedy elimination order: each step eliminates the remaining vertex
+    with the least key (fill, degree, v), where fill counts the non-adjacent
+    pairs of its remaining neighbors and ties go to lower degree, then to the
+    lower label.
+
+    Adjacency is a bitmask per vertex over the remaining graph, and keys sit
+    in a heap whose stale entries are skipped when popped.  Eliminating v
+    changes the degree and neighborhood only of N(v), and adds fill edges only
+    inside N(v), so only N(v) and those neighbors of N(v) that see both ends
+    of a new fill edge get new keys.
+    """
+    adj = _adj_masks(n, edges)
+    key = [_fill_key(adj, v) for v in range(n)]
+    heap = key[:]
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        best_v = None
-        best_key = None
-        for v in sorted(remaining):
-            nbrs = adj[v] & remaining
-            fill = 0
-            nb = sorted(nbrs)
-            for i in range(len(nb)):
-                for j in range(i + 1, len(nb)):
-                    if nb[j] not in adj[nb[i]]:
-                        fill += 1
-            key = (fill, len(nbrs), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        nbrs = sorted(adj[best_v] & remaining)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        remaining.discard(best_v)
-        order.append(best_v)
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if key[v] != entry:
+            continue  # stale, or v already eliminated
+        key[v] = None
+        order.append(v)
+        nbrs = adj[v]
+        gone = 1 << v
+        filled = 0  # the neighbors of v that gain a fill edge
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            before = adj[u] & ~gone
+            adj[u] = (before | nbrs) & ~low
+            if adj[u] != before:
+                filled |= low
+            rest ^= low
+        touched = nbrs
+        rest = filled
+        while rest:
+            low = rest & -rest
+            touched |= adj[low.bit_length() - 1]
+            rest ^= low
+        while touched:
+            low = touched & -touched
+            u = low.bit_length() - 1
+            touched ^= low
+            if not low & nbrs and (adj[u] & filled).bit_count() < 2:
+                continue  # a new fill edge needs both ends among u's neighbors
+            fresh = _fill_key(adj, u)
+            if fresh != key[u]:
+                key[u] = fresh
+                heapq.heappush(heap, fresh)
     return order
 
 

@@ -30,6 +30,66 @@ def min_fill_width(n, edges):
     return max(len(b) for b in raw.bags) - 1
 
 
+def min_fill_order_rescan(n, edges):
+    """Min-fill order by rescanning every remaining vertex at every step, the
+    reference for the incremental ``treewidth.min_fill_order``."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        best_v = None
+        best_key = None
+        for v in sorted(remaining):
+            nbrs = adj[v] & remaining
+            fill = 0
+            nb = sorted(nbrs)
+            for i in range(len(nb)):
+                for j in range(i + 1, len(nb)):
+                    if nb[j] not in adj[nb[i]]:
+                        fill += 1
+            key = (fill, len(nbrs), v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_v = v
+        nbrs = sorted(adj[best_v] & remaining)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        remaining.discard(best_v)
+        order.append(best_v)
+    return order
+
+
+def random_graph_for_orders(rng, n_max=40):
+    """(n, edges) in one of three shapes: G(n, p) at any density, a disjoint
+    union of two such graphs with shuffled labels, or a shuffled random tree
+    plus a few chords."""
+    n = rng.randint(0, n_max)
+    shape = rng.choice(("gnp", "union", "tree"))
+    pairs = set()
+    if shape == "gnp":
+        density = rng.random()
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    elif shape == "union":
+        cut = rng.randint(0, n)
+        for lo, hi in ((0, cut), (cut, n)):
+            density = rng.random()
+            pairs |= {(u, v) for u in range(lo, hi) for v in range(u + 1, hi) if rng.random() < density}
+    else:
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n // 4) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            pairs.add((min(u, v), max(u, v)))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = sorted({tuple(sorted((label[u], label[v]))) for u, v in pairs})
+    return n, tuple(edges)
+
+
 def random_allowed(rng, k):
     return frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from lbcolor import cli, instance_to_doc, write_instance
+from lbcolor import cli, cographs, instance_to_doc, write_instance
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
 
@@ -64,6 +64,29 @@ def test_solve_auto_cograph_dispatch(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--input", path])
     doc = json.loads(out)
     assert code == 0 and doc["solver_used"] == "cograph"
+
+
+@pytest.mark.parametrize("mode, objective, solver", [
+    ("vertex", "decide", "cograph"),
+    ("vertex", "maximize", "cograph"),
+    ("edge", "decide", "cograph-edge"),
+])
+def test_auto_solve_builds_the_cotree_once(tmp_path, capsys, monkeypatch, mode, objective, solver):
+    calls = []
+    build = cographs._cotree_or_prime
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(cographs, "_cotree_or_prime", counted)
+    doc = two_triangles_doc()
+    doc["mode"] = mode
+    doc["profit"] = [[1, 2, 3]] * 6
+    path = write_doc(tmp_path, "tt.json", doc)
+    code, out, _ = run(capsys, ["solve", "--input", path, "--objective", objective])
+    assert code == 0 and json.loads(out)["solver_used"] == solver
+    assert calls == [6]
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -16,7 +16,9 @@ from lbcolor.treewidth import (
     _lift_decomposition,
     _line_graph_instance,
     _vertex_tables,
+    EXACT_WIDTH_LIMIT,
     exact_elimination_order,
+    min_fill_order,
     normalize_decomposition,
     order_to_raw,
     validate_raw_decomposition,
@@ -24,8 +26,10 @@ from lbcolor.treewidth import (
 
 from corpus import (
     assert_outcome,
+    min_fill_order_rescan,
     min_fill_width,
     random_edge_instance,
+    random_graph_for_orders,
     random_vertex_instance,
     treewidth_by_elimination_orders,
 )
@@ -66,6 +70,33 @@ def test_heuristic_width_at_least_exact():
         assert min_fill_width(n, edges) >= exact
         _, subset_dp = exact_elimination_order(n, edges)
         assert subset_dp == exact
+
+
+def test_min_fill_order_matches_rescan_reference():
+    rng = random.Random(53)
+    for _ in range(2000):
+        n, edges = random_graph_for_orders(rng)
+        order = min_fill_order(n, edges)
+        reference = min_fill_order_rescan(n, edges)
+        assert order == reference, (n, edges)
+        if n > EXACT_WIDTH_LIMIT:
+            inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
+            expected = normalize_decomposition(order_to_raw(n, edges, reference))
+            assert build_nice_decomposition(inst) == (expected, expected.width)
+
+
+def test_min_fill_order_on_a_large_tree():
+    # the rescan is quadratic in n here; the incremental order stays local
+    rng = random.Random(59)
+    n = 3000
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = tuple(
+        tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)
+    )
+    raw = order_to_raw(n, edges, min_fill_order(n, edges))
+    validate_raw_decomposition(n, edges, raw)
+    assert max(len(b) for b in raw.bags) - 1 == 1
 
 
 def nice_invariants(dec, n, edges):
