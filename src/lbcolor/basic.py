@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
-from .packed import PackedBounds
+from .packed import PackedBounds, first_predecessor
 
 
 def part_weight_assignment(weights, choices, bound_row):
@@ -13,28 +13,25 @@ def part_weight_assignment(weights, choices, bound_row):
 
     ``choices[i]`` lists the colors item i may take.  Items are independent
     (no adjacency), so this is a reachability DP over packed partial weight
-    vectors, one layer per item.  Returns the chosen colors or None.
+    vectors, one layer of reachable states per item.  The colors are
+    recovered backwards from the target: item i takes the first color whose
+    step leads back into layer i.  Returns the chosen colors or None.
     """
     packing = PackedBounds(bound_row, max(weights, default=0))
-    layers = [{0: None}]
-    for i, w in enumerate(weights):
-        steps = [(c, packing.unit(c - 1, w)) for c in sorted(choices[i])]
-        nxt = {}
-        for state in layers[-1]:
-            for c, step in steps:
-                ns = state + step
-                if packing.fits(ns) and ns not in nxt:
-                    nxt[ns] = (state, c)
+    steps = [{c: packing.unit(c - 1, w) for c in sorted(choices[i])} for i, w in enumerate(weights)]
+    layers = [{0}]
+    for options in steps:
+        nxt = packing.sums(layers[-1], options.values())
         if not nxt:
             return None
         layers.append(nxt)
-    target = packing.target
-    if target not in layers[-1]:
+    state = packing.target
+    if state not in layers[-1]:
         return None
     colors = []
-    state = target
-    for layer in reversed(layers[1:]):
-        state, c = layer[state]
+    for layer, options in zip(reversed(layers[:-1]), reversed(steps)):
+        c = first_predecessor((c for c, step in options.items() if state - step in layer), "part_weight_assignment")
+        state -= options[c]
         colors.append(c)
     colors.reverse()
     return colors
@@ -159,25 +156,22 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
             return SolveOutcome.infeasible_outcome()
         options_per_comp.append(options)
 
-    layers = [{0: None}]
+    layers = [{0}]
     for options in options_per_comp:
-        nxt = {}
-        for state in layers[-1]:
-            for idx, (vec, _coloring) in enumerate(options):
-                ns = state + vec
-                if packing.fits(ns) and ns not in nxt:
-                    nxt[ns] = (state, idx)
+        nxt = packing.sums(layers[-1], [vec for vec, _coloring in options])
         if not nxt:
             return SolveOutcome.infeasible_outcome()
         layers.append(nxt)
 
-    target = packing.target
-    if target not in layers[-1]:
+    state = packing.target
+    if state not in layers[-1]:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * inst.n
-    state = target
-    for layer, options in zip(reversed(layers[1:]), reversed(options_per_comp)):
-        state, idx = layer[state]
-        for v, c in options[idx][1].items():
+    for layer, options in zip(reversed(layers[:-1]), reversed(options_per_comp)):
+        vec, coloring = first_predecessor(
+            ((vec, coloring) for vec, coloring in options if state - vec in layer), "solve_components_k2"
+        )
+        state -= vec
+        for v, c in coloring.items():
             color_of[v] = c
     return SolveOutcome.feasible_from(inst, color_of)

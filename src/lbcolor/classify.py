@@ -5,7 +5,7 @@ so a wrapper set on such an attribute sees every call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import basic, cographs, split, treewidth
 from .cographs import is_cograph, is_complete, is_complete_bipartite
@@ -127,8 +127,7 @@ def solve_with(name: str, inst: ColoringInstance, objective: str = "decide", cli
     if objective in ("maximize", "minimize") and inst.profit is None:
         raise UsageError(f"objective {objective!r} requires a profit matrix")
     if objective == "minimize" and name != "oracle":
-        negated = replace(inst, profit=tuple(tuple(-x for x in row) for row in inst.profit))
-        outcome = runner(negated, "maximize", clique_general)
+        outcome = runner(inst.negated(), "maximize", clique_general)
         if not outcome.feasible:
             return outcome
         return SolveOutcome.feasible_from(inst, outcome.witness.color_of)

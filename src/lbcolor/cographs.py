@@ -9,6 +9,7 @@ from .basic import part_weight_assignment
 from .errors import NotACographError, UsageError
 from .instance import ColoringInstance, SolveOutcome
 from .matching import AssignmentProblem, max_weight_perfect_assignment
+from .packed import first_predecessor
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,6 @@ class Cotree:
                     acc.extend(below[ch])
                 below[node] = tuple(sorted(acc))
         return below
-
-
-def reconstruct_graph(ct: Cotree) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Rebuild (n, edges) from a cotree; join nodes add all cross edges."""
-    below = ct.leaves_under()
-    edges = set()
-    for node in ct.post_order():
-        if ct.kinds[node] == "join":
-            left, right = ct.children[node]
-            for u in below[left]:
-                for v in below[right]:
-                    edges.add((u, v) if u < v else (v, u))
-    n = len(below[ct.root])
-    return n, tuple(sorted(edges))
 
 
 def find_induced_p4(vertices, adjacency):
@@ -183,11 +170,13 @@ def is_cograph(n: int, edges) -> bool:
 def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") -> SolveOutcome:
     """Coloring DP over a cotree.
 
-    Tables map reachable packed weight vectors (see ``packed``) to
-    predecessors.  At union nodes child states simply add; at join nodes they
-    add under the exclusivity rule that each color draws weight from at most
-    one child, which is what keeps the combined coloring proper across the
-    join.
+    A node's table holds its subgraph's reachable packed weight vectors (see
+    ``packed``): a set to decide, a map to the best profit to maximize.  At
+    union nodes child states simply add; at join nodes they add under the
+    exclusivity rule that each color draws weight from at most one child,
+    which is what keeps the combined coloring proper across the join.  The
+    witness is recovered top-down: each state splits into a left state and
+    its complement in the right table.
     """
     if inst.mode != "vertex":
         raise UsageError("dp_cograph: requires a vertex-mode instance")
@@ -199,40 +188,50 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
 
     packing = inst.packing
     k = inst.k
-    tables: list[dict] = [None] * len(ct.kinds)
+    tables: list = [None] * len(ct.kinds)
 
-    columns = [packing.mask(range(c, packing.dim, k)) for c in range(k)]
+    units = inst.units
+    # adding half - 1 to a field sets its guard bit iff the field is nonzero;
+    # folding the parts' blocks onto the first leaves one guard bit per color
+    nonzero = packing.guard - (packing.guard >> (packing.width - 1))
+    block = k * packing.width
+    first_block = packing.mask(range(k))
 
     def colors(state):
-        """Bit c-1 set when color c carries weight in some part."""
-        return sum(1 << c for c, column in enumerate(columns) if state & column)
+        """The guard bits of the colors that carry weight in some part."""
+        used = (state + nonzero) & packing.guard
+        for _ in range(inst.p - 1):
+            used |= used >> block
+        return used & first_block
+
+    def by_colors(table):
+        """The table split by the colors its states use."""
+        groups = {}
+        for state in table:
+            groups.setdefault(colors(state), {})[state] = table[state] if maximize else None
+        return groups
 
     for node in ct.post_order():
         kind = ct.kinds[node]
-        table: dict = {}
         if kind == "leaf":
             v = ct.vertex[node]
-            for c in sorted(inst.allowed[v]):  # one slot per color, so no collisions
-                state = packing.unit(inst.flat_index(inst.part_of[v], c), inst.weight[v])
-                if packing.fits(state):
-                    table[state] = (inst.profit_of(v, c), c) if maximize else c
-        else:
-            left, right = ct.children[node]
-            lt, rt = tables[left], tables[right]
-            joining = kind == "join"
-            rcolors = {tb: colors(tb) for tb in rt} if joining else None
-            for ta, ea in lt.items():
-                mine = colors(ta) if joining else 0
-                for tb, state in packing.sums(ta, rt):
-                    if joining and mine & rcolors[tb]:
+            fitting = {c: u for c, u in units[v].items() if packing.fits(u)}
+            # one field per color, so no two colors make the same state
+            table = {u: inst.profit_of(v, c) for c, u in fitting.items()} if maximize else set(fitting.values())
+        elif kind == "union":
+            lt, rt = (tables[child] for child in ct.children[node])
+            table = packing.best_sums(lt, rt) if maximize else packing.sums(lt, rt)
+        else:  # join: pair only states whose colors are disjoint
+            lgroups, rgroups = (by_colors(tables[child]) for child in ct.children[node])
+            table = {} if maximize else set()
+            for lmask, lt in lgroups.items():
+                for rmask, rt in rgroups.items():
+                    if lmask & rmask:
                         continue
                     if maximize:
-                        profit = ea[0] + rt[tb][0]
-                        cur = table.get(state)
-                        if cur is None or profit > cur[0]:
-                            table[state] = (profit, (ta, tb))
-                    elif state not in table:
-                        table[state] = (ta, tb)
+                        packing.best_sums(lt, rt, table)
+                    else:
+                        table |= packing.sums(lt, rt)
         tables[node] = table
 
     target = packing.target
@@ -242,15 +241,27 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     color_of = [0] * inst.n
     stack = [(ct.root, target)]
     while stack:
-        node, tup = stack.pop()
-        entry = tables[node][tup]
-        pred = entry[1] if maximize else entry
+        node, state = stack.pop()
         if ct.kinds[node] == "leaf":
-            color_of[ct.vertex[node]] = pred
-        else:
-            left, right = ct.children[node]
-            stack.append((left, pred[0]))
-            stack.append((right, pred[1]))
+            v = ct.vertex[node]
+            color_of[v] = first_predecessor((c for c, u in units[v].items() if u == state), "dp_cograph leaf")
+            continue
+        profit = tables[node][state] if maximize else None
+        left, right = ct.children[node]
+        lt, rt = tables[left], tables[right]
+        joining = ct.kinds[node] == "join"
+        a = first_predecessor(
+            (
+                a
+                for a in lt
+                if (b := state - a) in rt
+                and not (joining and colors(a) & colors(b))
+                and (not maximize or lt[a] + rt[b] == profit)
+            ),
+            "dp_cograph",
+        )
+        stack.append((left, a))
+        stack.append((right, state - a))
     return SolveOutcome.feasible_from(inst, color_of)
 
 
@@ -464,7 +475,7 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
             for c in sorted(inst.allowed[e]):
                 if any(pos[f] < i and colors[pos[f]] == c for f in adjacent[i]):
                     continue
-                nxt = state + packing.unit(inst.flat_index(inst.part_of[e], c), inst.weight[e])
+                nxt = state + inst.units[e][c]
                 if packing.fits(nxt):
                     colors[i] = c
                     backtrack(i + 1, nxt)
@@ -473,27 +484,23 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
         backtrack(0, 0)
         return found
 
-    layers = [{0: None}]
+    layers = [{0}]
     per_comp = []
     for edge_ids in comp_edges:
         options = component_states(edge_ids)
         per_comp.append((edge_ids, options))
-        nxt = {}
-        for state in layers[-1]:
-            for delta, ns in packing.sums(state, options):
-                if ns not in nxt:
-                    nxt[ns] = (state, delta)
+        nxt = packing.sums(layers[-1], options)
         if not nxt:
             return SolveOutcome.infeasible_outcome()
         layers.append(nxt)
 
-    target = packing.target
-    if target not in layers[-1]:
+    state = packing.target
+    if state not in layers[-1]:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * len(inst.edges)
-    state = target
-    for layer, (edge_ids, options) in zip(reversed(layers[1:]), reversed(per_comp)):
-        state, delta = layer[state]
+    for layer, (edge_ids, options) in zip(reversed(layers[:-1]), reversed(per_comp)):
+        delta = first_predecessor((d for d in options if state - d in layer), "solve_cograph_edges")
+        state -= delta
         for e, c in zip(edge_ids, options[delta]):
             color_of[e] = c
     return SolveOutcome.feasible_from(inst, color_of)

@@ -13,7 +13,7 @@ colors and parts are 1-indexed everywhere, matching the file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InstanceFormatError, UsageError
@@ -141,10 +141,6 @@ class ColoringInstance:
     def unit_weights(self) -> bool:
         return all(w == 1 for w in self.weight)
 
-    @property
-    def full_lists(self) -> bool:
-        return all(len(a) == self.k for a in self.allowed)
-
     def flat_index(self, h: int, c: int) -> int:
         """Position of (part h, color c), both 1-based, in a flattened p*k tuple."""
         return (h - 1) * self.k + (c - 1)
@@ -157,6 +153,16 @@ class ColoringInstance:
     def packing(self) -> PackedBounds:
         """Packed weight vectors over ``bounds_flat``, wide enough for any one weight."""
         return PackedBounds(self.bounds_flat, max(self.weight, default=0))
+
+    @cached_property
+    def units(self) -> tuple[dict[int, int], ...]:
+        """Per element, the packed weight vector each allowed color adds, colors
+        in increasing order."""
+        packing = self.packing
+        return tuple(
+            {c: packing.unit(self.flat_index(h, c), w) for c in sorted(colors)}
+            for h, w, colors in zip(self.part_of, self.weight, self.allowed)
+        )
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -190,6 +196,16 @@ class ColoringInstance:
                 for b in range(a + 1, len(ids)):
                     pairs.append((ids[a], ids[b]))
         return tuple(pairs)
+
+    def negated(self) -> "ColoringInstance":
+        """The same instance with every profit negated.  It starts with the
+        cached properties already computed here, none of which reads the
+        profits, so a minimize solve builds no cotree twice."""
+        twin = replace(self, profit=tuple(tuple(-x for x in row) for row in self.profit))
+        for name in ("bounds_flat", "packing", "units", "adjacency", "cotree_or_prime", "conflict_pairs"):
+            if name in self.__dict__:
+                twin.__dict__[name] = self.__dict__[name]
+        return twin
 
     def profit_of(self, element: int, color: int) -> int:
         return self.profit[element][color - 1] if self.profit is not None else 0

@@ -5,7 +5,9 @@ Adding two packed vectors is one int add, and a vector is within the bounds
 exactly when adding ``offset`` (guard - 1 - bound in every field) sets no
 guard bit.  ``width`` holds every sum the DPs form before checking it (a
 state within the bounds plus one weight, or plus another such state), so no
-field ever carries into the next.
+field ever carries into the next.  For the same reason a sum of such states
+determines its fields, so a DP that stores only reachable states finds a
+state's predecessor by subtraction and lookup (``first_predecessor``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,33 @@ class PackedBounds:
     def fits(self, x: int) -> bool:
         return not (x + self.offset) & self.guard
 
-    def sums(self, a: int, others):
-        """(b, a + b) for each b in ``others`` whose sum with ``a`` fits."""
+    def sums(self, lefts, rights) -> set[int]:
+        """The sums a + b, a in ``lefts`` and b in ``rights``, that fit."""
         offset, guard = self.offset, self.guard
-        return [(b, x) for b in others if not ((x := a + b) + offset) & guard]
+        return {x for a in lefts for b in rights if not ((x := a + b) + offset) & guard}
+
+    def best_sums(self, lefts: dict, rights: dict, row: dict | None = None) -> dict:
+        """``lefts`` and ``rights`` map states to profits: map each fitting
+        a + b to its best lefts[a] + rights[b], merged into ``row`` if given."""
+        offset, guard = self.offset, self.guard
+        row = {} if row is None else row
+        best = row.get
+        rights = rights.items()
+        # a plain loop: a comprehension per left state costs more on small rows
+        for a, pa in lefts.items():
+            for b, pb in rights:
+                x = a + b
+                if not (x + offset) & guard:
+                    q = pa + pb
+                    if q > best(x, q - 1):
+                        row[x] = q
+        return row
+
+
+def first_predecessor(candidates, where: str):
+    """The first of ``candidates``, the predecessors of one state on the way
+    down from a DP root.  Every stored state was built from one, so finding
+    none means the tables are inconsistent."""
+    for found in candidates:
+        return found
+    raise RuntimeError(f"{where}: a reachable state has no predecessor in the tables")

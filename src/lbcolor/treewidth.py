@@ -2,10 +2,10 @@
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
 forget(v), introduce(v), or join nodes.  The DP keeps sparse tables: per
-node, a map from bag coloring to a row, and per row a map from the packed
-part-by-color weight vector (see ``packed``) to the predecessor that produced
-it, so unreachable states are simply absent and witnesses fall out of a
-top-down trace.
+node, a map from bag coloring to a row of the reachable packed part-by-color
+weight vectors (see ``packed``), a set to decide and a map to the best profit
+to maximize.  Rows store no predecessors: the witness is recovered top-down
+from the root state, finding at each node a child state that rebuilds it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import product
 
 from .errors import DecompositionError, UsageError
 from .instance import ColoringInstance, RawDecomposition, SolveOutcome
+from .packed import first_predecessor
 
 EXACT_WIDTH_LIMIT = 10
 
@@ -393,10 +394,7 @@ def build_nice_decomposition(
 def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
     packing = inst.packing
     adjacency = inst.adjacency
-    units = [
-        {c: packing.unit(inst.flat_index(inst.part_of[v], c), inst.weight[v]) for c in inst.allowed[v]}
-        for v in range(inst.n)
-    ]
+    units = inst.units
     tables: list[dict] = [None] * dec.size
 
     for node in dec.post_order():
@@ -421,9 +419,9 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
                         break
                 else:
                     if maximize:
-                        table[key] = {state: (sum(inst.profit_of(v, c) for v, c in zip(bag, key)), None)}
+                        table[key] = {state: sum(inst.profit_of(v, c) for v, c in zip(bag, key))}
                     else:
-                        table[key] = {state: None}
+                        table[key] = {state}
 
         elif kind == "introduce":
             child = dec.children[node][0]
@@ -431,17 +429,15 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             pos = bag.index(v)
             nbr_pos = [i for i, u in enumerate(dec.bags[child]) if u in adjacency[v]]
             colors = sorted(inst.allowed[v])
-            # each (child key, color) makes its own key, and adding the unit is injective
             for ckey, crow in tables[child].items():
+                taken = {ckey[i] for i in nbr_pos}
                 for c in colors:
-                    if any(ckey[i] == c for i in nbr_pos):
+                    if c in taken:
                         continue
-                    gain = inst.profit_of(v, c)
-                    fitting = packing.sums(units[v][c], crow)
                     if maximize:
-                        row = {state: (crow[cstate][0] + gain, ("i", ckey, cstate)) for cstate, state in fitting}
+                        row = packing.best_sums({units[v][c]: inst.profit_of(v, c)}, crow)
                     else:
-                        row = {state: ("i", ckey, cstate) for cstate, state in fitting}
+                        row = packing.sums((units[v][c],), crow)
                     if row:
                         table[ckey[:pos] + (c,) + ckey[pos:]] = row
 
@@ -449,14 +445,12 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             child = dec.children[node][0]
             pos = dec.bags[child].index(dec.vertex[node])
             for ckey, crow in tables[child].items():
-                row = table.setdefault(ckey[:pos] + ckey[pos + 1 :], {})
-                for cstate, centry in crow.items():
-                    if maximize:
-                        cur = row.get(cstate)
-                        if cur is None or centry[0] > cur[0]:
-                            row[cstate] = (centry[0], ("f", ckey, cstate))
-                    elif cstate not in row:
-                        row[cstate] = ("f", ckey, cstate)
+                key = ckey[:pos] + ckey[pos + 1 :]
+                if maximize:
+                    row = table.setdefault(key, {})
+                    row.update({s: p for s, p in crow.items() if p > row.get(s, p - 1)})
+                else:
+                    table.setdefault(key, set()).update(crow)
 
         else:  # join: child states each count the bag weight once, so subtract one copy
             left, right = dec.children[node]
@@ -466,17 +460,11 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
                 if brow is None:
                     continue
                 bag_w = sum(units[v][c] for v, c in zip(bag, key))
-                bag_profit = sum(inst.profit_of(v, c) for v, c in zip(bag, key)) if maximize else 0
-                row = {}
-                for ta, ea in arow.items():
-                    for tb, state in packing.sums(ta - bag_w, brow):
-                        if maximize:
-                            profit = ea[0] + brow[tb][0] - bag_profit
-                            cur = row.get(state)
-                            if cur is None or profit > cur[0]:
-                                row[state] = (profit, ("j", ta, tb))
-                        elif state not in row:
-                            row[state] = ("j", ta, tb)
+                if maximize:
+                    bag_profit = sum(inst.profit_of(v, c) for v, c in zip(bag, key))
+                    row = packing.best_sums({a - bag_w: p - bag_profit for a, p in arow.items()}, brow)
+                else:
+                    row = packing.sums([a - bag_w for a in arow], brow)
                 if row:
                     table[key] = row
 
@@ -497,37 +485,57 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
     tables = _vertex_tables(inst, dec, maximize)
     target = inst.packing.target
     root_table = tables[dec.root]
-    chosen_key = None
-    best = None
-    for key, row in root_table.items():
-        if target in row:
-            if not maximize:
-                chosen_key = key
-                break
-            profit = row[target][0]
-            if best is None or profit > best:
-                best = profit
-                chosen_key = key
-    if chosen_key is None:
+    reached = [key for key, row in root_table.items() if target in row]
+    if not reached:
         return SolveOutcome.infeasible_outcome()
 
-    # witness: follow the stored predecessors down from the root state
+    # witness: from the root state down, find at each node the child state
+    # (and child key) that rebuilds it with the same profit; every vertex
+    # gets its color at a leaf or where it is introduced
+    units = inst.units
     color_of = [0] * inst.n
-    stack = [(dec.root, chosen_key, target)]
+    key = max(reached, key=lambda key: root_table[key][target]) if maximize else reached[0]
+    stack = [(dec.root, key, target)]
     while stack:
-        node, key, tup = stack.pop()
-        for v, c in zip(dec.bags[node], key):
+        node, key, state = stack.pop()
+        kind = dec.kinds[node]
+        bag = dec.bags[node]
+        profit = tables[node][key][state] if maximize else None
+        if kind == "leaf":
+            for v, c in zip(bag, key):
+                color_of[v] = c
+        elif kind == "introduce":
+            pos = bag.index(dec.vertex[node])
+            v, c = bag[pos], key[pos]
             color_of[v] = c
-        entry = tables[node][key][tup]
-        pred = entry[1] if maximize else entry
-        if pred is None:
-            continue
-        if pred[0] in ("i", "f"):
-            stack.append((dec.children[node][0], pred[1], pred[2]))
+            stack.append((dec.children[node][0], key[:pos] + key[pos + 1 :], state - units[v][c]))
+        elif kind == "forget":
+            child = dec.children[node][0]
+            v = dec.vertex[node]
+            pos = dec.bags[child].index(v)
+            rows = tables[child]
+            ckeys = (key[:pos] + (c,) + key[pos:] for c in units[v])  # colors in sorted order
+            ckey = first_predecessor(
+                (ck for ck in ckeys if state in rows.get(ck, ()) and (not maximize or rows[ck][state] == profit)),
+                "dp_vertex forget",
+            )
+            stack.append((child, ckey, state))
         else:
             left, right = dec.children[node]
-            stack.append((left, key, pred[1]))
-            stack.append((right, key, pred[2]))
+            arow, brow = tables[left][key], tables[right][key]
+            bag_w = sum(units[v][c] for v, c in zip(bag, key))
+            if maximize:
+                profit += sum(inst.profit_of(v, c) for v, c in zip(bag, key))
+            a = first_predecessor(
+                (
+                    a
+                    for a in arow
+                    if (b := state + bag_w - a) in brow and (not maximize or arow[a] + brow[b] == profit)
+                ),
+                "dp_vertex join",
+            )
+            stack.append((left, key, a))
+            stack.append((right, key, state + bag_w - a))
     return SolveOutcome.feasible_from(inst, color_of)
 
 

@@ -94,16 +94,51 @@ def random_allowed(rng, k):
     return frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
 
 
+def bounds_of(k, p, part_of, weight, cols):
+    bounds = [[0] * k for _ in range(p)]
+    for e in range(len(weight)):
+        bounds[part_of[e] - 1][cols[e] - 1] += weight[e]
+    return tuple(tuple(row) for row in bounds)
+
+
 def bounds_from_assignment(rng, k, p, part_of, weight, allowed, listful=0.6):
     """Bound matrix induced by a random (not necessarily proper) assignment."""
     if rng.random() < listful:
         cols = [rng.choice(sorted(allowed[e])) for e in range(len(weight))]
     else:
         cols = [rng.randint(1, k) for _ in range(len(weight))]
-    bounds = [[0] * k for _ in range(p)]
-    for e in range(len(weight)):
-        bounds[part_of[e] - 1][cols[e] - 1] += weight[e]
-    return tuple(tuple(row) for row in bounds)
+    return bounds_of(k, p, part_of, weight, cols)
+
+
+def plant(rng, k, p, part_of, weight, allowed, conflicts):
+    """(allowed, bounds) around a greedy coloring of the conflict graph in
+    breadth-first order from random roots (proper on forests with two
+    colors), each element taking a random color its colored neighbors leave
+    free (any color when none is free); each list gains its element's color.
+    The instance is feasible whenever that coloring is proper."""
+    m = len(weight)
+    nbrs = [set() for _ in range(m)]
+    for a, b in conflicts:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    order, seen = [], set()
+    for root in rng.sample(range(m), m):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for e in queue:
+            for f in rng.sample(sorted(nbrs[e]), len(nbrs[e])):
+                if f not in seen:
+                    seen.add(f)
+                    queue.append(f)
+        order += queue
+    cols = [0] * m
+    for e in order:
+        free = sorted(set(range(1, k + 1)) - {cols[f] for f in nbrs[e]})
+        cols[e] = rng.choice(free or range(1, k + 1))
+    allowed = tuple(a | {c} for a, c in zip(allowed, cols))
+    return allowed, bounds_of(k, p, part_of, weight, cols)
 
 
 def random_vertex_instance(
@@ -118,6 +153,7 @@ def random_vertex_instance(
     edges=None,
     n=None,
     k=None,
+    planted=False,
 ):
     n = n if n is not None else rng.randint(1, n_max)
     k = k if k is not None else rng.randint(1, k_max)
@@ -132,7 +168,10 @@ def random_vertex_instance(
     weight = tuple(rng.randint(1, w_max) for _ in range(n))
     part_of = tuple(rng.randint(1, p) for _ in range(n))
     allowed = tuple(random_allowed(rng, k) for _ in range(n))
-    bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
+    if planted:
+        allowed, bounds = plant(rng, k, p, part_of, weight, allowed, edges)
+    else:
+        bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
     prof = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(n)) if profit else None
     return ColoringInstance(
         mode="vertex", n=n, edges=edges, k=k, p=p, part_of=part_of,
@@ -141,7 +180,8 @@ def random_vertex_instance(
 
 
 def random_edge_instance(
-    rng, n_max=6, m_max=7, k_max=3, p_max=2, w_max=3, profit=False, edges=None, n=None
+    rng, n_max=6, m_max=7, k_max=3, p_max=2, w_max=3, profit=False, edges=None, n=None,
+    k=None, planted=False,
 ):
     if edges is None:
         n = n if n is not None else rng.randint(2, n_max)
@@ -149,12 +189,16 @@ def random_edge_instance(
         rng.shuffle(pairs)
         edges = tuple(sorted(pairs[: rng.randint(1, min(m_max, len(pairs)))]))
     m = len(edges)
-    k = rng.randint(1, k_max)
+    k = k if k is not None else rng.randint(1, k_max)
     p = rng.randint(1, p_max)
     weight = tuple(rng.randint(1, w_max) for _ in range(m))
     part_of = tuple(rng.randint(1, p) for _ in range(m))
     allowed = tuple(random_allowed(rng, k) for _ in range(m))
-    bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
+    if planted:
+        conflicts = [(a, b) for a in range(m) for b in range(a) if set(edges[a]) & set(edges[b])]
+        allowed, bounds = plant(rng, k, p, part_of, weight, allowed, conflicts)
+    else:
+        bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
     prof = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(m)) if profit else None
     return ColoringInstance(
         mode="edge", n=n, edges=edges, k=k, p=p, part_of=part_of,
@@ -181,13 +225,10 @@ def random_complete_instance(rng, n_max=6, p_max=2, w_max=3, profit=False):
         cols = rng.sample(range(1, k + 1), n)
     else:
         cols = [rng.randint(1, k) for _ in range(n)]
-    bounds = [[0] * k for _ in range(p)]
-    for v in range(n):
-        bounds[part_of[v] - 1][cols[v] - 1] += weight[v]
     prof = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(n)) if profit else None
     return ColoringInstance(
         mode="vertex", n=n, edges=edges, k=k, p=p, part_of=part_of,
-        weight=weight, bounds=tuple(tuple(r) for r in bounds), allowed=allowed, profit=prof,
+        weight=weight, bounds=bounds_of(k, p, part_of, weight, cols), allowed=allowed, profit=prof,
     )
 
 
@@ -211,12 +252,9 @@ def random_complete_bipartite_instance(rng, side_max=3, k_max=3, p_max=2, w_max=
             cols.append(rng.choice(fits) if fits else rng.randint(1, k))
     else:
         cols = [rng.randint(1, k) for _ in range(n)]
-    bounds = [[0] * k for _ in range(p)]
-    for v in range(n):
-        bounds[part_of[v] - 1][cols[v] - 1] += weight[v]
     return ColoringInstance(
         mode="vertex", n=n, edges=edges, k=k, p=p, part_of=part_of,
-        weight=weight, bounds=tuple(tuple(r) for r in bounds), allowed=allowed,
+        weight=weight, bounds=bounds_of(k, p, part_of, weight, cols), allowed=allowed,
     )
 
 
@@ -268,6 +306,58 @@ def random_bipartite_k2_instance(rng, n_max=7, p_max=2, w_max=3):
         if sides[u] != sides[v] and rng.random() < 0.4
     )
     return random_vertex_instance(rng, p_max=p_max, w_max=w_max, edges=edges, n=n, k=2)
+
+
+def reconstruct_graph(ct):
+    """Rebuild (n, edges) from a cotree; join nodes add all cross edges."""
+    below = ct.leaves_under()
+    edges = set()
+    for node in ct.post_order():
+        if ct.kinds[node] == "join":
+            left, right = ct.children[node]
+            for u in below[left]:
+                for v in below[right]:
+                    edges.add((u, v) if u < v else (v, u))
+    n = len(below[ct.root])
+    return n, tuple(sorted(edges))
+
+
+# ---------------------------------------------------------------------------
+# join rows of the tree-decomposition DP, recomputed field by field
+
+
+def join_row_mismatches(inst, dec, tables):
+    """Recompute every join row of ``treewidth._vertex_tables`` from its
+    children's rows, one unpacked field at a time.  A row must be exactly
+    {a + b - bag weight : a in the left row, b in the right row, within the
+    bounds} (sound and complete), every child state must hold the bag weight
+    in every field, and a join key needs a row in both children.  Returns
+    (bag colorings checked, mismatches)."""
+    unpack = inst.packing.unpack
+    bounds = inst.bounds_flat
+    checked = mismatches = 0
+    for node in range(dec.size):
+        if dec.kinds[node] != "join":
+            continue
+        left, right = dec.children[node]
+        table, lt, rt = tables[node], tables[left], tables[right]
+        mismatches += sum(1 for key in table if key not in lt or key not in rt)
+        for key in lt.keys() & rt.keys():
+            bag_w = [0] * len(bounds)
+            for v, c in zip(dec.bags[node], key):
+                bag_w[inst.flat_index(inst.part_of[v], c)] += inst.weight[v]
+            lefts = [unpack(a) for a in lt[key]]
+            rights = [unpack(b) for b in rt[key]]
+            mismatches += sum(1 for q in lefts + rights if any(x < w for x, w in zip(q, bag_w)))
+            want = set()
+            for qa in lefts:
+                for qb in rights:
+                    fields = tuple(x + y - w for x, y, w in zip(qa, qb, bag_w))
+                    if all(f <= b for f, b in zip(fields, bounds)):
+                        want.add(fields)
+            mismatches += {unpack(s) for s in table.get(key, ())} != want
+            checked += 1
+    return checked, mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from lbcolor.cographs import bipartition
 from lbcolor.generators import ThreePartitionSource
 
 from corpus import (
+    join_row_mismatches,
     one_in_three_answer,
     partition_answer,
     random_complete_bipartite_instance,
@@ -289,23 +290,9 @@ def run_criterion_7(seed):
     for i in range(40):
         inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, tw_cap=3)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, maximize=False)
-        unpack = inst.packing.unpack
-        for node in range(dec.size):
-            if dec.kinds[node] != "join":
-                continue
-            for key, row in tables[node].items():
-                bag_w = [0] * len(inst.bounds_flat)
-                for v, c in zip(dec.bags[node], key):
-                    bag_w[(inst.part_of[v] - 1) * inst.k + (c - 1)] += inst.weight[v]
-                for state, pred in row.items():
-                    tag, qa, qb = pred
-                    if tag != "j" or any(
-                        a + b != t + w
-                        for a, b, t, w in zip(unpack(qa), unpack(qb), unpack(state), bag_w)
-                    ):
-                        violations += 1
-                    joins_checked += 1
+        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize=False))
+        violations += mismatches
+        joins_checked += checked
         out = dp_vertex(inst, dec)
         rec.outcome(inst, f"7.dp[{i}]", out)
     exclusivity_checked = 0

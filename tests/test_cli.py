@@ -7,6 +7,7 @@ import pytest
 from lbcolor import cli, cographs, instance_to_doc, write_instance
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
+from lbcolor.packed import PackedBounds
 
 from corpus import (
     assert_outcome,
@@ -69,6 +70,7 @@ def test_solve_auto_cograph_dispatch(tmp_path, capsys):
 @pytest.mark.parametrize("mode, objective, solver", [
     ("vertex", "decide", "cograph"),
     ("vertex", "maximize", "cograph"),
+    ("vertex", "minimize", "cograph"),
     ("edge", "decide", "cograph-edge"),
 ])
 def test_auto_solve_builds_the_cotree_once(tmp_path, capsys, monkeypatch, mode, objective, solver):
@@ -312,6 +314,20 @@ def test_crash_exits_two_not_infeasible(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["solve", "--input", path, "--solver", "treewidth"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == "error: ZeroDivisionError: division by zero"
+
+
+def test_state_without_predecessor_exits_two(tmp_path, capsys, monkeypatch):
+    # every layer of the edgeless DP also gets the target, which no step reaches
+    sums = PackedBounds.sums
+    monkeypatch.setattr(PackedBounds, "sums", lambda self, lefts, rights: sums(self, lefts, rights) | {self.target})
+    doc = {
+        "mode": "vertex", "n": 2, "edges": [], "k": 2, "p": 1, "part_of": [1, 1],
+        "weight": [1, 1], "bounds": [[1, 1]], "allowed": [[1], [1]],
+    }
+    path = write_doc(tmp_path, "lost.json", doc)
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "isolated-kfixed"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: RuntimeError: part_weight_assignment: ")
 
 
 def test_unknown_solver_rejected():

@@ -19,7 +19,7 @@ from lbcolor import (
     solve_complete_graph,
 )
 from lbcolor import cographs
-from lbcolor.cographs import build_cotree_graph, is_cograph, reconstruct_graph
+from lbcolor.cographs import build_cotree_graph, is_cograph
 
 from corpus import (
     assert_outcome,
@@ -28,6 +28,7 @@ from corpus import (
     random_complete_bipartite_instance,
     random_complete_instance,
     random_edge_instance,
+    reconstruct_graph,
 )
 
 

@@ -1,0 +1,135 @@
+"""Solvers against each other past the oracle's enumeration cap.
+
+Hypothesis draws seeds for the corpus samplers on graphs of 10-25 vertices:
+forests, disjoint small cographs and split graphs with a small clique, so
+that the tree-decomposition DP stays small enough to run on every instance.
+In most of them k^m exceeds the oracle's 1e7 (forests, at two colors, are
+the exception).  Every applicable solver must reach the same verdict, the
+DPs the same maximum profit, and every witness must be valid.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lbcolor import classify_graph, solve_with
+
+from corpus import assert_outcome, random_cograph_edges, random_edge_instance, random_vertex_instance
+
+SEEDS = st.integers(0, 2**32 - 1)
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def relabel(rng, n, edges):
+    label = rng.sample(range(n), n)
+    return tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+
+
+def tree_edges(rng, n):
+    return relabel(rng, n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def cograph_edges(rng, n, block_max, apex):
+    """Disjoint random cographs of at most ``block_max`` vertices, with
+    probability ``apex`` under one universal vertex."""
+    top = n - 1 if rng.random() < apex else n
+    edges, start = set(), 0
+    while start < top:
+        size = min(rng.randint(1, block_max), top - start)
+        edges |= {(u + start, v + start) for u, v in random_cograph_edges(rng, size)}
+        start += size
+    if top < n:
+        edges |= {(v, top) for v in range(top)}
+    return relabel(rng, n, edges)
+
+
+def split_edges(rng, n, clique, degree_max, clique_degree=None):
+    """A clique on ``clique`` vertices; every other vertex sees 1 to
+    ``degree_max`` of them while no clique vertex has more than
+    ``clique_degree`` neighbors, and none once they all have."""
+    room = [n if clique_degree is None else clique_degree - (clique - 1)] * clique
+    edges = {(u, v) for u in range(clique) for v in range(u + 1, clique)}
+    for v in range(clique, n):
+        open_ = [u for u in range(clique) if room[u] > 0]
+        for u in rng.sample(open_, min(rng.randint(1, degree_max), len(open_))):
+            edges.add((u, v))
+            room[u] -= 1
+    return relabel(rng, n, edges)
+
+
+def check_agreement(inst, solvers, objectives):
+    assert len(solvers) >= 2
+    for objective in objectives:
+        outs = {name: solve_with(name, inst, objective) for name in solvers}
+        for out in outs.values():
+            assert_outcome(inst, out)
+        assert len({out.status for out in outs.values()}) == 1, {n: o.status for n, o in outs.items()}
+        if objective == "maximize":
+            assert len({out.objective for out in outs.values()}) == 1, {n: o.objective for n, o in outs.items()}
+
+
+def vertex_solvers(inst):
+    report = classify_graph(inst.n, inst.edges)
+    decide = ["treewidth"]
+    if report.cograph:
+        decide.append("cograph")
+    if report.split:
+        decide.append("split-kfixed")
+    if inst.k == 2:
+        decide.append("components-k2")
+    return decide, [name for name in decide if name in ("treewidth", "cograph")]
+
+
+def vertex_instance(rng, shape):
+    n = rng.randint(10, 25)
+    k = 2 if shape == "forest" else 3
+    if shape == "cograph":
+        edges = cograph_edges(rng, n, block_max=4, apex=0.2)
+    elif shape == "split":
+        edges = split_edges(rng, n, clique=rng.randint(1, 4), degree_max=2)
+    else:  # forest, 2 colors: components-k2 applies
+        edges = tree_edges(rng, n)[: n - rng.randint(1, 4)]
+    return random_vertex_instance(
+        rng, n=n, k=k, edges=edges, p_max=2, w_max=2, profit=True, planted=rng.random() < 0.8
+    )
+
+
+@pytest.mark.parametrize("shape", ["cograph", "split", "forest"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_vertex_solvers_agree_past_the_oracle_cap(shape, seed):
+    inst = vertex_instance(random.Random(seed), shape)
+    decide, maximize = vertex_solvers(inst)
+    check_agreement(inst, decide, ["decide"])
+    if len(maximize) > 1:
+        check_agreement(inst, maximize, ["maximize"])
+
+
+def edge_instance(rng, shape):
+    # degrees stay within k, or the instance is trivially infeasible
+    n = rng.randint(10, 25)
+    if shape == "cograph":
+        k = 4
+        edges = cograph_edges(rng, n, block_max=5, apex=0)
+    else:
+        k = 5
+        edges = split_edges(rng, n, clique=3, degree_max=1, clique_degree=k)
+    return random_edge_instance(
+        rng, n=n, edges=edges, k=k, p_max=2, w_max=2, planted=rng.random() < 0.8
+    )
+
+
+@pytest.mark.parametrize("shape", ["cograph", "split"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_edge_solvers_agree_past_the_oracle_cap(shape, seed):
+    inst = edge_instance(random.Random(seed), shape)
+    report = classify_graph(inst.n, inst.edges)
+    solvers = ["treewidth-edge"]
+    if report.cograph:
+        solvers.append("cograph-edge")
+    if report.split:
+        solvers.append("split-edge")
+    check_agreement(inst, solvers, ["decide"])

@@ -67,8 +67,8 @@ def test_state_plus_state(case, data):
     a, b = within(data.draw, bounds), within(data.draw, bounds)
     fields = [x + y for x, y in zip(a, b)]
     assert_check_agrees(packing, bounds, packing.pack(a) + packing.pack(b), fields)
-    sums = packing.sums(packing.pack(a), [packing.pack(b)])
-    assert sums == ([(packing.pack(b), packing.pack(fields))] if packing.fits(packing.pack(fields)) else [])
+    sums = packing.sums([packing.pack(a)], [packing.pack(b)])
+    assert sums == ({packing.pack(fields)} if packing.fits(packing.pack(fields)) else set())
 
 
 @given(packings(), st.data())

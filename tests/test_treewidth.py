@@ -26,6 +26,7 @@ from lbcolor.treewidth import (
 
 from corpus import (
     assert_outcome,
+    join_row_mismatches,
     min_fill_order_rescan,
     min_fill_width,
     random_edge_instance,
@@ -247,40 +248,15 @@ def test_stored_tuples_stay_within_bounds():
                     assert all(x >= 0 for x in tup)
 
 
-def trace_join_conservation(inst, dec, tables, slot_weight):
-    """Walk every stored join entry and check q + q' = omega + bag weight,
-    with each child vector q, q' at least the bag weight (states unpacked)."""
-    unpack = inst.packing.unpack
-    checked = 0
-    for node in range(dec.size):
-        if dec.kinds[node] != "join":
-            continue
-        for key, row in tables[node].items():
-            bag_w = [0] * len(inst.bounds_flat)
-            for element, c in zip(slot_weight(node), key):
-                bag_w[element[0] * inst.k + (c - 1)] += element[1]
-            for state, pred in row.items():
-                tag, qa, qb = pred
-                assert tag == "j"
-                tup, qa, qb = unpack(state), unpack(qa), unpack(qb)
-                assert all(a + b == t + w for a, b, t, w in zip(qa, qb, tup, bag_w))
-                assert all(a >= w and b >= w for a, b, w in zip(qa, qb, bag_w))
-                checked += 1
-    return checked
-
-
 def test_join_conservation_holds_on_traced_tables():
     rng = random.Random(71)
     total = 0
     for _ in range(40):
         inst = random_vertex_instance(rng, n_max=7, edge_p=0.45)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, maximize=False)
-
-        def bag_slots(node):
-            return [(inst.part_of[v] - 1, inst.weight[v]) for v in dec.bags[node]]
-
-        total += trace_join_conservation(inst, dec, tables, bag_slots)
+        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize=False))
+        assert mismatches == 0
+        total += checked
     assert total > 0
 
 
@@ -368,10 +344,7 @@ def test_edge_join_conservation():
         dec, _ = build_nice_decomposition(inst)
         line = _line_graph_instance(inst)
         lifted = _lift_decomposition(inst, dec)
-        tables = _vertex_tables(line, lifted, maximize=False)
-
-        def bag_slots(node):
-            return [(line.part_of[e] - 1, line.weight[e]) for e in lifted.bags[node]]
-
-        total += trace_join_conservation(line, lifted, tables, bag_slots)
+        checked, mismatches = join_row_mismatches(line, lifted, _vertex_tables(line, lifted, maximize=False))
+        assert mismatches == 0
+        total += checked
     assert total > 0
