@@ -24,18 +24,14 @@ class ClassReport:
     cograph: bool
 
 
-def _report(n: int, edges, cograph: bool) -> ClassReport:
+def classify_graph(n: int, edges) -> ClassReport:
     return ClassReport(
         edgeless=not edges,
         complete=is_complete(n, edges),
         complete_bipartite=is_complete_bipartite(n, edges),
         split=is_split(n, edges),
-        cograph=cograph,
+        cograph=is_cograph(n, edges),
     )
-
-
-def classify_graph(n: int, edges) -> ClassReport:
-    return _report(n, edges, is_cograph(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -61,62 +57,60 @@ def _run_treewidth_edge(inst, objective):
 
 
 SOLVERS = {
-    # name: (objectives, runner(inst, objective, clique_general))
-    "oracle": (_WITH_PROFIT, lambda inst, obj, cg: brute_force_solve(inst, obj)),
-    "components-k2": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_components_k2(inst)),
-    "isolated-unit": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_isolated_unit(inst)),
-    "isolated-kfixed": (_DECIDE_ONLY, lambda inst, obj, cg: basic.solve_isolated_k_fixed(inst)),
-    "treewidth": (("decide", "maximize"), lambda inst, obj, cg: _run_treewidth(inst, obj)),
-    "cograph": (("decide", "maximize"), lambda inst, obj, cg: _run_cograph(inst, obj)),
-    "complete": (("decide", "maximize"), lambda inst, obj, cg: cographs.solve_complete_graph(inst)),
-    "complete-bipartite": (
-        _DECIDE_ONLY,
-        lambda inst, obj, cg: cographs.solve_complete_bipartite(inst),
-    ),
-    "split-kfixed": (_DECIDE_ONLY, lambda inst, obj, cg: split.solve_split_k_fixed(inst)),
-    "split-singular": (
-        _DECIDE_ONLY,
-        lambda inst, obj, cg: split.solve_split_singular(inst, clique_general=cg),
-    ),
-    "treewidth-edge": (("decide", "maximize"), lambda inst, obj, cg: _run_treewidth_edge(inst, obj)),
-    "cograph-edge": (_DECIDE_ONLY, lambda inst, obj, cg: cographs.solve_cograph_edges(inst)),
-    "split-edge": (_DECIDE_ONLY, lambda inst, obj, cg: split.solve_split_edges(inst)),
+    # name: (objectives, runner(inst, objective))
+    "oracle": (_WITH_PROFIT, lambda inst, obj: brute_force_solve(inst, obj)),
+    "components-k2": (_DECIDE_ONLY, lambda inst, obj: basic.solve_components_k2(inst)),
+    "isolated-unit": (_DECIDE_ONLY, lambda inst, obj: basic.solve_isolated_unit(inst)),
+    "isolated-kfixed": (_DECIDE_ONLY, lambda inst, obj: basic.solve_isolated_k_fixed(inst)),
+    "treewidth": (("decide", "maximize"), lambda inst, obj: _run_treewidth(inst, obj)),
+    "cograph": (("decide", "maximize"), lambda inst, obj: _run_cograph(inst, obj)),
+    "complete": (("decide", "maximize"), lambda inst, obj: cographs.solve_complete_graph(inst)),
+    "complete-bipartite": (_DECIDE_ONLY, lambda inst, obj: cographs.solve_complete_bipartite(inst)),
+    "split-kfixed": (_DECIDE_ONLY, lambda inst, obj: split.solve_split_k_fixed(inst)),
+    "split-singular": (_DECIDE_ONLY, lambda inst, obj: split.solve_split_singular(inst)),
+    "treewidth-edge": (("decide", "maximize"), lambda inst, obj: _run_treewidth_edge(inst, obj)),
+    "cograph-edge": (_DECIDE_ONLY, lambda inst, obj: cographs.solve_cograph_edges(inst)),
+    "split-edge": (_DECIDE_ONLY, lambda inst, obj: split.solve_split_edges(inst)),
 }
 
 
-def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
-    """Most specific applicable solver, specialized classes before the DPs."""
-    if inst.mode == "edge" and objective != "decide":
-        return "treewidth-edge"
+def _instance_is_cograph(inst: ColoringInstance) -> bool:
     # recognition builds the instance's cotree, which the cotree solvers reuse
-    cograph = inst.n == 0 or isinstance(inst.cotree_or_prime, cographs.Cotree)
-    report = _report(inst.n, inst.edges, cograph)
+    return inst.n == 0 or isinstance(inst.cotree_or_prime, cographs.Cotree)
+
+
+def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
+    """Most specific applicable solver, specialized classes before the DPs.
+    Runs only the class tests the choice reads, in the order it reads them."""
+    n, edges = inst.n, inst.edges
     if inst.mode == "edge":
-        if report.split:
+        if objective != "decide":
+            return "treewidth-edge"
+        if is_split(n, edges):
             return "split-edge"
-        if report.cograph:
+        if _instance_is_cograph(inst):
             return "cograph-edge"
         return "treewidth-edge"
     if objective == "decide":
-        if report.complete:
+        if is_complete(n, edges):
             return "complete"
-        if report.complete_bipartite:
+        if is_complete_bipartite(n, edges):
             return "complete-bipartite"
-        if report.edgeless:
+        if not edges:
             return "isolated-unit" if inst.unit_weights else "isolated-kfixed"
-        if report.split:
+        if is_split(n, edges):
             return "split-kfixed"
-        if report.cograph:
+        if _instance_is_cograph(inst):
             return "cograph"
         return "treewidth"
-    if report.complete:
+    if is_complete(n, edges):
         return "complete"
-    if report.cograph:
+    if _instance_is_cograph(inst):
         return "cograph"
     return "treewidth"
 
 
-def solve_with(name: str, inst: ColoringInstance, objective: str = "decide", clique_general: bool = False) -> SolveOutcome:
+def solve_with(name: str, inst: ColoringInstance, objective: str = "decide") -> SolveOutcome:
     """Run a registry solver; minimize runs as maximize over negated profits."""
     if name not in SOLVERS:
         raise UsageError(f"unknown solver {name!r}")
@@ -127,8 +121,8 @@ def solve_with(name: str, inst: ColoringInstance, objective: str = "decide", cli
     if objective in ("maximize", "minimize") and inst.profit is None:
         raise UsageError(f"objective {objective!r} requires a profit matrix")
     if objective == "minimize" and name != "oracle":
-        outcome = runner(inst.negated(), "maximize", clique_general)
+        outcome = runner(inst.negated(), "maximize")
         if not outcome.feasible:
             return outcome
         return SolveOutcome.feasible_from(inst, outcome.witness.color_of)
-    return runner(inst, objective, clique_general)
+    return runner(inst, objective)

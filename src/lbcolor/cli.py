@@ -33,7 +33,7 @@ def cmd_solve(ns) -> int:
     name = ns.solver
     if name == "auto":
         name = auto_solver_name(inst, ns.objective)
-    outcome = solve_with(name, inst, ns.objective, ns.clique_general)
+    outcome = solve_with(name, inst, ns.objective)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     doc = {
         "status": outcome.status,
@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--input", required=True, help="instance JSON path")
     ps.add_argument("--solver", default="auto", choices=["auto", *SOLVERS])
     ps.add_argument("--objective", default="decide", choices=["decide", "maximize", "minimize"])
-    ps.add_argument("--clique-general", action="store_true", dest="clique_general",
-                    help="allow clique lists/weights in the singular-color solver")
     ps.set_defaults(fn=cmd_solve)
 
     pg = sub.add_parser("generate", help="generate an instance from a source problem")

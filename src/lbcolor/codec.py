@@ -14,6 +14,11 @@ Instance document layout::
 part_of/weight/allowed are element-indexed: vertex order in vertex mode,
 edges-array order in edge mode.  Vertices are 0-based, colors and parts
 1-based.
+
+The codec only maps JSON to the model types: it checks that each document
+is an object and that its required keys are present.  Field types, shapes
+and invariants are checked by ``ColoringInstance`` and ``RawDecomposition``
+when they are constructed.
 """
 
 from __future__ import annotations
@@ -24,85 +29,42 @@ from .errors import InstanceFormatError
 from .instance import Coloring, ColoringInstance, RawDecomposition
 
 
-def _require(doc: dict, key: str, kind, path: str = ""):
-    where = f"{path}{key}"
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{where}: expected a JSON object")
+    return doc
+
+
+def _require(doc: dict, key: str, path: str = ""):
     if key not in doc:
-        raise InstanceFormatError(f"{where}: missing field")
-    value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise InstanceFormatError(f"{where}: expected an integer")
-    if not isinstance(value, kind):
-        raise InstanceFormatError(f"{where}: expected {kind.__name__}")
-    return value
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _int_list(raw, name: str):
-    for i, x in enumerate(raw):
-        if not _is_int(x):
-            raise InstanceFormatError(f"{name}[{i}]: expected an integer")
-    return tuple(raw)
-
-
-def _int_pairs(raw, name: str):
-    pairs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise InstanceFormatError(f"{name}[{i}]: expected a pair")
-        if not all(_is_int(x) for x in item):
-            raise InstanceFormatError(f"{name}[{i}]: expected integers")
-        a, b = item
-        pairs.append((a, b))
-    return tuple(pairs)
-
-
-def _int_rows(raw, name: str):
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise InstanceFormatError(f"{name}[{i}]: expected a list")
-        if not all(_is_int(x) for x in row):
-            raise InstanceFormatError(f"{name}[{i}]: expected integers")
-        rows.append(tuple(row))
-    return tuple(rows)
+        raise InstanceFormatError(f"{path}{key}: missing field")
+    return doc[key]
 
 
 def decomposition_from_doc(doc: dict) -> RawDecomposition:
-    bags = _int_rows(_require(doc, "bags", list, "decomposition."), "decomposition.bags")
-    tree_edges = _int_pairs(
-        _require(doc, "tree_edges", list, "decomposition."), "decomposition.tree_edges"
+    return RawDecomposition(
+        bags=_require(doc, "bags", "decomposition."),
+        tree_edges=_require(doc, "tree_edges", "decomposition."),
+        root=_require(doc, "root", "decomposition."),
     )
-    root = _require(doc, "root", int, "decomposition.")
-    return RawDecomposition(bags=bags, tree_edges=tree_edges, root=root)
 
 
 def instance_from_doc(doc: dict) -> ColoringInstance:
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("document: expected a JSON object")
-    mode = _require(doc, "mode", str)
-    decomposition = None
-    if doc.get("decomposition") is not None:
-        if not isinstance(doc["decomposition"], dict):
-            raise InstanceFormatError("decomposition: expected an object")
-        decomposition = decomposition_from_doc(doc["decomposition"])
-    profit = None
-    if doc.get("profit") is not None:
-        profit = _int_rows(_require(doc, "profit", list), "profit")
-    allowed_rows = _int_rows(_require(doc, "allowed", list), "allowed")
+    _object(doc, "document")
+    decomposition = doc.get("decomposition")
+    if decomposition is not None:
+        decomposition = decomposition_from_doc(_object(decomposition, "decomposition"))
     return ColoringInstance(
-        mode=mode,
-        n=_require(doc, "n", int),
-        edges=_int_pairs(_require(doc, "edges", list), "edges"),
-        k=_require(doc, "k", int),
-        p=_require(doc, "p", int),
-        part_of=_int_list(_require(doc, "part_of", list), "part_of"),
-        weight=_int_list(_require(doc, "weight", list), "weight"),
-        bounds=_int_rows(_require(doc, "bounds", list), "bounds"),
-        allowed=tuple(frozenset(row) for row in allowed_rows),
-        profit=profit,
+        mode=_require(doc, "mode"),
+        n=_require(doc, "n"),
+        edges=_require(doc, "edges"),
+        k=_require(doc, "k"),
+        p=_require(doc, "p"),
+        part_of=_require(doc, "part_of"),
+        weight=_require(doc, "weight"),
+        bounds=_require(doc, "bounds"),
+        allowed=_require(doc, "allowed"),
+        profit=doc.get("profit"),
         decomposition=decomposition,
     )
 
@@ -131,10 +93,7 @@ def instance_to_doc(inst: ColoringInstance) -> dict:
 
 
 def coloring_from_doc(doc: dict) -> Coloring:
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("document: expected a JSON object")
-    colors = _require(doc, "color_of", list)
-    return Coloring(_int_list(colors, "color_of"))
+    return Coloring(_require(_object(doc, "document"), "color_of"))
 
 
 def coloring_to_doc(col: Coloring) -> dict:
@@ -162,7 +121,8 @@ def _dump(doc: dict, target) -> None:
 
 
 def read_instance(source) -> ColoringInstance:
-    """Read an instance from a path or text stream, re-checking all invariants."""
+    """Read an instance from a path or text stream; constructing it checks
+    every field and invariant."""
     return instance_from_doc(_load(source))
 
 

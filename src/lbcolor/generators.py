@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceFormatError, UsageError
-from .instance import ColoringInstance
+from .instance import ColoringInstance, _is_int, _require_list
+
+
+def _int_field(where: str, value) -> None:
+    if not _is_int(value):
+        raise InstanceFormatError(f"{where}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,8 +27,9 @@ class PartitionSource:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values or any(not isinstance(a, int) or a < 1 for a in self.values):
+        object.__setattr__(self, "values", tuple(_require_list("partition: values", self.values)))
+        _int_field("partition: target", self.target)
+        if not self.values or any(not _is_int(a) or a < 1 for a in self.values):
             raise InstanceFormatError("partition: values must be positive integers")
         if sum(self.values) != 2 * self.target:
             raise InstanceFormatError(
@@ -39,7 +45,10 @@ class ThreePartitionSource:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(_require_list("three_partition: values", self.values)))
+        _int_field("three_partition: target", self.target)
+        for i, a in enumerate(self.values):
+            _int_field(f"three_partition: values[{i}]", a)
         if len(self.values) % 3 != 0 or not self.values:
             raise InstanceFormatError("three_partition: needs 3n values")
         n = len(self.values) // 3
@@ -67,15 +76,19 @@ class OneInThreeSatSource:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        _int_field("one_in_three_sat: num_variables", self.num_variables)
+        clauses = _require_list("one_in_three_sat: clauses", self.clauses)
+        object.__setattr__(self, "clauses", tuple(
+            tuple(_require_list(f"one_in_three_sat: clauses[{i}]", c)) for i, c in enumerate(clauses)
+        ))
         if self.num_variables < 1:
             raise InstanceFormatError("one_in_three_sat: needs at least one variable")
         for i, clause in enumerate(self.clauses):
+            for x in clause:
+                if not _is_int(x) or not 1 <= x <= self.num_variables:
+                    raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] variable {x!r} out of range")
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] needs 3 distinct variables")
-            for x in clause:
-                if not 1 <= x <= self.num_variables:
-                    raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] variable {x} out of range")
 
     def occurrences(self) -> list[int]:
         occ = [0] * self.num_variables
@@ -93,11 +106,15 @@ class ThreeDimMatchingSource:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
+        _int_field("three_dim_matching: size", self.size)
+        triples = _require_list("three_dim_matching: triples", self.triples)
+        object.__setattr__(self, "triples", tuple(
+            tuple(_require_list(f"three_dim_matching: triples[{i}]", t)) for i, t in enumerate(triples)
+        ))
         if self.size < 1:
             raise InstanceFormatError("three_dim_matching: size must be positive")
         for i, t in enumerate(self.triples):
-            if len(t) != 3 or any(not 1 <= x <= self.size for x in t):
+            if len(t) != 3 or any(not _is_int(x) or not 1 <= x <= self.size for x in t):
                 raise InstanceFormatError(f"three_dim_matching: triples[{i}] out of range 1..{self.size}")
 
 
@@ -110,18 +127,13 @@ def source_from_doc(doc: dict) -> SourceProblem:
     kind = doc["type"]
     try:
         if kind == "partition":
-            return PartitionSource(values=tuple(doc["values"]), target=doc["target"])
+            return PartitionSource(values=doc["values"], target=doc["target"])
         if kind == "three_partition":
-            return ThreePartitionSource(values=tuple(doc["values"]), target=doc["target"])
+            return ThreePartitionSource(values=doc["values"], target=doc["target"])
         if kind == "one_in_three_sat":
-            return OneInThreeSatSource(
-                num_variables=doc["num_variables"],
-                clauses=tuple(tuple(c) for c in doc["clauses"]),
-            )
+            return OneInThreeSatSource(num_variables=doc["num_variables"], clauses=doc["clauses"])
         if kind == "three_dim_matching":
-            return ThreeDimMatchingSource(
-                size=doc["size"], triples=tuple(tuple(t) for t in doc["triples"])
-            )
+            return ThreeDimMatchingSource(size=doc["size"], triples=doc["triples"])
     except KeyError as exc:
         raise InstanceFormatError(f"source: missing field {exc.args[0]!r}") from exc
     raise InstanceFormatError(f"source: unknown type {kind!r}")

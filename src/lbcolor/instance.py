@@ -20,23 +20,54 @@ from .errors import InstanceFormatError, UsageError
 from .packed import PackedBounds
 
 MODES = ("vertex", "edge")
+_LISTS = (list, tuple)
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON ``true`` loads as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_list(name: str, value):
+    if not isinstance(value, _LISTS):
+        raise InstanceFormatError(f"{name}: expected a list, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
 class RawDecomposition:
-    """A tree decomposition as supplied in an instance document (not yet nice)."""
+    """A tree decomposition as supplied in an instance document (not yet nice).
+
+    Construction checks only types and shapes; ``validate_raw_decomposition``
+    checks it against the graph."""
 
     bags: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[int, int], ...]
     root: int
 
     def __post_init__(self):
-        object.__setattr__(self, "bags", tuple(tuple(b) for b in self.bags))
-        object.__setattr__(self, "tree_edges", tuple(tuple(e) for e in self.tree_edges))
+        bags = []
+        for i, bag in enumerate(_require_list("decomposition.bags", self.bags)):
+            if not isinstance(bag, _LISTS) or not all(map(_is_int, bag)):
+                raise InstanceFormatError(f"decomposition.bags[{i}]: expected a list of integers")
+            bags.append(tuple(bag))
+        tree_edges = []
+        for i, pair in enumerate(_require_list("decomposition.tree_edges", self.tree_edges)):
+            if not isinstance(pair, _LISTS) or len(pair) != 2 or not all(map(_is_int, pair)):
+                raise InstanceFormatError(f"decomposition.tree_edges[{i}]: expected a pair of integers")
+            tree_edges.append(tuple(pair))
+        if not _is_int(self.root):
+            raise InstanceFormatError(f"decomposition.root: expected an integer, got {self.root!r}")
+        object.__setattr__(self, "bags", tuple(bags))
+        object.__setattr__(self, "tree_edges", tuple(tree_edges))
 
 
 @dataclass(frozen=True)
 class ColoringInstance:
+    """A validated instance: construction, from a document or in code, checks
+    every field's type and shape (JSON booleans are not integers) and every
+    invariant, raising InstanceFormatError that names the field."""
+
     mode: str
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -52,18 +83,20 @@ class ColoringInstance:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InstanceFormatError(f"mode: expected one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             raise InstanceFormatError(f"n: expected a non-negative integer, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise InstanceFormatError(f"k: expected a positive integer, got {self.k!r}")
-        if not isinstance(self.p, int) or self.p < 1:
+        if not _is_int(self.p) or self.p < 1:
             raise InstanceFormatError(f"p: expected a positive integer, got {self.p!r}")
 
         edges = []
         seen = set()
-        for pos, pair in enumerate(self.edges):
+        for pos, pair in enumerate(_require_list("edges", self.edges)):
+            if not isinstance(pair, _LISTS) or len(pair) != 2:
+                raise InstanceFormatError(f"edges[{pos}]: expected a pair of vertices")
             u, v = pair
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise InstanceFormatError(f"edges[{pos}]: endpoints must be integers")
             if u == v:
                 raise InstanceFormatError(f"edges[{pos}]: self-loop at vertex {u}")
@@ -77,60 +110,60 @@ class ColoringInstance:
         object.__setattr__(self, "edges", tuple(edges))
 
         m = self.n if self.mode == "vertex" else len(self.edges)
-        for name, seq in (("part_of", self.part_of), ("weight", self.weight)):
+        for name in ("part_of", "weight", "allowed"):
+            seq = _require_list(name, getattr(self, name))
             if len(seq) != m:
                 raise InstanceFormatError(f"{name}: expected {m} entries, got {len(seq)}")
-        if len(self.allowed) != m:
-            raise InstanceFormatError(f"allowed: expected {m} entries, got {len(self.allowed)}")
         object.__setattr__(self, "part_of", tuple(self.part_of))
         object.__setattr__(self, "weight", tuple(self.weight))
-        for e in range(m):
-            h = self.part_of[e]
-            if not isinstance(h, int) or not 1 <= h <= self.p:
+        carried = [0] * self.p  # total weight per part
+        for e, (h, w) in enumerate(zip(self.part_of, self.weight)):
+            if not _is_int(h) or not 1 <= h <= self.p:
                 raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{self.p}, got {h!r}")
-            w = self.weight[e]
-            if not isinstance(w, int) or w < 1:
+            if not _is_int(w) or w < 1:
                 raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {w!r}")
+            carried[h - 1] += w
         allowed = []
         for e, colors in enumerate(self.allowed):
-            cols = frozenset(colors)
-            if not cols:
+            # check the raw entries: frozenset({1, True}) would hide the bool
+            if not isinstance(colors, (list, tuple, set, frozenset)):
+                raise InstanceFormatError(f"allowed[{e}]: expected a list of colors")
+            if not colors:
                 raise InstanceFormatError(f"allowed[{e}]: color list is empty")
-            for c in cols:
-                if not isinstance(c, int) or not 1 <= c <= self.k:
+            for c in colors:
+                if not _is_int(c) or not 1 <= c <= self.k:
                     raise InstanceFormatError(f"allowed[{e}]: color {c!r} outside 1..{self.k}")
-            allowed.append(cols)
+            allowed.append(frozenset(colors))
         object.__setattr__(self, "allowed", tuple(allowed))
 
-        if len(self.bounds) != self.p:
+        if len(_require_list("bounds", self.bounds)) != self.p:
             raise InstanceFormatError(f"bounds: expected {self.p} rows, got {len(self.bounds)}")
         rows = []
         for h, row in enumerate(self.bounds, start=1):
+            if not isinstance(row, _LISTS):
+                raise InstanceFormatError(f"bounds[{h}]: expected a list")
             row = tuple(row)
             if len(row) != self.k:
                 raise InstanceFormatError(f"bounds[{h}]: expected {self.k} entries, got {len(row)}")
             for c, b in enumerate(row, start=1):
-                if not isinstance(b, int) or b < 0:
+                if not _is_int(b) or b < 0:
                     raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {b!r}")
             rows.append(row)
         object.__setattr__(self, "bounds", tuple(rows))
-        for h in range(1, self.p + 1):
-            part_weight = sum(self.weight[e] for e in range(m) if self.part_of[e] == h)
-            if part_weight != sum(self.bounds[h - 1]):
+        for h, (row, part_weight) in enumerate(zip(self.bounds, carried), start=1):
+            if part_weight != sum(row):
                 raise InstanceFormatError(
-                    f"bounds[{h}]: row sums to {sum(self.bounds[h - 1])} but part {h} "
-                    f"carries total weight {part_weight}"
+                    f"bounds[{h}]: row sums to {sum(row)} but part {h} carries total weight {part_weight}"
                 )
 
         if self.profit is not None:
-            if len(self.profit) != m:
+            if len(_require_list("profit", self.profit)) != m:
                 raise InstanceFormatError(f"profit: expected {m} rows, got {len(self.profit)}")
             prof = []
             for e, row in enumerate(self.profit):
-                row = tuple(row)
-                if len(row) != self.k or not all(isinstance(x, int) for x in row):
+                if not isinstance(row, _LISTS) or len(row) != self.k or not all(map(_is_int, row)):
                     raise InstanceFormatError(f"profit[{e}]: expected {self.k} integers")
-                prof.append(row)
+                prof.append(tuple(row))
             object.__setattr__(self, "profit", tuple(prof))
 
     @property
@@ -218,7 +251,8 @@ class Coloring:
     color_of: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "color_of", tuple(self.color_of))
+        # the entries are left to validate_coloring
+        object.__setattr__(self, "color_of", tuple(_require_list("color_of", self.color_of)))
 
 
 @dataclass(frozen=True)
@@ -255,15 +289,16 @@ def validate_coloring(inst: ColoringInstance, col: Coloring) -> ValidationReport
 
     Returns a report whose ``violation`` names the first failed condition:
     properness, then list membership, then the exact per-part weight bounds.
-    A coloring over the wrong element set raises UsageError instead, since
-    that is a structural mismatch rather than an invalid coloring.
+    A non-integer color or a coloring over the wrong element set raises
+    UsageError instead, since that is a structural mismatch rather than an
+    invalid coloring.
     """
+    for e, c in enumerate(col.color_of):
+        if not _is_int(c):
+            raise UsageError(f"color_of[{e}]: expected an integer color, got {c!r}")
     m = inst.num_elements
     if len(col.color_of) != m:
         raise UsageError(f"coloring assigns {len(col.color_of)} elements, instance has {m}")
-    for e, c in enumerate(col.color_of):
-        if not isinstance(c, int):
-            raise UsageError(f"coloring entry {e} is not an integer color")
 
     for a, b in inst.conflict_pairs:
         if col.color_of[a] == col.color_of[b]:

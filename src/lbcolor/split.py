@@ -147,15 +147,15 @@ def solve_split_k_fixed(inst: ColoringInstance) -> SolveOutcome:
     return SolveOutcome.infeasible_outcome()
 
 
-def solve_split_singular(inst: ColoringInstance, clique_general: bool = False) -> SolveOutcome:
+def solve_split_singular(inst: ColoringInstance) -> SolveOutcome:
     """Split graphs where all bound columns except a few singular ones share a
     common value B, independent-set vertices are unweighted and unrestricted.
 
     Guesses, for each singular color, which clique vertex takes it (or that
-    none does); the remaining clique vertices take distinct non-singular
-    colors, which B-symmetry makes interchangeable (a matching instance picks
-    them when ``clique_general`` allows clique lists and weights).  The
-    residual independent set is solved by one saturating flow.
+    none does); a matching gives the remaining clique vertices distinct
+    non-singular colors from their lists, each within B, and B-symmetry makes
+    any such matching as good as another.  The residual independent set is
+    solved by one saturating flow.
     """
     sp = _require_split(inst, "solve_split_singular")
     clique, indep = list(sp.clique), list(sp.independent)
@@ -164,18 +164,6 @@ def solve_split_singular(inst: ColoringInstance, clique_general: bool = False) -
             raise UsageError("solve_split_singular: independent-set vertices must have weight 1")
         if len(inst.allowed[v]) != inst.k:
             raise UsageError("solve_split_singular: independent-set vertices must allow every color")
-    if not clique_general:
-        for u in clique:
-            if inst.weight[u] != 1:
-                raise UsageError(
-                    "solve_split_singular: clique vertices must have weight 1 "
-                    "(pass clique_general to lift this)"
-                )
-            if len(inst.allowed[u]) != inst.k:
-                raise UsageError(
-                    "solve_split_singular: clique vertices must allow every color "
-                    "(pass clique_general to lift this)"
-                )
     spec = infer_singular_spec(inst)
     if len(clique) > inst.k:
         return SolveOutcome.infeasible_outcome()
@@ -206,27 +194,21 @@ def solve_split_singular(inst: ColoringInstance, clique_general: bool = False) -
         remaining = [u for u in clique if u not in chosen]
         if len(remaining) > len(nonsingular):
             continue
-        if clique_general:
-            ap = AssignmentProblem(
-                weights=tuple((0,) * len(nonsingular) for _ in remaining),
-                allowed=tuple(
-                    tuple(
-                        c in inst.allowed[u] and spec.common_bound >= inst.weight[u]
-                        for c in nonsingular
-                    )
-                    for u in remaining
-                ),
-            )
-            result = max_weight_perfect_assignment(ap)
-            if result is None:
-                continue
-            for u, col in zip(remaining, result.columns):
-                chosen[u] = nonsingular[col]
-        else:
-            if remaining and spec.common_bound < 1:
-                continue
-            for u, c in zip(remaining, nonsingular):
-                chosen[u] = c
+        ap = AssignmentProblem(
+            weights=tuple((0,) * len(nonsingular) for _ in remaining),
+            allowed=tuple(
+                tuple(
+                    c in inst.allowed[u] and spec.common_bound >= inst.weight[u]
+                    for c in nonsingular
+                )
+                for u in remaining
+            ),
+        )
+        result = max_weight_perfect_assignment(ap)
+        if result is None:
+            continue
+        for u, col in zip(remaining, result.columns):
+            chosen[u] = nonsingular[col]
 
         residual = [list(row) for row in inst.bounds]
         for u, c in chosen.items():

@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from lbcolor import ColoringInstance, auto_solver_name, classify_graph, treewidth
+from lbcolor import ColoringInstance, auto_solver_name, classify_graph, cographs, split, treewidth
 from lbcolor.treewidth import exact_elimination_order
 
 from corpus import random_vertex_instance, treewidth_by_elimination_orders
@@ -126,3 +126,24 @@ def test_dispatch_builds_no_elimination_order(monkeypatch):
                                  part_of=(1,) * 6, weight=(1,) * 6, bounds=((2, 2, 2),),
                                  allowed=(frozenset({1, 2, 3}),) * 6)
     assert auto_solver_name(edge_inst) == "cograph-edge"
+
+
+def test_dispatch_runs_only_the_class_tests_it_reads(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dispatch ran a class test its branch does not read")
+
+    monkeypatch.setattr(split, "split_partition_graph", refuse)
+    monkeypatch.setattr(cographs, "bipartition", refuse)
+    rng = random.Random(1)
+    # two disjoint triangles: a cograph, not complete
+    triangles = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+    inst = random_vertex_instance(rng, n=6, edges=triangles, profit=True)
+    assert auto_solver_name(inst, "maximize") == "cograph"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cographs, "_cotree_or_prime", refuse)
+    # a triangle with a pendant edge in edge mode: split
+    edge_inst = ColoringInstance(mode="edge", n=4, edges=((0, 1), (0, 2), (1, 2), (2, 3)), k=3, p=1,
+                                 part_of=(1,) * 4, weight=(1,) * 4, bounds=((2, 1, 1),),
+                                 allowed=(frozenset({1, 2, 3}),) * 4)
+    assert auto_solver_name(edge_inst) == "split-edge"

@@ -306,7 +306,7 @@ def test_edge_mode_maximize_past_the_oracle_cap(tmp_path, capsys):
 
 
 def test_crash_exits_two_not_infeasible(tmp_path, capsys, monkeypatch):
-    def boom(inst, obj, cg):
+    def boom(inst, obj):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setitem(SOLVERS, "treewidth", (SOLVERS["treewidth"][0], boom))

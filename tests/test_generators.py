@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,20 @@ def test_source_doc_round_trip():
         assert source_from_doc(source_to_doc(src)) == src
     with pytest.raises(InstanceFormatError):
         source_from_doc({"type": "subset_sum"})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"type": "partition", "values": [1, 1, 2], "target": "1"}, "partition: target"),
+    ({"type": "three_partition", "values": [3, 3, 3, 3, 3, "3"], "target": 9}, "three_partition: values[5]"),
+    ({"type": "three_partition", "values": [3, 3, 3, 3, 3, 3], "target": "9"}, "three_partition: target"),
+    ({"type": "one_in_three_sat", "num_variables": "3", "clauses": [[1, 2, 3]]}, "one_in_three_sat: num_variables"),
+    ({"type": "one_in_three_sat", "num_variables": 3, "clauses": [[True, 2, 3]]}, "one_in_three_sat: clauses[0]"),
+    ({"type": "three_dim_matching", "size": True, "triples": [[1, 1, 1]]}, "three_dim_matching: size"),
+    ({"type": "three_dim_matching", "size": 1, "triples": [5]}, "three_dim_matching: triples[0]"),
+])
+def test_source_field_types_checked(doc, field):
+    with pytest.raises(InstanceFormatError, match=re.escape(field)):
+        source_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------

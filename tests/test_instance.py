@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lbcolor import (
@@ -5,8 +7,10 @@ from lbcolor import (
     ColoringInstance,
     InstanceFormatError,
     UsageError,
+    instance_from_doc,
     validate_coloring,
 )
+from lbcolor.instance import RawDecomposition
 
 
 def make(mode="vertex", n=1, edges=(), k=1, p=1, part_of=None, weight=None,
@@ -96,3 +100,44 @@ def test_objective_matches_witness_profit():
     inst = make(n=2, k=2, bounds=((1, 1),), profit=((3, -1), (2, 5)))
     out = SolveOutcome.feasible_from(inst, (1, 2))
     assert out.objective == 3 + 5
+
+
+def _doc(**overrides):
+    doc = {
+        "mode": "vertex", "n": 2, "edges": [[0, 1]], "k": 2, "p": 1,
+        "part_of": [1, 1], "weight": [1, 1], "bounds": [[1, 1]],
+        "allowed": [[1, 2], [1, 2]], "profit": [[0, 1], [1, 0]],
+        "decomposition": {"bags": [[0, 1]], "tree_edges": [], "root": 0},
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("field, overrides", [
+    pytest.param("n", {"n": True}, id="bool-n"),
+    pytest.param("part_of[1]", {"part_of": [1, True]}, id="bool-part"),
+    pytest.param("weight[0]", {"weight": [True, 1]}, id="bool-weight"),
+    pytest.param("bounds[1][1]", {"bounds": [[True, 1]]}, id="bool-bound"),
+    pytest.param("allowed[0]", {"allowed": [[1, True], [1, 2]]}, id="bool-color-beside-1"),
+    pytest.param("profit[1]", {"profit": [[0, 1], [True, 0]]}, id="bool-profit"),
+    pytest.param("bounds[1]", {"bounds": [5]}, id="bounds-row-not-a-list"),
+    pytest.param("profit[0]", {"profit": [5, [0, 1]]}, id="profit-row-not-a-list"),
+    pytest.param("allowed[1]", {"allowed": [[1, 2], 2]}, id="allowed-entry-not-a-list"),
+    pytest.param("edges[0]", {"edges": [[0, 1, 1]]}, id="edge-triple"),
+    pytest.param("edges[0]", {"edges": [5]}, id="edge-not-a-list"),
+    pytest.param("decomposition.bags[0]", {"decomposition": {"bags": [[0, True]], "tree_edges": [], "root": 0}},
+                 id="bool-bag-entry"),
+    pytest.param("decomposition.root", {"decomposition": {"bags": [[0, 1]], "tree_edges": [], "root": True}},
+                 id="bool-root"),
+    pytest.param("decomposition.tree_edges[0]", {"decomposition": {"bags": [[0, 1]], "tree_edges": [[0]], "root": 0}},
+                 id="tree-edge-not-a-pair"),
+])
+def test_malformed_field_rejected_from_doc_and_in_code(field, overrides):
+    doc = _doc(**overrides)
+    names_field = rf"^{re.escape(field)}:"
+    with pytest.raises(InstanceFormatError, match=names_field):
+        instance_from_doc(doc)
+    fields = dict(doc)
+    with pytest.raises(InstanceFormatError, match=names_field):
+        fields["decomposition"] = RawDecomposition(**doc["decomposition"])
+        ColoringInstance(**fields)

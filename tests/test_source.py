@@ -19,3 +19,31 @@ def test_package_has_no_assert_statements():
     ]
     assert len(SOURCES) > 5
     assert found == []
+
+
+def _is_int_type_check(node) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return False
+    kinds = node.args[1] if len(node.args) == 2 else None
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(k, ast.Name) and k.id == "int" for k in names)
+
+
+def test_integer_checks_go_through_one_helper():
+    # isinstance(x, int) accepts JSON booleans; instance._is_int is the one
+    # integer check, shared by the model types and the generator sources
+    found, helpers = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_is_int":
+                helpers += 1
+                exempt.update(id(sub) for sub in ast.walk(node))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_int_type_check(node) and id(node) not in exempt
+        ]
+    assert helpers == 1
+    assert found == []

@@ -165,8 +165,8 @@ def test_singular_one_singular_column():
 
 
 def test_singular_preconditions_named():
-    weighted = vertex_inst(2, ((0, 1),), 2, 1, (1, 1), (1, 2), ((1, 2),))
-    with pytest.raises(UsageError, match="clique"):
+    weighted = vertex_inst(3, ((0, 1), (0, 2)), 2, 1, (1,) * 3, (1, 1, 2), ((2, 2),))
+    with pytest.raises(UsageError, match="independent-set vertices must have weight 1"):
         solve_split_singular(weighted)
     listy = vertex_inst(3, ((0, 1), (0, 2)), 2, 1, (1,) * 3, (1,) * 3, ((2, 1),),
                         allowed=(full(2), full(2), frozenset({1})))
@@ -215,9 +215,19 @@ def test_singular_matches_oracle_random():
             rows.append(tuple([b] * (k - kprime) + singular))
         if not ok:
             continue
+        # clique vertices may carry weights and lists; the independent set may not
+        weight = [1] * n
+        allowed = [full(k)] * n
+        for u in clique:
+            weight[u] = rng.choice((1, 1, 2))
+            allowed[u] = frozenset(c for c in range(1, k + 1) if rng.random() < 0.7) or full(k)
+        for h in range(p):
+            row = list(rows[h])
+            row[rng.randrange(k)] += sum(weight[u] - 1 for u in clique if part_of[u] == h + 1)
+            rows[h] = tuple(row)
         inst = ColoringInstance(mode="vertex", n=n, edges=tuple(sorted(edges)), k=k, p=p,
-                                part_of=tuple(part_of), weight=(1,) * n,
-                                bounds=tuple(rows), allowed=(full(k),) * n)
+                                part_of=tuple(part_of), weight=tuple(weight),
+                                bounds=tuple(rows), allowed=tuple(allowed))
         try:
             out = solve_split_singular(inst)
         except UsageError:
@@ -232,9 +242,7 @@ def test_singular_clique_general_lists_and_weights():
     inst = vertex_inst(4, ((0, 1), (0, 2), (0, 3)), 3, 1, (1,) * 4, (2, 1, 1, 1),
                        ((2, 2, 1),),
                        allowed=(frozenset({3}), frozenset({2}), full(3), full(3)))
-    with pytest.raises(UsageError):
-        solve_split_singular(inst)
-    out = solve_split_singular(inst, clique_general=True)
+    out = solve_split_singular(inst)
     oracle = brute_force_solve(inst)
     assert out.status == oracle.status
     assert_outcome(inst, out)
