@@ -81,12 +81,14 @@ def _instance_is_cograph(inst: ColoringInstance) -> bool:
 
 def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
     """Most specific applicable solver, specialized classes before the DPs.
-    Runs only the class tests the choice reads, in the order it reads them."""
+    Runs only the class tests the choice reads, in the order it reads them;
+    the instance caches the split, complete-bipartite and cotree results for
+    the solver it picks."""
     n, edges = inst.n, inst.edges
     if inst.mode == "edge":
         if objective != "decide":
             return "treewidth-edge"
-        if is_split(n, edges):
+        if inst.split_partition is not None:
             return "split-edge"
         if _instance_is_cograph(inst):
             return "cograph-edge"
@@ -94,11 +96,11 @@ def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
     if objective == "decide":
         if is_complete(n, edges):
             return "complete"
-        if is_complete_bipartite(n, edges):
+        if inst.complete_bipartite_sides is not None:
             return "complete-bipartite"
         if not edges:
             return "isolated-unit" if inst.unit_weights else "isolated-kfixed"
-        if is_split(n, edges):
+        if inst.split_partition is not None:
             return "split-kfixed"
         if _instance_is_cograph(inst):
             return "cograph"

@@ -4,11 +4,18 @@ Exit codes: 0 feasible / valid, 1 infeasible / invalid coloring, 2 usage or
 structural error or any other failure.  ``solve`` prints exactly one JSON
 object on stdout.  The solver registry and auto-dispatch live in
 ``lbcolor.classify``; ``elapsed_ms`` covers dispatch and the solve.
+
+``main(argv)`` returns the exit code and may be called in-process any number
+of times: the parser is built once per process, on the first call, and
+parsing never changes it, so no call sees another's options.  An argparse
+usage error (unknown option or choice, missing required option) raises
+``SystemExit(2)`` as argparse does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,7 +76,9 @@ def cmd_check(ns) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="lbcolor", description="Locally bounded list-coloring solvers and generators."
     )
@@ -79,25 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--input", required=True, help="instance JSON path")
     ps.add_argument("--solver", default="auto", choices=["auto", *SOLVERS])
     ps.add_argument("--objective", default="decide", choices=["decide", "maximize", "minimize"])
-    ps.set_defaults(fn=cmd_solve)
 
     pg = sub.add_parser("generate", help="generate an instance from a source problem")
     pg.add_argument("--source", required=True, help="source problem JSON path")
     pg.add_argument("--variant", default=None)
-    pg.set_defaults(fn=cmd_generate)
 
     pc = sub.add_parser("check", help="validate a coloring against an instance")
     pc.add_argument("--input", required=True)
     pc.add_argument("--coloring", required=True)
-    pc.set_defaults(fn=cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    # looked up per call, not stored in the shared parser, so a wrapper set
+    # on ``cli.cmd_solve`` later still sees every solve
+    commands = {"solve": cmd_solve, "generate": cmd_generate, "check": cmd_check}
     try:
-        return ns.fn(ns)
+        return commands[ns.command](ns)
     except (
         UsageError,
         InstanceFormatError,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .basic import part_weight_assignment
 from .errors import NotACographError, UsageError
@@ -46,23 +45,28 @@ class Cotree:
 
 
 def find_induced_p4(vertices, adjacency):
-    """First 4-subset (in sorted order) inducing a path, returned in path order."""
-    for quad in combinations(sorted(vertices), 4):
-        inside = [sum(1 for u in quad if u != v and u in adjacency[v]) for v in quad]
-        if sorted(inside) != [1, 1, 2, 2]:
-            continue
-        edge_count = sum(inside) // 2
-        if edge_count != 3:
-            continue
-        ends = [v for v, d in zip(quad, inside) if d == 1]
-        path = [ends[0]]
-        rest = set(quad) - {ends[0]}
-        while rest:
-            nxt = min(u for u in rest if u in adjacency[path[-1]])
-            path.append(nxt)
-            rest.discard(nxt)
-        return tuple(path)
+    """An induced path a-b-c-d among ``vertices``, the lexicographically
+    first by (a, b, c, d), so reported from its smaller end; None if there is
+    none.  A depth-first search along adjacency bitmasks over the vertices."""
+    vertices = sorted(vertices)
+    inside = sum(1 << v for v in vertices)
+    nbr = {v: sum(1 << u for u in adjacency[v]) & inside for v in vertices}
+    for a in vertices:
+        not_a = ~(nbr[a] | 1 << a)
+        for b in _bits(nbr[a]):
+            for c in _bits(nbr[b] & not_a):
+                ds = nbr[c] & not_a & ~(nbr[b] | 1 << b)
+                if ds:
+                    return a, b, c, (ds & -ds).bit_length() - 1
     return None
+
+
+def _bits(mask: int):
+    """The set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _adjacency_sets(n: int, edges) -> list[set[int]]:
@@ -374,7 +378,7 @@ def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
     per-part subproblems."""
     if inst.mode != "vertex":
         raise UsageError("solve_complete_bipartite: requires a vertex-mode instance")
-    sides = complete_bipartite_sides(inst.n, inst.edges)
+    sides = inst.complete_bipartite_sides
     if sides is None:
         raise UsageError("solve_complete_bipartite: the graph is not complete bipartite")
     side_a, side_b = sides

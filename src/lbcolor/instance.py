@@ -215,6 +215,22 @@ class ColoringInstance:
         return _cotree_or_prime(self.n, _adjacency_sets(self.n, self.edges))
 
     @cached_property
+    def split_partition(self):
+        """The graph's split partition, or None when it is not split; the
+        recognition and the split solvers share this one test."""
+        from . import split  # split imports this module
+
+        return split.split_partition_graph(self.n, self.edges)
+
+    @cached_property
+    def complete_bipartite_sides(self):
+        """Sides (A, B) when the graph is complete bipartite with edges, else
+        None; the recognition and the complete-bipartite solver share it."""
+        from . import cographs  # cographs imports this module
+
+        return cographs.complete_bipartite_sides(self.n, self.edges)
+
+    @cached_property
     def conflict_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs of elements that must receive different colors."""
         if self.mode == "vertex":
@@ -233,9 +249,12 @@ class ColoringInstance:
     def negated(self) -> "ColoringInstance":
         """The same instance with every profit negated.  It starts with the
         cached properties already computed here, none of which reads the
-        profits, so a minimize solve builds no cotree twice."""
+        profits, so a minimize solve runs no class test twice."""
         twin = replace(self, profit=tuple(tuple(-x for x in row) for row in self.profit))
-        for name in ("bounds_flat", "packing", "units", "adjacency", "cotree_or_prime", "conflict_pairs"):
+        for name in (
+            "bounds_flat", "packing", "units", "adjacency", "cotree_or_prime",
+            "split_partition", "complete_bipartite_sides", "conflict_pairs",
+        ):
             if name in self.__dict__:
                 twin.__dict__[name] = self.__dict__[name]
         return twin

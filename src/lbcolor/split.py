@@ -56,7 +56,7 @@ def split_partition_graph(n: int, edges) -> SplitPartition | None:
 def split_partition(inst: ColoringInstance) -> SplitPartition | None:
     if inst.mode != "vertex":
         raise UsageError("split_partition: requires a vertex-mode instance")
-    return split_partition_graph(inst.n, inst.edges)
+    return inst.split_partition
 
 
 def is_split(n: int, edges) -> bool:
@@ -254,7 +254,7 @@ def solve_split_edges(inst: ColoringInstance) -> SolveOutcome:
     (every edge touches the clique), so prune-and-backtrack directly."""
     if inst.mode != "edge":
         raise UsageError("solve_split_edges: requires an edge-mode instance")
-    sp = split_partition_graph(inst.n, inst.edges)
+    sp = inst.split_partition
     if sp is None:
         raise UsageError("solve_split_edges: the graph is not a split graph")
     degree = [0] * inst.n

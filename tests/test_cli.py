@@ -1,10 +1,17 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from lbcolor import cli, cographs, instance_to_doc, write_instance
+from lbcolor import cli, cographs, instance_to_doc, split, write_instance
+from lbcolor.codec import instance_from_doc
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
 from lbcolor.packed import PackedBounds
@@ -368,3 +375,220 @@ def test_forced_cograph_edge_checks_its_class(tmp_path, capsys):
     path = write_doc(tmp_path, "empty.json", empty)
     code, out, _ = run(capsys, ["solve", "--input", path, "--solver", "cograph-edge"])
     assert code == 0 and json.loads(out)["status"] == "feasible"
+
+
+def test_forced_cograph_on_a_large_tree_exits_fast(tmp_path, capsys):
+    # a random tree on 240 vertices with shuffled labels: the P4 witness of
+    # the error message must not cost a scan of every 4-subset
+    rng = random.Random(97)
+    label = list(range(240))
+    rng.shuffle(label)
+    edges = sorted(sorted((label[v], label[rng.randrange(v)])) for v in range(1, 240))
+    doc = {
+        "mode": "vertex", "n": 240, "edges": edges, "k": 2, "p": 1, "part_of": [1] * 240,
+        "weight": [1] * 240, "bounds": [[120, 120]], "allowed": [full(2)] * 240,
+    }
+    path = write_doc(tmp_path, "tree.json", doc)
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "cograph"])
+    assert time.perf_counter() - started < 0.5
+    assert code == 2 and out == "" and "induced P4" in err
+
+
+# ---------------------------------------------------------------------------
+# in-process calls: one parser per process, no state carried between calls
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_parser_is_built_once_for_many_calls(tmp_path, capsys, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    for _ in range(50):
+        code, out, _ = run(capsys, ["solve", "--input", path])
+        assert code == 0 and json.loads(out)["solver_used"] == "complete-bipartite"
+    assert built.count("lbcolor") == 1
+
+
+def test_shared_parser_keeps_concurrent_parses_apart(fresh_parser):
+    argvs = [
+        ["solve", "--input", f"in{i}.json", "--solver", solver, "--objective", objective]
+        for i, (solver, objective) in enumerate([
+            ("auto", "decide"), ("cograph", "maximize"), ("oracle", "minimize"),
+            ("treewidth", "decide"), ("split-edge", "decide"), ("complete", "maximize"),
+        ])
+    ]
+    wrong = []
+
+    def parse_many(argv):
+        for _ in range(300):
+            ns = cli.build_parser().parse_args(argv)
+            if [ns.command, ns.input, ns.solver, ns.objective] != argv[::2]:
+                wrong.append(argv)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_many, args=(argv,)) for argv in argvs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_commands_are_looked_up_per_call(tmp_path, capsys, monkeypatch, fresh_parser):
+    # a wrapper set on cli.cmd_solve after the parser is built still runs
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    assert run(capsys, ["solve", "--input", path])[0] == 0
+    monkeypatch.setattr(cli, "cmd_solve", lambda ns: 7)
+    assert main(["solve", "--input", path]) == 7
+
+
+def test_forced_solver_is_not_carried_to_the_next_call(tmp_path, capsys, fresh_parser):
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    code, out, _ = run(capsys, ["solve", "--input", path, "--solver", "cograph"])
+    assert code == 0 and json.loads(out)["solver_used"] == "cograph"
+    code, out, _ = run(capsys, ["solve", "--input", path])
+    assert code == 0 and json.loads(out)["solver_used"] == "complete-bipartite"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "{path}", "--solver", "bogus"],
+    ["solve"],
+    ["solve", "--input", "{path}", "--objective", "cheapest"],
+    ["check", "--input", "{path}"],
+])
+def test_usage_error_exits_two_and_the_next_call_works(tmp_path, capsys, fresh_parser, argv):
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 2 and "usage: lbcolor" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["solve", "--input", path])
+    assert code == 0 and json.loads(out)["status"] == "feasible"
+
+
+def test_interleaved_commands_print_what_they_print_alone(tmp_path, capsys, fresh_parser):
+    p3 = write_doc(tmp_path, "p3.json", p3_doc())
+    tt = write_doc(tmp_path, "tt.json", dict(two_triangles_doc(), profit=[[1, 2, 3]] * 6))
+    good = write_doc(tmp_path, "good.json", {"color_of": [1, 2, 1]})
+    bad = write_doc(tmp_path, "bad.json", {"color_of": [2, 2, 1]})
+    source = write_doc(tmp_path, "part.json", {"type": "partition", "values": [1, 1, 2], "target": 2})
+    calls = [
+        ["solve", "--input", p3],
+        ["solve", "--input", p3, "--solver", "oracle"],
+        ["solve", "--input", tt, "--objective", "minimize"],
+        ["check", "--input", p3, "--coloring", good],
+        ["check", "--input", p3, "--coloring", bad],
+        ["generate", "--source", source, "--variant", "vertex"],
+        ["solve", "--input", str(tmp_path / "missing.json")],
+    ]
+
+    def printed(argv):
+        code, out, err = run(capsys, argv)
+        if argv[0] == "solve" and code != 2:
+            out = json.dumps(dict(json.loads(out), elapsed_ms=0))
+        return code, out, err
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(printed(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 1, 0, 2]
+    order = list(range(len(calls))) * 3
+    random.Random(7).shuffle(order)
+    for i in order:
+        assert printed(calls[i]) == alone[i]
+
+
+# ---------------------------------------------------------------------------
+# one run of each class test per solve
+
+
+def edge_split_doc():
+    # a triangle with a pendant edge at vertex 0
+    return {
+        "mode": "edge", "n": 4, "edges": [[0, 1], [0, 2], [1, 2], [0, 3]], "k": 3, "p": 1,
+        "part_of": [1] * 4, "weight": [1] * 4, "bounds": [[2, 1, 1]], "allowed": [full(3)] * 4,
+    }
+
+
+def p4_doc():
+    return {
+        "mode": "vertex", "n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "k": 2, "p": 1,
+        "part_of": [1] * 4, "weight": [1] * 4, "bounds": [[2, 2]], "allowed": [full(2)] * 4,
+    }
+
+
+@pytest.fixture
+def recognitions(monkeypatch):
+    calls = {"split_partition_graph": 0, "bipartition": 0}
+    for module, name in ((split, "split_partition_graph"), (cographs, "bipartition")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc, solver, split_runs, bipartition_runs", [
+    (p4_doc(), "split-kfixed", 1, 1),
+    (p3_doc(), "complete-bipartite", 0, 1),
+    (edge_split_doc(), "split-edge", 1, 0),
+])
+def test_auto_solve_runs_each_class_test_once(tmp_path, capsys, recognitions, doc, solver,
+                                              split_runs, bipartition_runs):
+    path = write_doc(tmp_path, "inst.json", doc)
+    code, out, _ = run(capsys, ["solve", "--input", path])
+    assert code == 0 and json.loads(out)["solver_used"] == solver
+    assert recognitions == {"split_partition_graph": split_runs, "bipartition": bipartition_runs}
+
+
+@pytest.mark.parametrize("doc, solver", [(p4_doc(), "split-kfixed"), (p3_doc(), "complete-bipartite")])
+def test_negated_twin_reuses_the_class_tests(recognitions, doc, solver):
+    inst = instance_from_doc(dict(doc, profit=[[1, 2]] * doc["n"]))
+    assert auto_solver_name(inst) == solver
+    tested = (inst.split_partition, inst.complete_bipartite_sides)
+    before = dict(recognitions)
+    twin = inst.negated()
+    assert (twin.split_partition, twin.complete_bipartite_sides) == tested
+    assert solve_with(solver, twin).feasible
+    assert recognitions == before
+
+
+# ---------------------------------------------------------------------------
+# the process boundary
+
+
+def test_python_m_lbcolor_exit_codes(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    triangle = dict(p3_doc(), edges=[[0, 1], [1, 2], [0, 2]])
+    cases = [
+        (["--input", write_doc(tmp_path, "p3.json", p3_doc())], 0),
+        (["--input", write_doc(tmp_path, "tri.json", triangle)], 1),
+        (["--input", write_doc(tmp_path, "bad.json", {"mode": "vertex"})], 2),
+        (["--input", str(tmp_path / "p3.json"), "--solver", "bogus"], 2),
+    ]
+    for args, expected in cases:
+        proc = subprocess.run([sys.executable, "-m", "lbcolor", "solve", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, (args, proc.stderr)
+        if expected < 2:
+            assert json.loads(proc.stdout)["status"] == ("feasible", "infeasible")[expected]

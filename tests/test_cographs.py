@@ -60,6 +60,36 @@ def test_p4_reports_witness_path():
     assert err.value.witness == (0, 1, 2, 3)
 
 
+def _is_induced_p4(path, edge_set):
+    def linked(u, v):
+        return (min(u, v), max(u, v)) in edge_set
+
+    a, b, c, d = path
+    return (len(set(path)) == 4 and linked(a, b) and linked(b, c) and linked(c, d)
+            and not (linked(a, c) or linked(b, d) or linked(a, d)))
+
+
+def test_p4_witness_is_an_induced_path_on_random_non_cographs():
+    from itertools import permutations
+
+    rng = random.Random(59)
+    checked = 0
+    while checked < 80:
+        n = rng.randint(4, 9)
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random())
+        if is_cograph(n, edges):
+            continue
+        edge_set = set(edges)
+        with pytest.raises(NotACographError) as err:
+            build_cotree_graph(n, edges)
+        path = err.value.witness
+        assert _is_induced_p4(path, edge_set) and path[0] < path[-1]
+        # over a whole vertex set: the first induced path in (a, b, c, d) order
+        first = min(p for p in permutations(range(n), 4) if _is_induced_p4(p, edge_set))
+        assert cographs.find_induced_p4(range(n), cographs._adjacency_sets(n, edges)) == first
+        checked += 1
+
+
 def test_deep_threshold_cotree_needs_no_recursion():
     # every odd vertex is joined to all earlier ones: split and a cograph,
     # with one cotree level per vertex
