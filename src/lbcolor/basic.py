@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import UsageError
-from .instance import ColoringInstance, SolveOutcome
+from .instance import ColoringInstance, SolveOutcome, bits
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
 from .packed import PackedBounds, first_predecessor
 
@@ -95,7 +95,7 @@ def solve_isolated_k_fixed(inst: ColoringInstance) -> SolveOutcome:
     return SolveOutcome.feasible_from(inst, color_of)
 
 
-def _components(n, adjacency):
+def _components(n, nbr):
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -106,7 +106,7 @@ def _components(n, adjacency):
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in sorted(adjacency[u]):
+            for v in bits(nbr[u]):
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
@@ -124,19 +124,19 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
     if inst.k != 2:
         raise UsageError("solve_components_k2: requires exactly 2 colors")
 
-    adjacency = inst.adjacency
+    nbr = inst.neighbor_masks
     caps = tuple(inst.bounds[h][0] for h in range(inst.p))
     # a component's color-1 weight in a part is at most the part's total weight
     packing = PackedBounds(caps, max(sum(row) for row in inst.bounds))
 
     options_per_comp = []
-    comps = _components(inst.n, adjacency)
+    comps = _components(inst.n, nbr)
     for comp in comps:
         side = {comp[0]: 0}
         stack = [comp[0]]
         while stack:
             u = stack.pop()
-            for v in sorted(adjacency[u]):
+            for v in bits(nbr[u]):
                 if v not in side:
                     side[v] = side[u] ^ 1
                     stack.append(v)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .basic import part_weight_assignment
 from .errors import NotACographError, UsageError
-from .instance import ColoringInstance, SolveOutcome
+from .instance import ColoringInstance, SolveOutcome, adjacency_masks, bits
 from .matching import AssignmentProblem, max_weight_perfect_assignment
 from .packed import first_predecessor
 
@@ -44,43 +44,30 @@ class Cotree:
         return below
 
 
-def find_induced_p4(vertices, adjacency):
+def find_induced_p4(vertices, nbr):
     """An induced path a-b-c-d among ``vertices``, the lexicographically
     first by (a, b, c, d), so reported from its smaller end; None if there is
-    none.  A depth-first search along adjacency bitmasks over the vertices."""
+    none.  ``nbr`` holds each vertex's neighbor bitmask; the search is a
+    depth-first search along those masks over the vertices."""
     vertices = sorted(vertices)
     inside = sum(1 << v for v in vertices)
-    nbr = {v: sum(1 << u for u in adjacency[v]) & inside for v in vertices}
+    nbr = {v: nbr[v] & inside for v in vertices}
     for a in vertices:
         not_a = ~(nbr[a] | 1 << a)
-        for b in _bits(nbr[a]):
-            for c in _bits(nbr[b] & not_a):
+        for b in bits(nbr[a]):
+            for c in bits(nbr[b] & not_a):
                 ds = nbr[c] & not_a & ~(nbr[b] | 1 << b)
                 if ds:
                     return a, b, c, (ds & -ds).bit_length() - 1
     return None
 
 
-def _bits(mask: int):
-    """The set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _adjacency_sets(n: int, edges) -> list[set[int]]:
-    adjacency = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return adjacency
-
-
-def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
-    """Cotree construction with an explicit stack, so deep cotrees (threshold
-    graphs) never recurse.  Off cographs it returns the first module that is
-    neither a union nor a join (it contains an induced P4)."""
+def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
+    """Cotree construction over the neighbor bitmasks ``nbr``, with an
+    explicit stack, so deep cotrees (threshold graphs) never recurse.  Off
+    cographs it returns the sorted vertices of the first module that is
+    neither a union nor a join (it contains an induced P4).  Modules are
+    vertex bitmasks, and each level costs one mask step per vertex."""
     kinds, children, vertex = [], [], []
 
     def add(kind, kids=(), v=None):
@@ -89,29 +76,28 @@ def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
         vertex.append(v)
         return len(kinds) - 1
 
-    def comps(vertices, neighbors):
-        left = set(vertices)
+    def comps(vset, complement):
+        """The components of G[vset], or of its complement, lowest vertex first."""
+        left = vset
         out = []
         while left:
-            start = min(left)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in neighbors(u):
-                    if w in left and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out.append(sorted(seen))
-            left -= seen
+            seen = frontier = left & -left
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach = nbr[low.bit_length() - 1]
+                new = (~reach if complement else reach) & left & ~seen
+                seen |= new
+                frontier |= new
+            out.append(seen)
+            left &= ~seen
         return out
 
-    def split_module(vertices):
-        vset = set(vertices)
-        parts = comps(vertices, lambda u: adjacency[u] & vset)
+    def split_module(vset):
+        parts = comps(vset, False)
         if len(parts) > 1:
             return "union", parts
-        parts = comps(vertices, lambda u: vset - adjacency[u] - {u})
+        parts = comps(vset, True)
         if len(parts) == 1:
             return "prime", None
         return "join", parts
@@ -120,15 +106,15 @@ def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
         raise UsageError("cotree: the graph has no vertices")
     # frames [kind, parts, next part, node so far]; parts fold left into binary nodes
     frames = []
-    vertices = list(range(n))
+    vset = (1 << n) - 1
     while True:
-        while len(vertices) > 1:
-            kind, parts = split_module(vertices)
+        while vset & (vset - 1):
+            kind, parts = split_module(vset)
             if kind == "prime":
-                return vertices
+                return list(bits(vset))
             frames.append([kind, parts, 1, None])
-            vertices = parts[0]
-        node = add("leaf", v=vertices[0])
+            vset = parts[0]
+        node = add("leaf", v=vset.bit_length() - 1)
         while frames:
             frame = frames[-1]
             kind, parts, nxt, top = frame
@@ -136,23 +122,23 @@ def _cotree_or_prime(n: int, adjacency) -> Cotree | list[int]:
                 node = add(kind, (top, node))
             if nxt < len(parts):
                 frame[2:] = [nxt + 1, node]
-                vertices = parts[nxt]
+                vset = parts[nxt]
                 break
             frames.pop()
         else:
             return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
 
 
-def _require_cotree(found: Cotree | list[int], adjacency) -> Cotree:
+def _require_cotree(found: Cotree | list[int], nbr) -> Cotree:
     if not isinstance(found, Cotree):
-        raise NotACographError(find_induced_p4(found, adjacency))
+        raise NotACographError(find_induced_p4(found, nbr))
     return found
 
 
 def build_cotree_graph(n: int, edges) -> Cotree:
     """The cotree of a cograph; raises NotACographError with a P4 witness."""
-    adjacency = _adjacency_sets(n, edges)
-    return _require_cotree(_cotree_or_prime(n, adjacency), adjacency)
+    nbr = adjacency_masks(n, edges)
+    return _require_cotree(_cotree_or_prime(n, nbr), nbr)
 
 
 def build_cotree(inst: ColoringInstance) -> Cotree:
@@ -160,11 +146,11 @@ def build_cotree(inst: ColoringInstance) -> Cotree:
     ``ColoringInstance.cotree_or_prime``)."""
     if inst.mode != "vertex":
         raise UsageError("build_cotree: requires a vertex-mode instance")
-    return _require_cotree(inst.cotree_or_prime, inst.adjacency)
+    return _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)
 
 
 def is_cograph(n: int, edges) -> bool:
-    return n == 0 or isinstance(_cotree_or_prime(n, _adjacency_sets(n, edges)), Cotree)
+    return n == 0 or isinstance(_cotree_or_prime(n, adjacency_masks(n, edges)), Cotree)
 
 
 # ---------------------------------------------------------------------------
@@ -323,49 +309,23 @@ def solve_complete_graph(inst: ColoringInstance) -> SolveOutcome:
 # complete bipartite graphs
 
 
-def bipartition(n: int, edges):
-    """Two-color the graph; returns the side sets or None if an odd cycle exists."""
-    adjacency = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    side = [-1] * n
-    for start in range(n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adjacency[u]:
-                if side[w] < 0:
-                    side[w] = side[u] ^ 1
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return None
-    a = tuple(v for v in range(n) if side[v] == 0)
-    b = tuple(v for v in range(n) if side[v] == 1)
-    return a, b
+def complete_bipartite_masks(nbr):
+    """Sides (A, B) when the graph with neighbor bitmasks ``nbr`` is complete
+    bipartite with edges, else None: B must be N(0), A the rest, and every
+    vertex must see exactly the other side."""
+    side_b = nbr[0] if nbr else 0
+    if not side_b:
+        return None
+    side_a = (1 << len(nbr)) - 1 & ~side_b
+    for v, mask in enumerate(nbr):
+        if mask != (side_a if side_b >> v & 1 else side_b):
+            return None
+    return tuple(bits(side_a)), tuple(bits(side_b))
 
 
 def complete_bipartite_sides(n: int, edges):
     """Sides (A, B) when the graph is complete bipartite with edges, else None."""
-    if n < 2 or not edges:
-        return None
-    sides = bipartition(n, edges)
-    if sides is None:
-        return None
-    a, b = sides
-    if not a or not b:
-        return None
-    if len(edges) != len(a) * len(b):
-        return None
-    edge_set = set(edges)
-    for u in a:
-        for v in b:
-            if (min(u, v), max(u, v)) not in edge_set:
-                return None
-    return a, b
+    return complete_bipartite_masks(adjacency_masks(n, edges))
 
 
 def is_complete_bipartite(n: int, edges) -> bool:
@@ -434,7 +394,7 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
     if inst.n:
-        _require_cotree(inst.cotree_or_prime, inst.adjacency)  # NotACographError off cographs
+        _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)  # NotACographError off cographs
     degree = [0] * inst.n
     for u, v in inst.edges:
         degree[u] += 1

@@ -28,6 +28,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def adjacency_masks(n: int, edges) -> list[int]:
+    """Per vertex, the bitmask of its neighbors."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def bits(mask: int):
+    """The set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _require_list(name: str, value):
     if not isinstance(value, _LISTS):
         raise InstanceFormatError(f"{name}: expected a list, got {type(value).__name__}")
@@ -198,21 +215,19 @@ class ColoringInstance:
         )
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbr = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of its neighbors; the class tests and the
+        solvers all read it."""
+        return tuple(adjacency_masks(self.n, self.edges))
 
     @cached_property
     def cotree_or_prime(self):
         """The graph's cotree, or off cographs a prime module (it holds an
         induced P4); recognition and the cotree solvers share this one build.
         Raises UsageError when n = 0."""
-        from .cographs import _adjacency_sets, _cotree_or_prime  # cographs imports this module
+        from . import cographs  # cographs imports this module
 
-        return _cotree_or_prime(self.n, _adjacency_sets(self.n, self.edges))
+        return cographs._cotree_or_prime(self.n, self.neighbor_masks)
 
     @cached_property
     def split_partition(self):
@@ -220,7 +235,7 @@ class ColoringInstance:
         recognition and the split solvers share this one test."""
         from . import split  # split imports this module
 
-        return split.split_partition_graph(self.n, self.edges)
+        return split.split_partition_masks(self.neighbor_masks)
 
     @cached_property
     def complete_bipartite_sides(self):
@@ -228,7 +243,7 @@ class ColoringInstance:
         None; the recognition and the complete-bipartite solver share it."""
         from . import cographs  # cographs imports this module
 
-        return cographs.complete_bipartite_sides(self.n, self.edges)
+        return cographs.complete_bipartite_masks(self.neighbor_masks)
 
     @cached_property
     def conflict_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -252,7 +267,7 @@ class ColoringInstance:
         profits, so a minimize solve runs no class test twice."""
         twin = replace(self, profit=tuple(tuple(-x for x in row) for row in self.profit))
         for name in (
-            "bounds_flat", "packing", "units", "adjacency", "cotree_or_prime",
+            "bounds_flat", "packing", "units", "neighbor_masks", "cotree_or_prime",
             "split_partition", "complete_bipartite_sides", "conflict_pairs",
         ):
             if name in self.__dict__:

@@ -7,7 +7,7 @@ from itertools import product
 
 from .basic import part_weight_assignment, solve_isolated_unit
 from .errors import UsageError
-from .instance import ColoringInstance, SolveOutcome
+from .instance import ColoringInstance, SolveOutcome, adjacency_masks
 from .matching import AssignmentProblem, max_weight_perfect_assignment
 
 
@@ -25,32 +25,37 @@ class SingularSpec:
     common_bound: int
 
 
-def split_partition_graph(n: int, edges) -> SplitPartition | None:
-    """Split partition via the degree-sequence splittance test.
+def split_partition_masks(nbr) -> SplitPartition | None:
+    """Split partition via the degree-sequence splittance test, over the
+    neighbor bitmasks ``nbr``.
 
     Returns the partition with the largest clique side; edgeless graphs are
     reported with an empty clique.  None when the graph is not split.
     """
-    if not edges:
+    n = len(nbr)
+    if not any(nbr):
         return SplitPartition(clique=(), independent=tuple(range(n)))
-    adjacency = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    order = sorted(range(n), key=lambda v: (-len(adjacency[v]), v))
-    degs = [len(adjacency[v]) for v in order]
+    degree = [mask.bit_count() for mask in nbr]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    degs = [degree[v] for v in order]
     m = max(i + 1 for i in range(n) if degs[i] >= i)
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
     clique = sorted(order[:m])
     independent = sorted(order[m:])
     # at most one independent vertex can be adjacent to the whole clique
+    clique_mask = sum(1 << u for u in clique)
     for v in independent:
-        if all(u in adjacency[v] for u in clique):
+        if nbr[v] & clique_mask == clique_mask:
             clique = sorted(clique + [v])
             independent = [u for u in independent if u != v]
             break
     return SplitPartition(clique=tuple(clique), independent=tuple(independent))
+
+
+def split_partition_graph(n: int, edges) -> SplitPartition | None:
+    """``split_partition_masks`` of the graph (n, edges)."""
+    return split_partition_masks(adjacency_masks(n, edges))
 
 
 def split_partition(inst: ColoringInstance) -> SplitPartition | None:
@@ -104,7 +109,7 @@ def solve_split_k_fixed(inst: ColoringInstance) -> SolveOutcome:
     if len(clique) > inst.k:
         return SolveOutcome.infeasible_outcome()
 
-    adjacency = inst.adjacency
+    nbr = inst.neighbor_masks
     for combo in product(*[sorted(inst.allowed[u]) for u in clique]):
         if len(set(combo)) != len(combo):
             continue
@@ -119,7 +124,7 @@ def solve_split_k_fixed(inst: ColoringInstance) -> SolveOutcome:
             continue
         lists = []
         for v in indep:
-            taken = {c for u, c in zip(clique, combo) if u in adjacency[v]}
+            taken = {c for u, c in zip(clique, combo) if nbr[v] >> u & 1}
             rest = inst.allowed[v] - taken
             if not rest:
                 ok = False
@@ -170,7 +175,7 @@ def solve_split_singular(inst: ColoringInstance) -> SolveOutcome:
 
     singular = list(spec.singular)
     nonsingular = [c for c in range(1, inst.k + 1) if c not in set(singular)]
-    adjacency = inst.adjacency
+    nbr = inst.neighbor_masks
 
     for guess in product(range(len(clique) + 1), repeat=len(singular)):
         picked = [i for i in guess if i > 0]
@@ -219,7 +224,7 @@ def solve_split_singular(inst: ColoringInstance) -> SolveOutcome:
         lists = []
         ok = True
         for v in indep:
-            taken = frozenset(chosen[u] for u in clique if u in adjacency[v])
+            taken = frozenset(chosen[u] for u in clique if nbr[v] >> u & 1)
             rest = frozenset(range(1, inst.k + 1)) - taken
             if not rest:
                 ok = False

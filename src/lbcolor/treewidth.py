@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DecompositionError, UsageError
-from .instance import ColoringInstance, RawDecomposition, SolveOutcome
+from .instance import ColoringInstance, RawDecomposition, SolveOutcome, adjacency_masks
 from .packed import first_predecessor
 
 EXACT_WIDTH_LIMIT = 10
@@ -52,14 +52,6 @@ class NiceDecomposition:
 # elimination orders
 
 
-def _adj_masks(n: int, edges) -> list[int]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _reach_count(adj, eliminated: int, v: int) -> int:
     # vertices outside `eliminated` reachable from v through eliminated ones
     seen = 1 << v
@@ -82,7 +74,7 @@ def exact_elimination_order(n: int, edges) -> tuple[list[int], int]:
     """Minimum-width elimination order by dynamic programming over subsets."""
     if n == 0:
         return [], -1
-    adj = _adj_masks(n, edges)
+    adj = adjacency_masks(n, edges)
     full = (1 << n) - 1
     best = [n + 1] * (full + 1)
     choice = [-1] * (full + 1)
@@ -136,7 +128,7 @@ def min_fill_order(n: int, edges) -> list[int]:
     inside N(v), so only N(v) and those neighbors of N(v) that see both ends
     of a new fill edge get new keys.
     """
-    adj = _adj_masks(n, edges)
+    adj = adjacency_masks(n, edges)
     key = [_fill_key(adj, v) for v in range(n)]
     heap = key[:]
     heapq.heapify(heap)
@@ -393,7 +385,7 @@ def build_nice_decomposition(
 
 def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
     packing = inst.packing
-    adjacency = inst.adjacency
+    nbr = inst.neighbor_masks
     units = inst.units
     tables: list[dict] = [None] * dec.size
 
@@ -407,7 +399,7 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
                 (i, j)
                 for i in range(len(bag))
                 for j in range(i + 1, len(bag))
-                if bag[j] in adjacency[bag[i]]
+                if nbr[bag[i]] >> bag[j] & 1
             ]
             for key in product(*[sorted(inst.allowed[v]) for v in bag]):
                 if any(key[i] == key[j] for i, j in pairs):
@@ -427,7 +419,7 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             child = dec.children[node][0]
             v = dec.vertex[node]
             pos = bag.index(v)
-            nbr_pos = [i for i, u in enumerate(dec.bags[child]) if u in adjacency[v]]
+            nbr_pos = [i for i, u in enumerate(dec.bags[child]) if nbr[v] >> u & 1]
             colors = sorted(inst.allowed[v])
             for ckey, crow in tables[child].items():
                 taken = {ckey[i] for i in nbr_pos}

@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from lbcolor import ColoringInstance, validate_coloring
+from lbcolor.cographs import Cotree
+from lbcolor.split import SplitPartition
 from lbcolor.treewidth import min_fill_order, order_to_raw
 
 
@@ -62,6 +64,150 @@ def min_fill_order_rescan(n, edges):
         remaining.discard(best_v)
         order.append(best_v)
     return order
+
+
+def _adjacency_sets(n, edges):
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
+def cotree_or_prime_sets(n, edges):
+    """Cotree or sorted prime module from the components of each module and of
+    its complement, recomputed over Python sets at every level: the reference
+    for the bitmask ``cographs._cotree_or_prime``."""
+    adjacency = _adjacency_sets(n, edges)
+    kinds, children, vertex = [], [], []
+
+    def add(kind, kids=(), v=None):
+        kinds.append(kind)
+        children.append(tuple(kids))
+        vertex.append(v)
+        return len(kinds) - 1
+
+    def comps(vertices, neighbors):
+        left = set(vertices)
+        out = []
+        while left:
+            start = min(left)
+            seen = {start}
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in neighbors(u):
+                    if w in left and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            out.append(sorted(seen))
+            left -= seen
+        return out
+
+    def split_module(vertices):
+        vset = set(vertices)
+        parts = comps(vertices, lambda u: adjacency[u] & vset)
+        if len(parts) > 1:
+            return "union", parts
+        parts = comps(vertices, lambda u: vset - adjacency[u] - {u})
+        if len(parts) == 1:
+            return "prime", None
+        return "join", parts
+
+    frames = []
+    vertices = list(range(n))
+    while True:
+        while len(vertices) > 1:
+            kind, parts = split_module(vertices)
+            if kind == "prime":
+                return vertices
+            frames.append([kind, parts, 1, None])
+            vertices = parts[0]
+        node = add("leaf", v=vertices[0])
+        while frames:
+            frame = frames[-1]
+            kind, parts, nxt, top = frame
+            if top is not None:
+                node = add(kind, (top, node))
+            if nxt < len(parts):
+                frame[2:] = [nxt + 1, node]
+                vertices = parts[nxt]
+                break
+            frames.pop()
+        else:
+            return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
+
+
+def split_partition_sets(n, edges):
+    """Split partition by the degree-sequence test over adjacency sets: the
+    reference for ``split.split_partition_masks``."""
+    if not edges:
+        return SplitPartition(clique=(), independent=tuple(range(n)))
+    adjacency = _adjacency_sets(n, edges)
+    order = sorted(range(n), key=lambda v: (-len(adjacency[v]), v))
+    degs = [len(adjacency[v]) for v in order]
+    m = max(i + 1 for i in range(n) if degs[i] >= i)
+    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
+        return None
+    clique = sorted(order[:m])
+    independent = sorted(order[m:])
+    for v in independent:
+        if all(u in adjacency[v] for u in clique):
+            clique = sorted(clique + [v])
+            independent = [u for u in independent if u != v]
+            break
+    return SplitPartition(clique=tuple(clique), independent=tuple(independent))
+
+
+def bipartition(n, edges):
+    """Two-color the graph; returns the side tuples, or None if an odd cycle exists."""
+    adjacency = _adjacency_sets(n, edges)
+    side = [-1] * n
+    for start in range(n):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adjacency[u]:
+                if side[w] < 0:
+                    side[w] = side[u] ^ 1
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return None
+    a = tuple(v for v in range(n) if side[v] == 0)
+    b = tuple(v for v in range(n) if side[v] == 1)
+    return a, b
+
+
+def complete_bipartite_sides_sets(n, edges):
+    """Sides (A, B) by two-coloring and checking every cross pair: the
+    reference for ``cographs.complete_bipartite_masks``."""
+    if n < 2 or not edges:
+        return None
+    sides = bipartition(n, edges)
+    if sides is None:
+        return None
+    a, b = sides
+    if not a or not b or len(edges) != len(a) * len(b):
+        return None
+    edge_set = set(edges)
+    if any((min(u, v), max(u, v)) not in edge_set for u in a for v in b):
+        return None
+    return a, b
+
+
+def relabel(rng, n, edges):
+    """The edges under a random permutation of the vertices, sorted."""
+    label = rng.sample(range(n), n)
+    return tuple(sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges))
+
+
+def threshold_edges(rng, n):
+    """A random threshold graph with shuffled labels: each vertex in turn
+    joins as an isolated vertex or as one adjacent to all earlier ones."""
+    return relabel(rng, n, [(u, v) for v in range(1, n) if rng.random() < 0.5 for u in range(v)])
 
 
 def random_graph_for_orders(rng, n_max=40):

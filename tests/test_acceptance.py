@@ -28,10 +28,10 @@ from lbcolor import (
     split_partition,
     validate_coloring,
 )
-from lbcolor.cographs import bipartition
 from lbcolor.generators import ThreePartitionSource
 
 from corpus import (
+    bipartition,
     join_row_mismatches,
     one_in_three_answer,
     partition_answer,

@@ -1,10 +1,22 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from lbcolor import ColoringInstance, auto_solver_name, classify_graph, cographs, split, treewidth
+from lbcolor.instance import adjacency_masks
 from lbcolor.treewidth import exact_elimination_order
 
-from corpus import random_vertex_instance, treewidth_by_elimination_orders
+from corpus import (
+    complete_bipartite_sides_sets,
+    cotree_or_prime_sets,
+    random_cograph_edges,
+    random_vertex_instance,
+    relabel,
+    split_partition_sets,
+    threshold_edges,
+    treewidth_by_elimination_orders,
+)
 
 
 def test_three_isolated_vertices():
@@ -132,8 +144,8 @@ def test_dispatch_runs_only_the_class_tests_it_reads(monkeypatch):
     def refuse(*args):
         raise AssertionError("dispatch ran a class test its branch does not read")
 
-    monkeypatch.setattr(split, "split_partition_graph", refuse)
-    monkeypatch.setattr(cographs, "bipartition", refuse)
+    monkeypatch.setattr(split, "split_partition_masks", refuse)
+    monkeypatch.setattr(cographs, "complete_bipartite_masks", refuse)
     rng = random.Random(1)
     # two disjoint triangles: a cograph, not complete
     triangles = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
@@ -147,3 +159,74 @@ def test_dispatch_runs_only_the_class_tests_it_reads(monkeypatch):
                                  part_of=(1,) * 4, weight=(1,) * 4, bounds=((2, 1, 1),),
                                  allowed=(frozenset({1, 2, 3}),) * 4)
     assert auto_solver_name(edge_inst) == "split-edge"
+
+
+# ---------------------------------------------------------------------------
+# the bitmask class tests against the set-based ones and against networkx
+
+
+def _gnp(rng, n):
+    density = rng.random()
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+
+
+def _complete_bipartite(rng, drop_one):
+    a, b = rng.randint(1, 20), rng.randint(1, 20)
+    edges = [(u, a + v) for u in range(a) for v in range(b)]
+    if drop_one:
+        edges.pop(rng.randrange(len(edges)))
+    return a + b, relabel(rng, a + b, edges)
+
+
+def _recognition_corpus(rng):
+    """2000 graphs: G(n, p), random cographs, complete bipartite graphs with
+    and without one edge removed, and threshold graphs, all up to n = 40."""
+    for _ in range(800):
+        n = rng.randint(0, 40)
+        yield n, _gnp(rng, n)
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        yield n, relabel(rng, n, random_cograph_edges(rng, n))
+    for i in range(300):
+        yield _complete_bipartite(rng, drop_one=i % 2 == 1)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        yield n, threshold_edges(rng, n)
+
+
+def test_bitmask_class_tests_match_the_set_based_ones():
+    cographs_seen = primes_seen = split_seen = bipartite_seen = 0
+    for n, edges in _recognition_corpus(random.Random(113)):
+        if n:
+            found = cographs._cotree_or_prime(n, adjacency_masks(n, edges))
+            assert found == cotree_or_prime_sets(n, edges), (n, edges)
+            cographs_seen += isinstance(found, cographs.Cotree)
+            primes_seen += not isinstance(found, cographs.Cotree)
+        sp = split.split_partition_graph(n, edges)
+        assert sp == split_partition_sets(n, edges), (n, edges)
+        sides = cographs.complete_bipartite_sides(n, edges)
+        assert sides == complete_bipartite_sides_sets(n, edges), (n, edges)
+        split_seen += sp is not None
+        bipartite_seen += sides is not None
+    assert min(cographs_seen, primes_seen, split_seen, bipartite_seen) >= 150
+
+
+def test_split_and_threshold_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.threshold import is_threshold_graph
+    rng = random.Random(127)
+    split_seen = threshold_seen = 0
+    for i in range(600):
+        n = rng.randint(0, 12)
+        edges = threshold_edges(rng, n) if i % 3 == 0 else _gnp(rng, n)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        report = classify_graph(n, edges)
+        # Foldes-Hammer: split exactly when the graph and its complement are chordal
+        assert report.split == (nx.is_chordal(graph) and nx.is_chordal(nx.complement(graph))), edges
+        if is_threshold_graph(graph):
+            assert report.split and report.cograph, edges
+            threshold_seen += 1
+        split_seen += report.split
+    assert split_seen >= 200 and threshold_seen >= 200

@@ -537,8 +537,8 @@ def p4_doc():
 
 @pytest.fixture
 def recognitions(monkeypatch):
-    calls = {"split_partition_graph": 0, "bipartition": 0}
-    for module, name in ((split, "split_partition_graph"), (cographs, "bipartition")):
+    calls = {"split_partition_masks": 0, "complete_bipartite_masks": 0}
+    for module, name in ((split, "split_partition_masks"), (cographs, "complete_bipartite_masks")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -547,17 +547,17 @@ def recognitions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("doc, solver, split_runs, bipartition_runs", [
+@pytest.mark.parametrize("doc, solver, split_runs, bipartite_runs", [
     (p4_doc(), "split-kfixed", 1, 1),
     (p3_doc(), "complete-bipartite", 0, 1),
     (edge_split_doc(), "split-edge", 1, 0),
 ])
 def test_auto_solve_runs_each_class_test_once(tmp_path, capsys, recognitions, doc, solver,
-                                              split_runs, bipartition_runs):
+                                              split_runs, bipartite_runs):
     path = write_doc(tmp_path, "inst.json", doc)
     code, out, _ = run(capsys, ["solve", "--input", path])
     assert code == 0 and json.loads(out)["solver_used"] == solver
-    assert recognitions == {"split_partition_graph": split_runs, "bipartition": bipartition_runs}
+    assert recognitions == {"split_partition_masks": split_runs, "complete_bipartite_masks": bipartite_runs}
 
 
 @pytest.mark.parametrize("doc, solver", [(p4_doc(), "split-kfixed"), (p3_doc(), "complete-bipartite")])

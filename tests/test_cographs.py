@@ -20,6 +20,7 @@ from lbcolor import (
 )
 from lbcolor import cographs
 from lbcolor.cographs import build_cotree_graph, is_cograph
+from lbcolor.instance import adjacency_masks
 
 from corpus import (
     assert_outcome,
@@ -86,29 +87,29 @@ def test_p4_witness_is_an_induced_path_on_random_non_cographs():
         assert _is_induced_p4(path, edge_set) and path[0] < path[-1]
         # over a whole vertex set: the first induced path in (a, b, c, d) order
         first = min(p for p in permutations(range(n), 4) if _is_induced_p4(p, edge_set))
-        assert cographs.find_induced_p4(range(n), cographs._adjacency_sets(n, edges)) == first
+        assert cographs.find_induced_p4(range(n), adjacency_masks(n, edges)) == first
         checked += 1
 
 
 def test_deep_threshold_cotree_needs_no_recursion():
     # every odd vertex is joined to all earlier ones: split and a cograph,
     # with one cotree level per vertex
-    n = 300
-    edges = tuple((u, v) for v in range(1, n, 2) for u in range(v))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 100)
-    try:
-        ct = build_cotree_graph(n, edges)
-        report = classify_graph(n, edges)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert report.split and report.cograph
-    assert reconstruct_graph(ct) == (n, tuple(sorted(edges)))
-    depth = [0] * len(ct.kinds)
-    for node in reversed(ct.post_order()):
-        for child in ct.children[node]:
-            depth[child] = depth[node] + 1
-    assert max(depth) >= n - 1
+    for n in (300, 1200):
+        edges = tuple((u, v) for v in range(1, n, 2) for u in range(v))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            ct = build_cotree_graph(n, edges)
+            report = classify_graph(n, edges)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.split and report.cograph
+        assert reconstruct_graph(ct) == (n, tuple(sorted(edges)))
+        depth = [0] * len(ct.kinds)
+        for node in reversed(ct.post_order()):
+            for child in ct.children[node]:
+                depth[child] = depth[node] + 1
+        assert max(depth) >= n - 1
 
 
 def test_random_cographs_round_trip():

@@ -1,4 +1,8 @@
+import ast
+import inspect
 import re
+import textwrap
+from functools import cached_property
 
 import pytest
 
@@ -141,3 +145,21 @@ def test_malformed_field_rejected_from_doc_and_in_code(field, overrides):
     with pytest.raises(InstanceFormatError, match=names_field):
         fields["decomposition"] = RawDecomposition(**doc["decomposition"])
         ColoringInstance(**fields)
+
+
+def test_negated_carries_every_cache_that_ignores_profits():
+    caches = {name: attr for name, attr in vars(ColoringInstance).items() if isinstance(attr, cached_property)}
+    assert "neighbor_masks" in caches
+
+    def reads_profit(prop):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(prop.func)))
+        return any(isinstance(node, ast.Attribute) and node.attr in ("profit", "profit_of")
+                   for node in ast.walk(tree))
+
+    inst = make(n=4, edges=((0, 1), (1, 2), (2, 3)), k=2, profit=((1, 2),) * 4)
+    for name in caches:
+        getattr(inst, name)
+    twin = inst.negated()
+    for name, prop in caches.items():
+        if not reads_profit(prop):
+            assert twin.__dict__.get(name) is inst.__dict__[name], f"negated() rebuilds {name}"
