@@ -1,7 +1,14 @@
 """Nice tree decompositions and the coloring DPs that run over them.
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
-forget(v), introduce(v), or join nodes.  The DP keeps sparse tables: per
+forget(v), introduce(v), or join nodes.  Every one is built by
+``nice_from_tree`` from a rooted tree of bitmask bags: a computed one from
+the clique tree that the elimination game on the neighbor bitmasks yields
+straight from the elimination order, a supplied one from its validated raw
+form, and the edge DP's from the lifted bags.  Vertices are forgotten
+early, children join on the union of the bags they keep, and the rest of a
+bag is introduced after the joins, so no vertex is introduced on both
+branches of a join.  The DP keeps sparse tables: per
 node, a map from bag coloring to a row of the reachable packed part-by-color
 weight vectors (see ``packed``), a set to decide and a map to the best profit
 to maximize.  Rows store no predecessors: the witness is recovered top-down
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DecompositionError, UsageError
-from .instance import ColoringInstance, RawDecomposition, SolveOutcome, adjacency_masks
+from .instance import ColoringInstance, RawDecomposition, SolveOutcome, adjacency_masks, bits
 from .packed import first_predecessor
 
 EXACT_WIDTH_LIMIT = 10
@@ -171,35 +178,44 @@ def min_fill_order(n: int, edges) -> list[int]:
     return order
 
 
-def order_to_raw(n: int, edges, order) -> RawDecomposition:
-    """Clique-tree decomposition induced by an elimination order."""
+def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
+    """Clique tree of an elimination order, as (bag masks, children, root).
+
+    Plays the elimination game on the neighbor bitmasks ``nbr``: node i is
+    the i-th eliminated vertex v, its bag is v with the neighbors that remain
+    after the fill of the earlier steps, and its parent is the earliest
+    eliminated of those neighbors.  A vertex left with no neighbor closes a
+    connected component; each such root hangs below the next one, so the last
+    eliminated vertex is the root.  Children are listed in elimination order,
+    a chained component root last.
+    """
+    n = len(order)
     if n == 0:
-        return RawDecomposition(bags=((),), tree_edges=(), root=0)
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    position = {v: i for i, v in enumerate(order)}
-    remaining = set(range(n))
+        return [0], [[]], 0
+    adj = list(nbr)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    remaining = (1 << n) - 1
     bags = []
-    tree_edges = []
-    pending_roots = []
-    for v in order:
-        nbrs = sorted(adj[v] & remaining, key=lambda u: position[u])
-        bags.append(tuple(sorted([v] + nbrs)))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        remaining.discard(v)
+    children = [[] for _ in range(n)]
+    last_root = None
+    for i, v in enumerate(order):
+        remaining ^= 1 << v
+        nbrs = adj[v] & remaining
+        bags.append(nbrs | 1 << v)
+        parent = n
+        for u in bits(nbrs):
+            adj[u] |= nbrs  # fill; u's own bit is masked off by `remaining`
+            if position[u] < parent:
+                parent = position[u]
         if nbrs:
-            tree_edges.append((position[v], position[nbrs[0]]))
+            children[parent].append(i)
         else:
-            pending_roots.append(position[v])
-    # chains together the roots of different connected components
-    for a, b in zip(pending_roots, pending_roots[1:]):
-        tree_edges.append((a, b))
-    return RawDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges), root=len(order) - 1)
+            if last_root is not None:
+                children[i].append(last_root)
+            last_root = i
+    return bags, children, n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,69 +282,102 @@ def validate_raw_decomposition(n: int, edges, raw: RawDecomposition) -> None:
             raise DecompositionError(f"condition (3): bags containing vertex {v} are not connected")
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.kinds = []
-        self.bags = []
-        self.children = []
-        self.vertex = []
+def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
+    """Nice form of a rooted tree of bitmask bags.
 
-    def add(self, kind, bag, children=(), vertex=None) -> int:
-        self.kinds.append(kind)
-        self.bags.append(tuple(sorted(bag)))
-        self.children.append(tuple(children))
-        self.vertex.append(vertex)
-        return len(self.kinds) - 1
+    Forget early, join on the kept bag, introduce after the joins.  A leaf
+    of the tree becomes a leaf node with its whole bag.  At every other node
+    the children are taken in order: each forgets (ascending) the vertices
+    that leave the node's bag, and they join one at a time on the union of
+    what they kept, each side of a join first introducing just the kept
+    vertices the other side has.  The rest of the node's bag is introduced
+    once, above the last join: at the root, or below the forgets that lead
+    to its parent; a node whose bag lies inside its parent's forgets nothing
+    and leaves those introductions to the parent's joins.  So no vertex is
+    introduced on both branches of a join.
+    """
+    kinds = []
+    nice_bags = []
+    nice_children = []
+    vertex = []
 
-    def lift(self, top: int, from_bag, to_bag) -> int:
-        """Insert forget/introduce chains taking bag `from_bag` to `to_bag`."""
-        cur = set(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag)):
-            cur.discard(v)
-            top = self.add("forget", cur, (top,), v)
-        for v in sorted(set(to_bag) - cur):
-            cur.add(v)
-            top = self.add("introduce", cur, (top,), v)
+    def add(kind, mask, kids, v=None) -> int:
+        kinds.append(kind)
+        nice_bags.append(tuple(bits(mask)))
+        nice_children.append(kids)
+        vertex.append(v)
+        return len(kinds) - 1
+
+    def chain(kind, top, mask, flip) -> int:
+        # forget (or introduce) the vertices of `flip` one by one, ascending
+        while flip:
+            low = flip & -flip
+            mask ^= low
+            top = add(kind, mask, (top,), low.bit_length() - 1)
+            flip ^= low
         return top
 
-    def build(self, root: int) -> NiceDecomposition:
-        return NiceDecomposition(
-            kinds=tuple(self.kinds),
-            bags=tuple(self.bags),
-            children=tuple(self.children),
-            vertex=tuple(self.vertex),
-            root=root,
-        )
+    pre_order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        pre_order.append(node)
+        stack.extend(children[node])
+    # per tree node, the nice node above its joins and the bag it carries,
+    # which lacks the introductions still to come
+    head = [0] * len(bags)
+    held = [0] * len(bags)
+    for node in reversed(pre_order):
+        bag = bags[node]
+        if not children[node]:
+            head[node], held[node] = add("leaf", bag, ()), bag
+            continue
+        joined = None
+        for child in children[node]:
+            top, kept = head[child], held[child]
+            leaving = bags[child] & ~bag
+            if leaving:
+                top = chain("introduce", top, kept, bags[child] & ~kept)
+                top = chain("forget", top, bags[child], leaving)
+                kept = bags[child] & bag
+            if joined is None:
+                joined, union = top, kept
+                continue
+            joined = chain("introduce", joined, union, kept & ~union)
+            top = chain("introduce", top, kept, union & ~kept)
+            union |= kept
+            joined = add("join", union, (joined, top))
+        head[node], held[node] = joined, union
+    top = chain("introduce", head[root], held[root], bags[root] & ~held[root])
+    return NiceDecomposition(
+        kinds=tuple(kinds),
+        bags=tuple(nice_bags),
+        children=tuple(nice_children),
+        vertex=tuple(vertex),
+        root=top,
+    )
 
 
 def normalize_decomposition(raw: RawDecomposition) -> NiceDecomposition:
-    nb = len(raw.bags)
-    nbrs = [[] for _ in range(nb)]
+    """Nice form (see ``nice_from_tree``) of a validated raw decomposition,
+    rooted at ``raw.root``; a node's children are its other tree neighbors in
+    the order the tree edges list them."""
+    nbrs = [[] for _ in raw.bags]
     for i, j in raw.tree_edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-
-    builder = _NiceBuilder()
-    done: dict[int, int] = {}
-    stack = [(raw.root, -1, False)]
+    children = [[] for _ in raw.bags]
+    placed = {raw.root}
+    stack = [raw.root]
     while stack:
-        node, parent, expanded = stack.pop()
-        kids = [w for w in nbrs[node] if w != parent]
-        if not expanded:
-            stack.append((node, parent, True))
-            for w in kids:
-                stack.append((w, node, False))
-            continue
-        bag = raw.bags[node]
-        if not kids:
-            done[node] = builder.add("leaf", bag)
-            continue
-        lifted = [builder.lift(done[w], raw.bags[w], bag) for w in kids]
-        top = lifted[0]
-        for other in lifted[1:]:
-            top = builder.add("join", bag, (top, other))
-        done[node] = top
-    return builder.build(done[raw.root])
+        node = stack.pop()
+        for w in nbrs[node]:
+            if w not in placed:
+                placed.add(w)
+                children[node].append(w)
+                stack.append(w)
+    masks = [sum(1 << v for v in bag) for bag in raw.bags]
+    return nice_from_tree(masks, children, raw.root)
 
 
 def conflict_closure(n: int, edges) -> tuple[tuple[int, int], ...]:
@@ -357,25 +406,31 @@ def build_nice_decomposition(
     """Build (or validate and normalize) a nice decomposition of the graph.
 
     Without a supplied decomposition, the elimination order is exact for
-    n <= 10 and min-fill otherwise; the returned width is the width of the
-    constructed decomposition.  For edge-mode instances the construction runs
-    over the conflict closure of the graph, so that every two edges sharing a
-    vertex meet inside some bag (still a valid decomposition of the graph
-    itself, just a deeper one).
+    n <= 10 and min-fill otherwise, and its clique tree comes straight from
+    the elimination game on neighbor bitmasks (``elimination_tree``); the
+    returned width is the width of the constructed decomposition.  For
+    edge-mode instances the construction runs over the conflict closure of
+    the graph, so that every two edges sharing a vertex meet inside some bag
+    (still a valid decomposition of the graph itself, just a deeper one).
+    Either tree becomes nice by ``nice_from_tree``: forget early, join on
+    the kept bag, introduce after the joins.
     """
     if supplied is None:
         supplied = inst.decomposition
     if supplied is not None:
         validate_raw_decomposition(inst.n, inst.edges, supplied)
-        raw = supplied
+        nice = normalize_decomposition(supplied)
     else:
-        edges = inst.edges if inst.mode == "vertex" else conflict_closure(inst.n, inst.edges)
+        if inst.mode == "vertex":
+            edges, nbr = inst.edges, inst.neighbor_masks
+        else:
+            edges = conflict_closure(inst.n, inst.edges)
+            nbr = adjacency_masks(inst.n, edges)
         if inst.n <= EXACT_WIDTH_LIMIT:
             order, _ = exact_elimination_order(inst.n, edges)
         else:
             order = min_fill_order(inst.n, edges)
-        raw = order_to_raw(inst.n, edges, order)
-    nice = normalize_decomposition(raw)
+        nice = nice_from_tree(*elimination_tree(nbr, order))
     return nice, nice.width
 
 
@@ -535,13 +590,6 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
 # edge DP: the vertex DP on the line graph
 
 
-def _bag_edge_ids(inst, bag):
-    bag_set = set(bag)
-    return tuple(
-        idx for idx, (u, v) in enumerate(inst.edges) if u in bag_set and v in bag_set
-    )
-
-
 def _check_conflicts_coresident(inst: ColoringInstance, dec: NiceDecomposition) -> None:
     bag_sets = [set(b) for b in dec.bags]
     for a, b in inst.conflict_pairs:
@@ -564,15 +612,25 @@ def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
 
 
 def _lift_decomposition(inst: ColoringInstance, dec: NiceDecomposition) -> NiceDecomposition:
-    """Replace every bag by the edges inside it, keeping the tree.
+    """Replace every bag by the edges inside it, keeping the tree, and make
+    the result nice again.
 
     The bags holding edge uv are those holding u and v, an intersection of
     two subtrees and so a subtree; once every two adjacent edges share a bag
     this is a tree decomposition of the line graph.
     """
-    bags = tuple(_bag_edge_ids(inst, bag) for bag in dec.bags)
-    tree_edges = tuple((node, child) for node in range(dec.size) for child in dec.children[node])
-    return normalize_decomposition(RawDecomposition(bags=bags, tree_edges=tree_edges, root=dec.root))
+    incident = [0] * inst.n
+    for idx, (u, v) in enumerate(inst.edges):
+        incident[u] |= 1 << idx
+        incident[v] |= 1 << idx
+    bags = []
+    for bag in dec.bags:
+        once = inside = 0  # edges meeting the bag at one end so far, at both ends
+        for v in bag:
+            inside |= once & incident[v]
+            once |= incident[v]
+        bags.append(inside)
+    return nice_from_tree(bags, dec.children, dec.root)
 
 
 def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:

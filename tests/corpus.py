@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from lbcolor import ColoringInstance, validate_coloring
+from lbcolor import ColoringInstance, RawDecomposition, validate_coloring
 from lbcolor.cographs import Cotree
 from lbcolor.split import SplitPartition
-from lbcolor.treewidth import min_fill_order, order_to_raw
+from lbcolor.treewidth import min_fill_order
 
 
 def assert_outcome(inst, outcome):
@@ -24,6 +24,38 @@ def assert_outcome(inst, outcome):
             assert outcome.objective == value
     else:
         assert outcome.witness is None
+
+
+def order_to_raw(n, edges, order):
+    """Clique-tree decomposition induced by an elimination order, eliminating
+    over Python sets; the reference for ``treewidth.elimination_tree``."""
+    if n == 0:
+        return RawDecomposition(bags=((),), tree_edges=(), root=0)
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    position = {v: i for i, v in enumerate(order)}
+    remaining = set(range(n))
+    bags = []
+    tree_edges = []
+    pending_roots = []
+    for v in order:
+        nbrs = sorted(adj[v] & remaining, key=lambda u: position[u])
+        bags.append(tuple(sorted([v] + nbrs)))
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        remaining.discard(v)
+        if nbrs:
+            tree_edges.append((position[v], position[nbrs[0]]))
+        else:
+            pending_roots.append(position[v])
+    # chains together the roots of different connected components
+    for a, b in zip(pending_roots, pending_roots[1:]):
+        tree_edges.append((a, b))
+    return RawDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges), root=len(order) - 1)
 
 
 def min_fill_width(n, edges):

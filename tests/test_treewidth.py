@@ -1,6 +1,8 @@
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
 
 from lbcolor import (
     ColoringInstance,
@@ -12,15 +14,16 @@ from lbcolor import (
     dp_edge,
     dp_vertex,
 )
+from lbcolor.instance import adjacency_masks, bits
 from lbcolor.treewidth import (
     _lift_decomposition,
     _line_graph_instance,
     _vertex_tables,
     EXACT_WIDTH_LIMIT,
+    elimination_tree,
     exact_elimination_order,
     min_fill_order,
     normalize_decomposition,
-    order_to_raw,
     validate_raw_decomposition,
 )
 
@@ -29,6 +32,7 @@ from corpus import (
     join_row_mismatches,
     min_fill_order_rescan,
     min_fill_width,
+    order_to_raw,
     random_edge_instance,
     random_graph_for_orders,
     random_vertex_instance,
@@ -100,6 +104,35 @@ def test_min_fill_order_on_a_large_tree():
     assert max(len(b) for b in raw.bags) - 1 == 1
 
 
+def rooted_children(raw):
+    """Per bag, its tree neighbors other than its parent when the tree hangs
+    from ``raw.root``, in the order the tree edges list them."""
+    nbrs = [[] for _ in raw.bags]
+    for i, j in raw.tree_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent = {raw.root: None}
+    queue = [raw.root]
+    for node in queue:
+        for w in nbrs[node]:
+            if w != parent[node]:
+                parent[w] = node
+                queue.append(w)
+    return [[w for w in nbrs[node] if w != parent[node]] for node in range(len(raw.bags))]
+
+
+def test_elimination_tree_matches_order_to_raw():
+    rng = random.Random(89)
+    for _ in range(2000):
+        n, edges = random_graph_for_orders(rng)
+        order = min_fill_order(n, edges) if rng.random() < 0.5 else rng.sample(range(n), n)
+        bags, children, root = elimination_tree(adjacency_masks(n, edges), order)
+        raw = order_to_raw(n, edges, order)
+        assert [tuple(bits(b)) for b in bags] == list(raw.bags), (n, edges, order)
+        assert root == raw.root
+        assert children == rooted_children(raw), (n, edges, order)
+
+
 def nice_invariants(dec, n, edges):
     seen = set()
     for bag in dec.bags:
@@ -135,13 +168,112 @@ def nice_invariants(dec, n, edges):
             assert len(dec.bags[i]) == len(dec.bags[j]) + 1
 
 
+def joins_meet_on_kept_bags(dec):
+    """Each join's bag is the union of the bags reached from its two children
+    through introduce nodes only, so no vertex is introduced on both sides."""
+    def below_introduces(node):
+        while dec.kinds[node] == "introduce":
+            (node,) = dec.children[node]
+        return set(dec.bags[node])
+
+    for i, kind in enumerate(dec.kinds):
+        if kind == "join":
+            left, right = dec.children[i]
+            assert set(dec.bags[i]) == below_introduces(left) | below_introduces(right), i
+
+
 def test_nice_form_invariants_on_random_graphs():
     rng = random.Random(53)
     for _ in range(30):
         inst = random_vertex_instance(rng, n_max=8)
         dec, width = build_nice_decomposition(inst)
         nice_invariants(dec, inst.n, inst.edges)
+        joins_meet_on_kept_bags(dec)
         assert dec.size <= 4 * (inst.n + 1) * (width + 2)
+
+
+def reshuffled(rng, raw):
+    """The same tree decomposition rooted at a random bag, its tree edges
+    listed in a random order and direction."""
+    tree_edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in raw.tree_edges]
+    rng.shuffle(tree_edges)
+    return RawDecomposition(bags=raw.bags, tree_edges=tuple(tree_edges), root=rng.randrange(len(raw.bags)))
+
+
+def test_joins_meet_on_kept_bags():
+    rng = random.Random(97)
+    joins = 0
+    for _ in range(200):
+        n, edges = random_graph_for_orders(rng, n_max=24)
+        inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
+        computed, _ = build_nice_decomposition(inst)
+        raw = reshuffled(rng, order_to_raw(n, edges, rng.sample(range(n), n)))
+        supplied, _ = build_nice_decomposition(inst, raw)
+        for dec in (computed, supplied):
+            nice_invariants(dec, n, edges)
+            joins_meet_on_kept_bags(dec)
+            joins += dec.kinds.count("join")
+    for _ in range(150):
+        inst = random_edge_instance(rng, n_max=8, m_max=12)
+        line = _line_graph_instance(inst)
+        lifted = _lift_decomposition(inst, build_nice_decomposition(inst)[0])
+        nice_invariants(lifted, line.n, line.edges)
+        joins_meet_on_kept_bags(lifted)
+        joins += lifted.kinds.count("join")
+    assert joins > 0
+
+
+def assert_nx_tree_decomposition(dec, graph):
+    """networkx's view: the nice tree is a tree, and its bags cover every
+    vertex and edge of ``graph`` and hold each vertex on a connected subtree."""
+    tree = nx.Graph()
+    tree.add_nodes_from(range(dec.size))
+    tree.add_edges_from((i, c) for i in range(dec.size) for c in dec.children[i])
+    assert nx.is_tree(tree)
+    for v in graph.nodes:
+        holders = [i for i, bag in enumerate(dec.bags) if v in bag]
+        assert holders and nx.is_connected(tree.subgraph(holders)), v
+    for u, v in graph.edges:
+        assert any(u in bag and v in bag for bag in dec.bags), (u, v)
+
+
+def test_nice_bags_form_a_tree_decomposition_by_networkx():
+    rng = random.Random(101)
+    for _ in range(300):
+        n, edges = random_graph_for_orders(rng, n_max=rng.choice((10, 30)))
+        graph = nx.empty_graph(n)
+        graph.add_edges_from(edges)
+        inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
+        dec, width = build_nice_decomposition(inst)
+        assert width == dec.width
+        assert_nx_tree_decomposition(dec, graph)
+        if n <= EXACT_WIDTH_LIMIT:
+            assert width <= treewidth_min_fill_in(graph)[0]
+            assert width <= treewidth_min_degree(graph)[0]
+    for _ in range(150):
+        inst = random_edge_instance(rng, n_max=8, m_max=12)
+        graph = nx.empty_graph(inst.n)
+        graph.add_edges_from(inst.edges)
+        dec, _ = build_nice_decomposition(inst)
+        assert_nx_tree_decomposition(dec, nx.power(graph, 2))  # the conflict closure
+        line = nx.line_graph(graph)
+        line = nx.relabel_nodes(line, {e: inst.edges.index(tuple(sorted(e))) for e in line})
+        assert_nx_tree_decomposition(_lift_decomposition(inst, dec), line)
+
+
+def test_computed_decompositions_build_no_raw_decomposition(monkeypatch):
+    rng = random.Random(103)
+    vertex = [random_vertex_instance(rng, n_max=16, edge_p=0.2) for _ in range(20)]
+    edge = [random_edge_instance(rng) for _ in range(20)]
+
+    def refuse(self):
+        raise AssertionError("a RawDecomposition was built")
+
+    monkeypatch.setattr(RawDecomposition, "__post_init__", refuse)
+    for inst in vertex:
+        dp_vertex(inst, build_nice_decomposition(inst)[0])
+    for inst in edge:
+        dp_edge(inst, build_nice_decomposition(inst)[0])
 
 
 def test_supplied_decomposition_validation_errors():
