@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import InstanceFormatError
 
@@ -136,36 +135,14 @@ def max_weight_perfect_assignment(ap: AssignmentProblem) -> AssignmentResult | N
     """Maximum-weight assignment matching every row, or None if no row-perfect
     assignment avoids the forbidden cells.
 
-    Small problems are solved by exhaustive search over injections; larger
-    ones by a potentials-based augmenting scheme.  The two agree on their
-    overlap (covered by tests).
+    Solved by a potentials-based augmenting scheme (the Hungarian method),
+    which tests check against exhaustive search over injections.
     """
     if ap.rows == 0:
         return AssignmentResult(columns=(), total=0)
     if ap.rows > ap.cols:
         return None
-    if ap.rows <= 8 and ap.cols <= 8:
-        return _exhaustive_assignment(ap)
     return _hungarian_assignment(ap)
-
-
-def _exhaustive_assignment(ap: AssignmentProblem) -> AssignmentResult | None:
-    best = None
-    best_total = None
-    for perm in permutations(range(ap.cols), ap.rows):
-        total = 0
-        ok = True
-        for r, c in enumerate(perm):
-            if not ap.allowed[r][c]:
-                ok = False
-                break
-            total += ap.weights[r][c]
-        if ok and (best_total is None or total > best_total):
-            best_total = total
-            best = perm
-    if best is None:
-        return None
-    return AssignmentResult(columns=tuple(best), total=best_total)
 
 
 def _hungarian_assignment(ap: AssignmentProblem) -> AssignmentResult | None:

@@ -1,7 +1,8 @@
 """Nice tree decompositions and the coloring DPs that run over them.
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
-forget(v), introduce(v), or join nodes.  Every one is built by
+forget(v), introduce(v), or join nodes; leaf and root bags are empty, so
+every vertex gets its color where it is introduced.  Every one is built by
 ``nice_from_tree`` from a rooted tree of bitmask bags: a computed one from
 the clique tree that the elimination game on the neighbor bitmasks yields
 straight from the elimination order, a supplied one from its validated raw
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DecompositionError, UsageError
 from .instance import ColoringInstance, RawDecomposition, SolveOutcome, adjacency_masks, bits
@@ -286,7 +286,8 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
     """Nice form of a rooted tree of bitmask bags.
 
     Forget early, join on the kept bag, introduce after the joins.  A leaf
-    of the tree becomes a leaf node with its whole bag.  At every other node
+    of the tree becomes a leaf node with an empty bag, whose vertices are
+    introduced on the way to its parent.  At every other node
     the children are taken in order: each forgets (ascending) the vertices
     that leave the node's bag, and they join one at a time on the union of
     what they kept, each side of a join first introducing just the kept
@@ -294,7 +295,8 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
     once, above the last join: at the root, or below the forgets that lead
     to its parent; a node whose bag lies inside its parent's forgets nothing
     and leaves those introductions to the parent's joins.  So no vertex is
-    introduced on both branches of a join.
+    introduced on both branches of a join.  Above the root's introductions
+    its whole bag is forgotten, so the root bag is empty too.
     """
     kinds = []
     nice_bags = []
@@ -330,7 +332,7 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
     for node in reversed(pre_order):
         bag = bags[node]
         if not children[node]:
-            head[node], held[node] = add("leaf", bag, ()), bag
+            head[node], held[node] = add("leaf", 0, ()), 0
             continue
         joined = None
         for child in children[node]:
@@ -349,6 +351,7 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
             joined = add("join", union, (joined, top))
         head[node], held[node] = joined, union
     top = chain("introduce", head[root], held[root], bags[root] & ~held[root])
+    top = chain("forget", top, bags[root], bags[root])
     return NiceDecomposition(
         kinds=tuple(kinds),
         bags=tuple(nice_bags),
@@ -450,41 +453,23 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
         table: dict = {}
 
         if kind == "leaf":
-            pairs = [
-                (i, j)
-                for i in range(len(bag))
-                for j in range(i + 1, len(bag))
-                if nbr[bag[i]] >> bag[j] & 1
-            ]
-            for key in product(*[sorted(inst.allowed[v]) for v in bag]):
-                if any(key[i] == key[j] for i, j in pairs):
-                    continue
-                state = 0
-                for v, c in zip(bag, key):
-                    state += units[v][c]
-                    if not packing.fits(state):
-                        break
-                else:
-                    if maximize:
-                        table[key] = {state: sum(inst.profit_of(v, c) for v, c in zip(bag, key))}
-                    else:
-                        table[key] = {state}
+            table[()] = {0: 0} if maximize else {0}
 
         elif kind == "introduce":
             child = dec.children[node][0]
             v = dec.vertex[node]
             pos = bag.index(v)
             nbr_pos = [i for i, u in enumerate(dec.bags[child]) if nbr[v] >> u & 1]
-            colors = sorted(inst.allowed[v])
+            options = units[v].items()
             for ckey, crow in tables[child].items():
                 taken = {ckey[i] for i in nbr_pos}
-                for c in colors:
+                for c, unit in options:
                     if c in taken:
                         continue
                     if maximize:
-                        row = packing.best_sums({units[v][c]: inst.profit_of(v, c)}, crow)
+                        row = packing.best_sums({unit: inst.profit_of(v, c)}, crow)
                     else:
-                        row = packing.sums((units[v][c],), crow)
+                        row = packing.sums((unit,), crow)
                     if row:
                         table[ckey[:pos] + (c,) + ckey[pos:]] = row
 
@@ -531,27 +516,21 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
 
     tables = _vertex_tables(inst, dec, maximize)
     target = inst.packing.target
-    root_table = tables[dec.root]
-    reached = [key for key, row in root_table.items() if target in row]
-    if not reached:
+    if target not in tables[dec.root].get((), ()):
         return SolveOutcome.infeasible_outcome()
 
     # witness: from the root state down, find at each node the child state
     # (and child key) that rebuilds it with the same profit; every vertex
-    # gets its color at a leaf or where it is introduced
+    # gets its color where it is introduced
     units = inst.units
     color_of = [0] * inst.n
-    key = max(reached, key=lambda key: root_table[key][target]) if maximize else reached[0]
-    stack = [(dec.root, key, target)]
+    stack = [(dec.root, (), target)]
     while stack:
         node, key, state = stack.pop()
         kind = dec.kinds[node]
         bag = dec.bags[node]
         profit = tables[node][key][state] if maximize else None
-        if kind == "leaf":
-            for v, c in zip(bag, key):
-                color_of[v] = c
-        elif kind == "introduce":
+        if kind == "introduce":
             pos = bag.index(dec.vertex[node])
             v, c = bag[pos], key[pos]
             color_of[v] = c
@@ -567,7 +546,7 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
                 "dp_vertex forget",
             )
             stack.append((child, ckey, state))
-        else:
+        elif kind == "join":  # an empty leaf colors nothing
             left, right = dec.children[node]
             arow, brow = tables[left][key], tables[right][key]
             bag_w = sum(units[v][c] for v, c in zip(bag, key))

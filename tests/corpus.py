@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from lbcolor import ColoringInstance, RawDecomposition, validate_coloring
 from lbcolor.cographs import Cotree
+from lbcolor.matching import AssignmentResult
 from lbcolor.split import SplitPartition
 from lbcolor.treewidth import min_fill_order
 
@@ -543,8 +544,6 @@ def join_row_mismatches(inst, dec, tables):
 
 
 def treewidth_by_elimination_orders(n, edges):
-    from itertools import permutations
-
     if n == 0:
         return -1
     best = n
@@ -570,6 +569,29 @@ def treewidth_by_elimination_orders(n, edges):
         else:
             best = min(best, width)
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference assignment (exhaustive search over injections)
+
+
+def exhaustive_assignment(ap):
+    best = None
+    best_total = None
+    for perm in permutations(range(ap.cols), ap.rows):
+        total = 0
+        ok = True
+        for r, c in enumerate(perm):
+            if not ap.allowed[r][c]:
+                ok = False
+                break
+            total += ap.weights[r][c]
+        if ok and (best_total is None or total > best_total):
+            best_total = total
+            best = perm
+    if best is None:
+        return None
+    return AssignmentResult(columns=tuple(best), total=best_total)
 
 
 # ---------------------------------------------------------------------------

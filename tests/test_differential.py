@@ -4,8 +4,11 @@ Hypothesis draws seeds for the corpus samplers on graphs of 10-25 vertices:
 forests, disjoint small cographs and split graphs with a small clique, so
 that the tree-decomposition DP stays small enough to run on every instance.
 In most of them k^m exceeds the oracle's 1e7 (forests, at two colors, are
-the exception).  Every applicable solver must reach the same verdict, the
-DPs the same maximum profit, and every witness must be valid.
+the exception).  Complete graphs K_3 to K_8 with n <= k <= 8 check the
+``complete`` solver's assignment against the DPs on the small assignment
+problems it builds.  Every applicable solver must reach the same verdict,
+the DPs and ``complete`` the same maximum profit, and every witness must
+be valid.
 """
 
 import random
@@ -73,16 +76,25 @@ def check_agreement(inst, solvers, objectives):
 def vertex_solvers(inst):
     report = classify_graph(inst.n, inst.edges)
     decide = ["treewidth"]
+    if report.complete:
+        decide.append("complete")
     if report.cograph:
         decide.append("cograph")
     if report.split:
         decide.append("split-kfixed")
     if inst.k == 2:
         decide.append("components-k2")
-    return decide, [name for name in decide if name in ("treewidth", "cograph")]
+    return decide, [name for name in decide if name in ("treewidth", "cograph", "complete")]
 
 
 def vertex_instance(rng, shape):
+    if shape == "complete":
+        n = rng.randint(3, 8)
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+        return random_vertex_instance(
+            rng, n=n, k=rng.randint(n, 8), edges=edges, p_max=2, w_max=2, profit=True,
+            planted=rng.random() < 0.8,
+        )
     n = rng.randint(10, 25)
     k = 2 if shape == "forest" else 3
     if shape == "cograph":
@@ -96,7 +108,7 @@ def vertex_instance(rng, shape):
     )
 
 
-@pytest.mark.parametrize("shape", ["cograph", "split", "forest"])
+@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "complete"])
 @EXAMPLES
 @given(seed=SEEDS)
 def test_vertex_solvers_agree_past_the_oracle_cap(shape, seed):

@@ -7,7 +7,8 @@ from lbcolor import (
     max_flow_saturate,
     max_weight_perfect_assignment,
 )
-from lbcolor.matching import _exhaustive_assignment, _hungarian_assignment
+
+from corpus import exhaustive_assignment
 
 
 def test_single_arc_saturates():
@@ -90,6 +91,13 @@ def test_max_flow_equals_min_cut():
         assert max_flow_saturate(net).value == min_cut_by_enumeration(net)
 
 
+def assert_assignment(ap, out):
+    """The returned columns are distinct, use only allowed cells and sum to the total."""
+    assert len(out.columns) == ap.rows == len(set(out.columns))
+    assert all(ap.allowed[r][c] for r, c in enumerate(out.columns))
+    assert sum(ap.weights[r][c] for r, c in enumerate(out.columns)) == out.total
+
+
 def test_assignment_single_cell():
     out = max_weight_perfect_assignment(AssignmentProblem(((5,),), ((True,),)))
     assert out.columns == (0,) and out.total == 5
@@ -108,7 +116,8 @@ def test_assignment_matches_permutation_brute_force():
         cols = rng.randint(rows, 6)
         weights = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
         allowed = tuple(tuple(rng.random() < 0.7 for _ in range(cols)) for _ in range(rows))
-        out = max_weight_perfect_assignment(AssignmentProblem(weights, allowed))
+        ap = AssignmentProblem(weights, allowed)
+        out = max_weight_perfect_assignment(ap)
         best = None
         for perm in permutations(range(cols), rows):
             if all(allowed[r][c] for r, c in enumerate(perm)):
@@ -118,22 +127,26 @@ def test_assignment_matches_permutation_brute_force():
             assert out is None
         else:
             assert out is not None and out.total == best
+            assert_assignment(ap, out)
 
 
 def test_hungarian_agrees_with_exhaustive_on_overlap():
+    # 150 problems of at most 6 rows and 7 columns, then a few of 7-8 rows
+    # and columns: exhaustive search on 8x8 takes tens of milliseconds
     rng = random.Random(21)
-    for _ in range(150):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(rows, 7)
+    for case in range(158):
+        rows = rng.randint(1, 6) if case < 150 else rng.randint(7, 8)
+        cols = rng.randint(rows, 7 if case < 150 else 8)
         weights = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
         allowed = tuple(tuple(rng.random() < 0.75 for _ in range(cols)) for _ in range(rows))
         ap = AssignmentProblem(weights, allowed)
-        small = _exhaustive_assignment(ap)
-        large = _hungarian_assignment(ap)
+        small = exhaustive_assignment(ap)
+        large = max_weight_perfect_assignment(ap)
         if small is None:
             assert large is None
         else:
             assert large is not None and small.total == large.total
+            assert_assignment(ap, large)
 
 
 def test_more_rows_than_columns_infeasible():

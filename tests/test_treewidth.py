@@ -150,11 +150,12 @@ def nice_invariants(dec, n, edges):
         holders = [i for i in range(dec.size) if v in dec.bags[i]]
         tops = [i for i in holders if parent[i] not in holders]
         assert len(tops) == 1, f"vertex {v} occurrences split"
+    assert dec.bags[dec.root] == ()
     for i in range(dec.size):
         kids = dec.children[i]
         kind = dec.kinds[i]
         if kind == "leaf":
-            assert kids == ()
+            assert kids == () and dec.bags[i] == ()
         elif kind == "join":
             assert len(kids) == 2
             assert dec.bags[kids[0]] == dec.bags[i] == dec.bags[kids[1]]
