@@ -333,53 +333,112 @@ def is_complete_bipartite(n: int, edges) -> bool:
 
 
 def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
-    """Complete bipartite graphs with few colors: try each way of committing
-    every color to one side; the two sides then decouple into edgeless
-    per-part subproblems."""
+    """Complete bipartite graphs with few colors: commit every color to one
+    side, after which the two sides decouple into edgeless per-part
+    subproblems (``part_weight_assignment``).
+
+    A depth-first search fixes colors k, k-1, ..., 1 in turn, side A before
+    side B, so it meets the commitments in the ascending order of a k-bit
+    mask (bit c-1 set: color c on side B) and returns the first one that
+    works.  Colors whose bounds are all zero stay on side A: they cannot
+    carry weight, so their side changes no outcome.  A branch is cut when
+    some (part, side) can no longer be completed:
+
+    - sum: the bounds committed to it exceed its members' weight (at a leaf
+      every remainder is then zero, so each side's bounds equal its weight);
+    - reach: a color with a positive bound in the part is committed to it,
+      but none of its members lists that color;
+    - list: a member has no listed color left on its side with a positive
+      bound in its part (weights are positive, so it needs one).
+
+    At a leaf each (part, side) is checked with ``part_weight_assignment``,
+    memoized on the side's colors with a positive bound in the part: the
+    other colors fit no state, so they change neither the answer nor the
+    witness.
+    """
     if inst.mode != "vertex":
         raise UsageError("solve_complete_bipartite: requires a vertex-mode instance")
     sides = inst.complete_bipartite_sides
     if sides is None:
         raise UsageError("solve_complete_bipartite: the graph is not complete bipartite")
-    side_a, side_b = sides
 
-    k = inst.k
-    part_members = {
-        (h, s): [v for v in (side_a if s == 0 else side_b) if inst.part_of[v] == h]
+    # group g = 2 * (h - 1) + s is part h on side s, in the order the leaf checks them
+    groups = [
+        [v for v in side if inst.part_of[v] == h]
         for h in range(1, inst.p + 1)
-        for s in (0, 1)
+        for side in sides
+    ]
+    positive = [sum(1 << (c - 1) for c, b in enumerate(row, start=1) if b) for row in inst.bounds]
+    color_bits = [sum(1 << (c - 1) for c in inst.allowed[v]) for v in range(inst.n)]
+    lists = [{color_bits[v] & positive[g >> 1] for v in members} for g, members in enumerate(groups)]
+    reach = [0] * len(groups)
+    for g, members in enumerate(groups):
+        for v in members:
+            reach[g] |= color_bits[v]
+    # per color: (group on side A, its bound) for each part where it is positive
+    hits = {
+        c: [(2 * h, row[c - 1]) for h, row in enumerate(inst.bounds) if row[c - 1]]
+        for c in range(1, inst.k + 1)
     }
-    for mask in range(1 << k):
-        side_colors = (
-            frozenset(c for c in range(1, k + 1) if not mask >> (c - 1) & 1),
-            frozenset(c for c in range(1, k + 1) if mask >> (c - 1) & 1),
+    order = [c for c in range(inst.k, 0, -1) if hits[c]]
+
+    def commit(need, taken, c, s):
+        """The remainders after color c joins side s (``taken[s]`` already
+        holds it), or None when a cut applies."""
+        bit = 1 << (c - 1)
+        need = list(need)
+        for a, b in hits[c]:
+            g = a + s
+            need[g] -= b
+            if need[g] < 0 or not reach[g] & bit:
+                return None
+            for listed in lists[a + 1 - s]:
+                if listed & bit and not listed & ~taken[s]:
+                    return None
+        return need
+
+    memo = {}
+
+    def assign(g, side_mask):
+        members = groups[g]
+        row = inst.bounds[g >> 1]
+        side_colors = frozenset(c for c in range(1, inst.k + 1) if side_mask >> (c - 1) & 1)
+        return part_weight_assignment(
+            [inst.weight[v] for v in members],
+            [inst.allowed[v] & side_colors for v in members],
+            tuple(b if side_mask >> (c - 1) & 1 else 0 for c, b in enumerate(row, start=1)),
         )
+
+    def leaf(taken):
         color_of = [0] * inst.n
-        ok = True
-        for h in range(1, inst.p + 1):
-            for s in (0, 1):
-                members = part_members[(h, s)]
-                masked_row = tuple(
-                    inst.bounds[h - 1][c - 1] if c in side_colors[s] else 0
-                    for c in range(1, k + 1)
-                )
-                if sum(masked_row) != sum(inst.weight[v] for v in members):
-                    ok = False
-                    break
-                colors = part_weight_assignment(
-                    [inst.weight[v] for v in members],
-                    [inst.allowed[v] & side_colors[s] for v in members],
-                    masked_row,
-                )
-                if colors is None:
-                    ok = False
-                    break
-                for v, c in zip(members, colors):
-                    color_of[v] = c
-            if not ok:
-                break
-        if ok:
-            return SolveOutcome.feasible_from(inst, color_of)
+        for g, members in enumerate(groups):
+            key = (g, taken[g & 1] & positive[g >> 1])
+            if key not in memo:
+                memo[key] = assign(*key)
+            colors = memo[key]
+            if colors is None:
+                return None
+            for v, c in zip(members, colors):
+                color_of[v] = c
+        return color_of
+
+    need = [sum(inst.weight[v] for v in members) for members in groups]
+    # taken[s]: the bitmask of the colors committed to side s so far
+    stack = [(0, need, [0, 0])]
+    while stack:
+        depth, need, taken = stack.pop()
+        if depth == len(order):
+            color_of = leaf(taken)
+            if color_of is not None:
+                return SolveOutcome.feasible_from(inst, color_of)
+            continue
+        c = order[depth]
+        for s in (1, 0):  # side B is pushed first, so side A is searched first
+            grown = taken[:]
+            grown[s] |= 1 << (c - 1)
+            child = commit(need, grown, c, s)
+            if child is not None:
+                stack.append((depth + 1, child, grown))
     return SolveOutcome.infeasible_outcome()
 
 

@@ -13,7 +13,7 @@ colors and parts are 1-indexed everywhere, matching the file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import InstanceFormatError, UsageError
@@ -261,11 +261,20 @@ class ColoringInstance:
                     pairs.append((ids[a], ids[b]))
         return tuple(pairs)
 
+    def _derived(self, **changes) -> "ColoringInstance":
+        """A copy of this instance with some fields replaced, built without
+        ``__post_init__``: every field, changed ones included, must already be
+        in the checked form that construction leaves (tuples, frozensets,
+        edges as sorted pairs), and together they must satisfy every check."""
+        twin = object.__new__(ColoringInstance)
+        twin.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        return twin
+
     def negated(self) -> "ColoringInstance":
         """The same instance with every profit negated.  It starts with the
         cached properties already computed here, none of which reads the
         profits, so a minimize solve runs no class test twice."""
-        twin = replace(self, profit=tuple(tuple(-x for x in row) for row in self.profit))
+        twin = self._derived(profit=tuple(tuple(-x for x in row) for row in self.profit))
         for name in (
             "bounds_flat", "packing", "units", "neighbor_masks", "cotree_or_prime",
             "split_partition", "complete_bipartite_sides", "conflict_pairs",

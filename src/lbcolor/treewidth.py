@@ -582,12 +582,10 @@ def _check_conflicts_coresident(inst: ColoringInstance, dec: NiceDecomposition) 
 
 
 def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
-    """The vertex-mode instance on L(G): one vertex per edge, same lists and bounds."""
-    return ColoringInstance(
-        mode="vertex", n=len(inst.edges), edges=inst.conflict_pairs, k=inst.k, p=inst.p,
-        part_of=inst.part_of, weight=inst.weight, bounds=inst.bounds,
-        allowed=inst.allowed, profit=inst.profit,
-    )
+    """The vertex-mode instance on L(G): one vertex per edge, same lists and
+    bounds.  Its fields were checked on ``inst``, and the conflict pairs are
+    distinct sorted pairs of edge ids, so it is not checked again."""
+    return inst._derived(mode="vertex", n=len(inst.edges), edges=inst.conflict_pairs, decomposition=None)
 
 
 def _lift_decomposition(inst: ColoringInstance, dec: NiceDecomposition) -> NiceDecomposition:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from lbcolor import ColoringInstance, RawDecomposition, validate_coloring
+from lbcolor import ColoringInstance, RawDecomposition, SolveOutcome, validate_coloring
+from lbcolor.basic import part_weight_assignment
 from lbcolor.cographs import Cotree
 from lbcolor.matching import AssignmentResult
 from lbcolor.split import SplitPartition
@@ -592,6 +593,55 @@ def exhaustive_assignment(ap):
     if best is None:
         return None
     return AssignmentResult(columns=tuple(best), total=best_total)
+
+
+# ---------------------------------------------------------------------------
+# reference complete-bipartite solver (every commitment of colors to sides)
+
+
+def complete_bipartite_by_masks(inst):
+    """``cographs.solve_complete_bipartite`` by trying all 2^k commitments of
+    colors to sides in ascending mask order (bit c-1 set: color c on side B),
+    checking each (part, side) by its weight sum and ``part_weight_assignment``."""
+    side_a, side_b = inst.complete_bipartite_sides
+    k = inst.k
+    part_members = {
+        (h, s): [v for v in (side_a if s == 0 else side_b) if inst.part_of[v] == h]
+        for h in range(1, inst.p + 1)
+        for s in (0, 1)
+    }
+    for mask in range(1 << k):
+        side_colors = (
+            frozenset(c for c in range(1, k + 1) if not mask >> (c - 1) & 1),
+            frozenset(c for c in range(1, k + 1) if mask >> (c - 1) & 1),
+        )
+        color_of = [0] * inst.n
+        ok = True
+        for h in range(1, inst.p + 1):
+            for s in (0, 1):
+                members = part_members[(h, s)]
+                masked_row = tuple(
+                    inst.bounds[h - 1][c - 1] if c in side_colors[s] else 0
+                    for c in range(1, k + 1)
+                )
+                if sum(masked_row) != sum(inst.weight[v] for v in members):
+                    ok = False
+                    break
+                colors = part_weight_assignment(
+                    [inst.weight[v] for v in members],
+                    [inst.allowed[v] & side_colors[s] for v in members],
+                    masked_row,
+                )
+                if colors is None:
+                    ok = False
+                    break
+                for v, c in zip(members, colors):
+                    color_of[v] = c
+            if not ok:
+                break
+        if ok:
+            return SolveOutcome.feasible_from(inst, color_of)
+    return SolveOutcome.infeasible_outcome()
 
 
 # ---------------------------------------------------------------------------

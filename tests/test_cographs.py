@@ -7,6 +7,7 @@ import pytest
 from lbcolor import (
     ColoringInstance,
     NotACographError,
+    OneInThreeSatSource,
     UsageError,
     brute_force_solve,
     build_cotree,
@@ -14,6 +15,7 @@ from lbcolor import (
     build_nice_decomposition,
     dp_cograph,
     dp_vertex,
+    gen_from_one_in_three_sat,
     solve_cograph_edges,
     solve_complete_bipartite,
     solve_complete_graph,
@@ -24,6 +26,8 @@ from lbcolor.instance import adjacency_masks
 
 from corpus import (
     assert_outcome,
+    complete_bipartite_by_masks,
+    one_in_three_answer,
     random_cograph_edges,
     random_cograph_instance,
     random_complete_bipartite_instance,
@@ -291,6 +295,57 @@ def test_complete_bipartite_matches_oracle():
         out = solve_complete_bipartite(inst)
         assert out.status == brute_force_solve(inst).status
         assert_outcome(inst, out)
+
+
+def test_complete_bipartite_search_matches_every_commitment():
+    """The pruned search returns the reference's outcome, witness included:
+    the first commitment, in ascending mask order, that passes every check."""
+    rng = random.Random(113)
+    feasible = 0
+    for _ in range(320):
+        inst = random_complete_bipartite_instance(rng, side_max=6, k_max=9, p_max=3)
+        out = solve_complete_bipartite(inst)
+        assert out == complete_bipartite_by_masks(inst), inst
+        feasible += out.feasible
+    assert 0 < feasible < 320
+
+
+def test_complete_bipartite_search_matches_on_one_in_three_instances():
+    """Generator instances, k = 2 nu + 1, yes and no; at three variables
+    every clause is (1, 2, 3), which is always satisfiable."""
+    rng = random.Random(127)
+    for nu in range(3, 7):
+        wanted = {True} if nu == 3 else {True, False}
+        seen = set()
+        while seen != wanted:
+            clauses = tuple(tuple(sorted(rng.sample(range(1, nu + 1), 3))) for _ in range(rng.randint(1, nu)))
+            want = one_in_three_answer(nu, clauses)
+            seen.add(want)
+            inst = gen_from_one_in_three_sat(OneInThreeSatSource(nu, clauses), "complete_bipartite").instance
+            out = solve_complete_bipartite(inst)
+            assert out.feasible == want
+            assert out == complete_bipartite_by_masks(inst), clauses
+
+
+def test_complete_bipartite_search_prunes(monkeypatch):
+    """An infeasible one-in-three instance at 8 variables (k = 17): checking
+    every one of the 2^17 commitments runs the side check 5,939 times."""
+    calls = 0
+    check = cographs.part_weight_assignment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check(*args)
+
+    monkeypatch.setattr(cographs, "part_weight_assignment", counted)
+    clauses = ((2, 4, 8), (1, 6, 3), (7, 4, 8), (2, 6, 3), (2, 7, 1), (7, 5, 4), (2, 6, 1), (6, 2, 8))
+    src = OneInThreeSatSource(num_variables=8, clauses=clauses)
+    assert not one_in_three_answer(8, clauses)
+    inst = gen_from_one_in_three_sat(src, "complete_bipartite").instance
+    assert inst.k == 17
+    assert not solve_complete_bipartite(inst).feasible
+    assert 0 < calls <= 500
 
 
 def test_complete_bipartite_requires_class():

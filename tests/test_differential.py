@@ -6,7 +6,10 @@ that the tree-decomposition DP stays small enough to run on every instance.
 In most of them k^m exceeds the oracle's 1e7 (forests, at two colors, are
 the exception).  Complete graphs K_3 to K_8 with n <= k <= 8 check the
 ``complete`` solver's assignment against the DPs on the small assignment
-problems it builds.  Every applicable solver must reach the same verdict,
+problems it builds.  Complete bipartite graphs K(a, b) with sides of 1 to 8
+and k <= 9 check the ``complete-bipartite`` search against the cotree DP,
+and against the tree-decomposition DP where its width min(a, b) is at most
+2.  Every applicable solver must reach the same verdict,
 the DPs and ``complete`` the same maximum profit, and every witness must
 be valid.
 """
@@ -75,9 +78,13 @@ def check_agreement(inst, solvers, objectives):
 
 def vertex_solvers(inst):
     report = classify_graph(inst.n, inst.edges)
-    decide = ["treewidth"]
+    sides = inst.complete_bipartite_sides
+    # on K(a, b) the tree-decomposition DP has width min(a, b)
+    decide = ["treewidth"] if sides is None or min(map(len, sides)) <= 2 else []
     if report.complete:
         decide.append("complete")
+    if report.complete_bipartite:
+        decide.append("complete-bipartite")
     if report.cograph:
         decide.append("cograph")
     if report.split:
@@ -95,6 +102,13 @@ def vertex_instance(rng, shape):
             rng, n=n, k=rng.randint(n, 8), edges=edges, p_max=2, w_max=2, profit=True,
             planted=rng.random() < 0.8,
         )
+    if shape == "complete-bipartite":
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        edges = relabel(rng, a + b, [(u, a + v) for u in range(a) for v in range(b)])
+        return random_vertex_instance(
+            rng, n=a + b, k=rng.randint(2, 9), edges=edges, p_max=2, w_max=2, profit=True,
+            planted=rng.random() < 0.8,
+        )
     n = rng.randint(10, 25)
     k = 2 if shape == "forest" else 3
     if shape == "cograph":
@@ -108,7 +122,7 @@ def vertex_instance(rng, shape):
     )
 
 
-@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "complete"])
+@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "complete", "complete-bipartite"])
 @EXAMPLES
 @given(seed=SEEDS)
 def test_vertex_solvers_agree_past_the_oracle_cap(shape, seed):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import re
 import textwrap
@@ -163,3 +164,11 @@ def test_negated_carries_every_cache_that_ignores_profits():
     for name, prop in caches.items():
         if not reads_profit(prop):
             assert twin.__dict__.get(name) is inst.__dict__[name], f"negated() rebuilds {name}"
+
+
+def test_negated_equals_the_checked_replacement():
+    inst = make(n=3, edges=((0, 1), (1, 2)), k=2, p=2, part_of=(1, 2, 1),
+                profit=((1, -2), (0, 3), (4, 4)))
+    twin = inst.negated()
+    assert twin == dataclasses.replace(inst, profit=((-1, 2), (0, -3), (-4, -4)))
+    assert twin.negated() == inst

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx as nx
@@ -466,6 +467,17 @@ def test_lifted_decomposition_is_valid_for_the_line_graph():
         tree_edges = [(node, c) for node in range(lifted.size) for c in lifted.children[node]]
         raw = RawDecomposition(bags=lifted.bags, tree_edges=tree_edges, root=lifted.root)
         validate_raw_decomposition(line.n, line.edges, raw)
+
+
+def test_line_graph_instance_passes_the_checks_it_skips():
+    rng = random.Random(89)
+    for _ in range(100):
+        inst = random_edge_instance(rng, profit=rng.random() < 0.5)
+        line = _line_graph_instance(inst)
+        assert dataclasses.replace(line) == line  # replace runs every check
+        assert (line.mode, line.n, line.edges, line.decomposition) == (
+            "vertex", len(inst.edges), inst.conflict_pairs, None
+        )
 
 
 def test_edge_join_conservation():
