@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome, bits
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
-from .packed import PackedBounds, first_predecessor
+from .packed import PackedBounds
 
 
 def part_weight_assignment(weights, choices, bound_row):
@@ -18,23 +18,9 @@ def part_weight_assignment(weights, choices, bound_row):
     step leads back into layer i.  Returns the chosen colors or None.
     """
     packing = PackedBounds(bound_row, max(weights, default=0))
-    steps = [{c: packing.unit(c - 1, w) for c in sorted(choices[i])} for i, w in enumerate(weights)]
-    layers = [{0}]
-    for options in steps:
-        nxt = packing.sums(layers[-1], options.values())
-        if not nxt:
-            return None
-        layers.append(nxt)
-    state = packing.target
-    if state not in layers[-1]:
-        return None
-    colors = []
-    for layer, options in zip(reversed(layers[:-1]), reversed(steps)):
-        c = first_predecessor((c for c, step in options.items() if state - step in layer), "part_weight_assignment")
-        state -= options[c]
-        colors.append(c)
-    colors.reverse()
-    return colors
+    # weights are positive, so an item's colors give distinct steps
+    steps = [{packing.unit(c - 1, w): c for c in sorted(choices[i])} for i, w in enumerate(weights)]
+    return packing.choose(steps, "part_weight_assignment")
 
 
 def _require_edgeless_vertex(inst: ColoringInstance, op: str) -> None:
@@ -142,7 +128,7 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
                     stack.append(v)
                 elif side[v] == side[u]:
                     return SolveOutcome.infeasible_outcome()  # odd cycle
-        options = []
+        options = {}
         for flip in (0, 1):
             coloring = {v: (side[v] ^ flip) + 1 for v in comp}
             if any(coloring[v] not in inst.allowed[v] for v in comp):
@@ -151,27 +137,16 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
             for v in comp:
                 if coloring[v] == 1:
                     vec[inst.part_of[v] - 1] += inst.weight[v]
-            options.append((packing.pack(vec), coloring))
+            options.setdefault(packing.pack(vec), coloring)
         if not options:
             return SolveOutcome.infeasible_outcome()
         options_per_comp.append(options)
 
-    layers = [{0}]
-    for options in options_per_comp:
-        nxt = packing.sums(layers[-1], [vec for vec, _coloring in options])
-        if not nxt:
-            return SolveOutcome.infeasible_outcome()
-        layers.append(nxt)
-
-    state = packing.target
-    if state not in layers[-1]:
+    chosen = packing.choose(options_per_comp, "solve_components_k2")
+    if chosen is None:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * inst.n
-    for layer, options in zip(reversed(layers[:-1]), reversed(options_per_comp)):
-        vec, coloring = first_predecessor(
-            ((vec, coloring) for vec, coloring in options if state - vec in layer), "solve_components_k2"
-        )
-        state -= vec
+    for coloring in chosen:
         for v, c in coloring.items():
             color_of[v] = c
     return SolveOutcome.feasible_from(inst, color_of)

@@ -478,14 +478,13 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     for idx, (u, v) in enumerate(inst.edges):
         groups.setdefault(find(u), []).append(idx)
     comp_edges = [groups[r] for r in sorted(groups)]
+    earlier = [[] for _ in inst.edges]  # per edge, the adjacent edges with lower ids
+    for a, b in inst.conflict_pairs:
+        earlier[b].append(a)
 
     def component_states(edge_ids):
         """All reachable packed weight vectors of one component, with one witness each."""
-        adjacent = [
-            [f for f in edge_ids if f != e and (set(inst.edges[e]) & set(inst.edges[f]))]
-            for e in edge_ids
-        ]
-        pos = {e: i for i, e in enumerate(edge_ids)}
+        pos = {e: i for i, e in enumerate(edge_ids)}  # ascending: earlier[e] is colored before e
         found: dict[int, tuple] = {}
         colors = [0] * len(edge_ids)
 
@@ -496,7 +495,7 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
                 return
             e = edge_ids[i]
             for c in sorted(inst.allowed[e]):
-                if any(pos[f] < i and colors[pos[f]] == c for f in adjacent[i]):
+                if any(colors[pos[f]] == c for f in earlier[e]):
                     continue
                 nxt = state + inst.units[e][c]
                 if packing.fits(nxt):
@@ -507,23 +506,11 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
         backtrack(0, 0)
         return found
 
-    layers = [{0}]
-    per_comp = []
-    for edge_ids in comp_edges:
-        options = component_states(edge_ids)
-        per_comp.append((edge_ids, options))
-        nxt = packing.sums(layers[-1], options)
-        if not nxt:
-            return SolveOutcome.infeasible_outcome()
-        layers.append(nxt)
-
-    state = packing.target
-    if state not in layers[-1]:
+    chosen = packing.choose((component_states(edge_ids) for edge_ids in comp_edges), "solve_cograph_edges")
+    if chosen is None:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * len(inst.edges)
-    for layer, (edge_ids, options) in zip(reversed(layers[:-1]), reversed(per_comp)):
-        delta = first_predecessor((d for d in options if state - d in layer), "solve_cograph_edges")
-        state -= delta
-        for e, c in zip(edge_ids, options[delta]):
+    for edge_ids, colors in zip(comp_edges, chosen):
+        for e, c in zip(edge_ids, colors):
             color_of[e] = c
     return SolveOutcome.feasible_from(inst, color_of)

@@ -67,6 +67,36 @@ class PackedBounds:
                         row[x] = q
         return row
 
+    def choose(self, steps, where: str):
+        """Pick one payload per step so that the picked states sum to
+        ``target``, or return None when no choice does.
+
+        ``steps`` yields {packed state: payload} maps, read lazily: a step
+        that leaves no fitting sum ends the search before later maps are
+        built.  Layer i holds the fitting sums of the first i steps; the walk
+        back from the target takes, in each step's map order, the first state
+        that leads into the layer below.  ``where`` names the caller in the
+        error raised when none does (see ``first_predecessor``).
+        """
+        layers = [{0}]
+        read = []
+        for options in steps:
+            nxt = self.sums(layers[-1], options)
+            if not nxt:
+                return None
+            layers.append(nxt)
+            read.append(options)
+        state = self.target
+        if state not in layers[-1]:
+            return None
+        chosen = []
+        for layer, options in zip(reversed(layers[:-1]), reversed(read)):
+            step = first_predecessor((d for d in options if state - d in layer), where)
+            state -= step
+            chosen.append(options[step])
+        chosen.reverse()
+        return chosen
+
 
 def first_predecessor(candidates, where: str):
     """The first of ``candidates``, the predecessors of one state on the way

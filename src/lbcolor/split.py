@@ -259,8 +259,7 @@ def solve_split_edges(inst: ColoringInstance) -> SolveOutcome:
     (every edge touches the clique), so prune-and-backtrack directly."""
     if inst.mode != "edge":
         raise UsageError("solve_split_edges: requires an edge-mode instance")
-    sp = inst.split_partition
-    if sp is None:
+    if inst.split_partition is None:
         raise UsageError("solve_split_edges: the graph is not a split graph")
     degree = [0] * inst.n
     for u, v in inst.edges:
@@ -268,14 +267,12 @@ def solve_split_edges(inst: ColoringInstance) -> SolveOutcome:
         degree[v] += 1
     if any(d > inst.k for d in degree):
         return SolveOutcome.infeasible_outcome()
-    if len(sp.clique) > inst.k + 1:
-        return SolveOutcome.infeasible_outcome()
 
     m = len(inst.edges)
     bounds = inst.bounds_flat
-    adjacent = [
-        [f for f in range(e) if set(inst.edges[e]) & set(inst.edges[f])] for e in range(m)
-    ]
+    adjacent = [[] for _ in range(m)]  # per edge, the adjacent edges with lower ids
+    for a, b in inst.conflict_pairs:
+        adjacent[b].append(a)
     colors = [0] * m
     tally = [0] * len(bounds)
 

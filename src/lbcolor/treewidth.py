@@ -4,9 +4,11 @@ A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
 forget(v), introduce(v), or join nodes; leaf and root bags are empty, so
 every vertex gets its color where it is introduced.  Every one is built by
 ``nice_from_tree`` from a rooted tree of bitmask bags: a computed one from
-the clique tree that the elimination game on the neighbor bitmasks yields
-straight from the elimination order, a supplied one from its validated raw
-form, and the edge DP's from the lifted bags.  Vertices are forgotten
+the clique tree of the min-fill elimination order, both played on the
+instance's neighbor bitmasks (on their square, the conflict closure, in edge
+mode), a supplied one from its validated raw form, and the edge DP's from
+the lifted bags.  The DPs run on any decomposition, so min-fill's upper
+bound on the tree-width is all they need.  Vertices are forgotten
 early, children join on the union of the bags they keep, and the rest of a
 bag is introduced after the joins, so no vertex is introduced on both
 branches of a join.  The DP keeps sparse tables: per
@@ -22,10 +24,8 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import DecompositionError, UsageError
-from .instance import ColoringInstance, RawDecomposition, SolveOutcome, adjacency_masks, bits
+from .instance import ColoringInstance, RawDecomposition, SolveOutcome, bits
 from .packed import first_predecessor
-
-EXACT_WIDTH_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -59,57 +59,6 @@ class NiceDecomposition:
 # elimination orders
 
 
-def _reach_count(adj, eliminated: int, v: int) -> int:
-    # vertices outside `eliminated` reachable from v through eliminated ones
-    seen = 1 << v
-    frontier = adj[v] & ~seen
-    found = 0
-    while frontier:
-        seen |= frontier
-        found |= frontier & ~eliminated
-        inner = frontier & eliminated
-        nxt = 0
-        while inner:
-            low = inner & -inner
-            nxt |= adj[low.bit_length() - 1]
-            inner ^= low
-        frontier = nxt & ~seen
-    return found.bit_count()
-
-
-def exact_elimination_order(n: int, edges) -> tuple[list[int], int]:
-    """Minimum-width elimination order by dynamic programming over subsets."""
-    if n == 0:
-        return [], -1
-    adj = adjacency_masks(n, edges)
-    full = (1 << n) - 1
-    best = [n + 1] * (full + 1)
-    choice = [-1] * (full + 1)
-    best[0] = -1
-    for s in range(1, full + 1):
-        rest = s
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            prior = s ^ low
-            cand = best[prior]
-            deg = _reach_count(adj, prior, v)
-            if deg > cand:
-                cand = deg
-            if cand < best[s]:
-                best[s] = cand
-                choice[s] = v
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return order, best[full]
-
-
 def _fill_key(adj, v: int) -> tuple[int, int, int]:
     # (fill edges eliminating v would add, degree of v, v) in the graph `adj`
     nbrs = adj[v]
@@ -123,20 +72,20 @@ def _fill_key(adj, v: int) -> tuple[int, int, int]:
     return (degree * (degree - 1) - inside) // 2, degree, v
 
 
-def min_fill_order(n: int, edges) -> list[int]:
-    """Greedy elimination order: each step eliminates the remaining vertex
-    with the least key (fill, degree, v), where fill counts the non-adjacent
-    pairs of its remaining neighbors and ties go to lower degree, then to the
-    lower label.
+def min_fill_order(nbr) -> list[int]:
+    """Greedy elimination order of the graph with neighbor bitmasks ``nbr``:
+    each step eliminates the remaining vertex with the least key (fill,
+    degree, v), where fill counts the non-adjacent pairs of its remaining
+    neighbors and ties go to lower degree, then to the lower label.
 
-    Adjacency is a bitmask per vertex over the remaining graph, and keys sit
-    in a heap whose stale entries are skipped when popped.  Eliminating v
-    changes the degree and neighborhood only of N(v), and adds fill edges only
-    inside N(v), so only N(v) and those neighbors of N(v) that see both ends
-    of a new fill edge get new keys.
+    The elimination runs on a copy of ``nbr``, and keys sit in a heap whose
+    stale entries are skipped when popped.  Eliminating v changes the degree
+    and neighborhood only of N(v), and adds fill edges only inside N(v), so
+    only N(v) and those neighbors of N(v) that see both ends of a new fill
+    edge get new keys.
     """
-    adj = adjacency_masks(n, edges)
-    key = [_fill_key(adj, v) for v in range(n)]
+    adj = list(nbr)
+    key = [_fill_key(adj, v) for v in range(len(adj))]
     heap = key[:]
     heapq.heapify(heap)
     order = []
@@ -383,24 +332,21 @@ def normalize_decomposition(raw: RawDecomposition) -> NiceDecomposition:
     return nice_from_tree(masks, children, raw.root)
 
 
-def conflict_closure(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """Edges of G plus a pair for every two vertices with a common neighbor.
+def conflict_closure(nbr) -> list[int]:
+    """Neighbor bitmasks of G plus a pair for every two vertices with a
+    common neighbor (the square of G).
 
     Any two G-edges sharing a vertex span a triangle of this closure, so a
     tree decomposition of the closure puts them inside one common bag, which
     is what the edge-coloring DP needs to see their conflict.
     """
-    closed = set(tuple(e) for e in edges)
-    nbr = [set() for _ in range(n)]
-    for u, v in edges:
-        nbr[u].add(v)
-        nbr[v].add(u)
-    for v in range(n):
-        mates = sorted(nbr[v])
-        for i in range(len(mates)):
-            for j in range(i + 1, len(mates)):
-                closed.add((mates[i], mates[j]))
-    return tuple(sorted(closed))
+    closure = []
+    for v, mask in enumerate(nbr):
+        reach = mask
+        for u in bits(mask):
+            reach |= nbr[u]
+        closure.append(reach & ~(1 << v))
+    return closure
 
 
 def build_nice_decomposition(
@@ -408,13 +354,13 @@ def build_nice_decomposition(
 ) -> tuple[NiceDecomposition, int]:
     """Build (or validate and normalize) a nice decomposition of the graph.
 
-    Without a supplied decomposition, the elimination order is exact for
-    n <= 10 and min-fill otherwise, and its clique tree comes straight from
-    the elimination game on neighbor bitmasks (``elimination_tree``); the
-    returned width is the width of the constructed decomposition.  For
-    edge-mode instances the construction runs over the conflict closure of
-    the graph, so that every two edges sharing a vertex meet inside some bag
-    (still a valid decomposition of the graph itself, just a deeper one).
+    Without a supplied decomposition, the min-fill elimination order of the
+    instance's neighbor bitmasks gives the clique tree straight from the
+    elimination game (``elimination_tree``); the returned width is the width
+    of the constructed decomposition.  For edge-mode instances both run over
+    the conflict closure of the graph, so that every two edges sharing a
+    vertex meet inside some bag (still a valid decomposition of the graph
+    itself, just a deeper one).
     Either tree becomes nice by ``nice_from_tree``: forget early, join on
     the kept bag, introduce after the joins.
     """
@@ -424,16 +370,8 @@ def build_nice_decomposition(
         validate_raw_decomposition(inst.n, inst.edges, supplied)
         nice = normalize_decomposition(supplied)
     else:
-        if inst.mode == "vertex":
-            edges, nbr = inst.edges, inst.neighbor_masks
-        else:
-            edges = conflict_closure(inst.n, inst.edges)
-            nbr = adjacency_masks(inst.n, edges)
-        if inst.n <= EXACT_WIDTH_LIMIT:
-            order, _ = exact_elimination_order(inst.n, edges)
-        else:
-            order = min_fill_order(inst.n, edges)
-        nice = nice_from_tree(*elimination_tree(nbr, order))
+        nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
+        nice = nice_from_tree(*elimination_tree(nbr, min_fill_order(nbr)))
     return nice, nice.width
 
 
@@ -443,6 +381,7 @@ def build_nice_decomposition(
 
 def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
     packing = inst.packing
+    offset, guard = packing.offset, packing.guard
     nbr = inst.neighbor_masks
     units = inst.units
     tables: list[dict] = [None] * dec.size
@@ -461,15 +400,17 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             pos = bag.index(v)
             nbr_pos = [i for i, u in enumerate(dec.bags[child]) if nbr[v] >> u & 1]
             options = units[v].items()
+            # adding one unit shifts a row injectively, so no two sums meet
             for ckey, crow in tables[child].items():
                 taken = {ckey[i] for i in nbr_pos}
                 for c, unit in options:
                     if c in taken:
                         continue
                     if maximize:
-                        row = packing.best_sums({unit: inst.profit_of(v, c)}, crow)
+                        profit = inst.profit_of(v, c)
+                        row = {x: q + profit for s, q in crow.items() if not ((x := s + unit) + offset) & guard}
                     else:
-                        row = packing.sums((unit,), crow)
+                        row = {x for s in crow if not ((x := s + unit) + offset) & guard}
                     if row:
                         table[ckey[:pos] + (c,) + ckey[pos:]] = row
 

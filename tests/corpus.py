@@ -9,6 +9,7 @@ from lbcolor.basic import part_weight_assignment
 from lbcolor.cographs import Cotree
 from lbcolor.matching import AssignmentResult
 from lbcolor.split import SplitPartition
+from lbcolor.instance import adjacency_masks
 from lbcolor.treewidth import min_fill_order
 
 
@@ -62,8 +63,25 @@ def order_to_raw(n, edges, order):
 
 def min_fill_width(n, edges):
     """Width of the min-fill decomposition (an upper bound on tree-width)."""
-    raw = order_to_raw(n, edges, min_fill_order(n, edges))
+    raw = order_to_raw(n, edges, min_fill_order(adjacency_masks(n, edges)))
     return max(len(b) for b in raw.bags) - 1
+
+
+def conflict_closure_sets(n, edges):
+    """Edges of G plus a pair for every two vertices with a common neighbor,
+    as a sorted edge tuple built over Python sets: the reference for the
+    bitmask ``treewidth.conflict_closure``."""
+    closed = set(tuple(e) for e in edges)
+    nbr = [set() for _ in range(n)]
+    for u, v in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    for v in range(n):
+        mates = sorted(nbr[v])
+        for i in range(len(mates)):
+            for j in range(i + 1, len(mates)):
+                closed.add((mates[i], mates[j]))
+    return tuple(sorted(closed))
 
 
 def min_fill_order_rescan(n, edges):

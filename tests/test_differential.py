@@ -9,13 +9,17 @@ the exception).  Complete graphs K_3 to K_8 with n <= k <= 8 check the
 problems it builds.  Complete bipartite graphs K(a, b) with sides of 1 to 8
 and k <= 9 check the ``complete-bipartite`` search against the cotree DP,
 and against the tree-decomposition DP where its width min(a, b) is at most
-2.  Every applicable solver must reach the same verdict,
+2.  Two-colour instances on trees plus chords, even cycles mostly and an
+odd cycle in about a quarter of the draws, check ``components-k2`` on graphs
+with cycles; an odd cycle must make every solver answer infeasible.  Every
+applicable solver must reach the same verdict,
 the DPs and ``complete`` the same maximum profit, and every witness must
 be valid.
 """
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +39,21 @@ def relabel(rng, n, edges):
 
 def tree_edges(rng, n):
     return relabel(rng, n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def tree_plus_chords(rng, n, odd):
+    """A random tree plus up to four chords across its two sides (each closes
+    an even cycle) and, when ``odd``, one chord inside a side (an odd cycle)."""
+    parent = [rng.randrange(v) for v in range(1, n)]
+    side = [0] * n
+    for v in range(1, n):
+        side[v] = side[parent[v - 1]] ^ 1
+    edges = {(parent[v - 1], v) for v in range(1, n)}
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and (u, v) not in edges]
+    edges |= set(rng.sample(cross, min(rng.randint(1, 4), len(cross))))
+    if odd:  # a tree on n >= 3 vertices has a side of two or more
+        edges.add(rng.choice([(u, v) for u in range(n) for v in range(u + 1, n) if side[u] == side[v]]))
+    return relabel(rng, n, edges)
 
 
 def cograph_edges(rng, n, block_max, apex):
@@ -110,8 +129,10 @@ def vertex_instance(rng, shape):
             planted=rng.random() < 0.8,
         )
     n = rng.randint(10, 25)
-    k = 2 if shape == "forest" else 3
-    if shape == "cograph":
+    k = 2 if shape in ("forest", "bipartite-k2") else 3
+    if shape == "bipartite-k2":
+        edges = tree_plus_chords(rng, n, odd=rng.random() < 0.25)
+    elif shape == "cograph":
         edges = cograph_edges(rng, n, block_max=4, apex=0.2)
     elif shape == "split":
         edges = split_edges(rng, n, clique=rng.randint(1, 4), degree_max=2)
@@ -122,13 +143,15 @@ def vertex_instance(rng, shape):
     )
 
 
-@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "complete", "complete-bipartite"])
+@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "complete", "complete-bipartite", "bipartite-k2"])
 @EXAMPLES
 @given(seed=SEEDS)
 def test_vertex_solvers_agree_past_the_oracle_cap(shape, seed):
     inst = vertex_instance(random.Random(seed), shape)
     decide, maximize = vertex_solvers(inst)
     check_agreement(inst, decide, ["decide"])
+    if shape == "bipartite-k2" and not nx.is_bipartite(nx.Graph(inst.edges)):
+        assert not solve_with("treewidth", inst).feasible  # the others agreed with it
     if len(maximize) > 1:
         check_agreement(inst, maximize, ["maximize"])
 

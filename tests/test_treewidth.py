@@ -20,16 +20,17 @@ from lbcolor.treewidth import (
     _lift_decomposition,
     _line_graph_instance,
     _vertex_tables,
-    EXACT_WIDTH_LIMIT,
+    conflict_closure,
     elimination_tree,
-    exact_elimination_order,
     min_fill_order,
+    nice_from_tree,
     normalize_decomposition,
     validate_raw_decomposition,
 )
 
 from corpus import (
     assert_outcome,
+    conflict_closure_sets,
     join_row_mismatches,
     min_fill_order_rescan,
     min_fill_width,
@@ -74,21 +75,39 @@ def test_heuristic_width_at_least_exact():
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3)
         exact = treewidth_by_elimination_orders(n, edges)
         assert min_fill_width(n, edges) >= exact
-        _, subset_dp = exact_elimination_order(n, edges)
-        assert subset_dp == exact
 
 
 def test_min_fill_order_matches_rescan_reference():
     rng = random.Random(53)
     for _ in range(2000):
         n, edges = random_graph_for_orders(rng)
-        order = min_fill_order(n, edges)
+        nbr = adjacency_masks(n, edges)
+        order = min_fill_order(nbr)
         reference = min_fill_order_rescan(n, edges)
         assert order == reference, (n, edges)
-        if n > EXACT_WIDTH_LIMIT:
-            inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
-            expected = normalize_decomposition(order_to_raw(n, edges, reference))
-            assert build_nice_decomposition(inst) == (expected, expected.width)
+        assert nbr == adjacency_masks(n, edges)  # the caller's masks are not eliminated
+        inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
+        expected = normalize_decomposition(order_to_raw(n, edges, reference))
+        assert build_nice_decomposition(inst) == (expected, expected.width)
+
+
+def test_conflict_closure_matches_set_reference():
+    rng = random.Random(61)
+    for _ in range(1000):
+        n, edges = random_graph_for_orders(rng)
+        nbr = adjacency_masks(n, edges)
+        assert conflict_closure(nbr) == adjacency_masks(n, conflict_closure_sets(n, edges)), (n, edges)
+        assert nbr == adjacency_masks(n, edges)
+
+
+def test_edge_decomposition_is_min_fill_over_the_reference_closure():
+    rng = random.Random(67)
+    for _ in range(300):
+        inst = random_edge_instance(rng, n_max=rng.choice((6, 14)), m_max=rng.choice((7, 30)))
+        closure = conflict_closure_sets(inst.n, inst.edges)
+        nbr = adjacency_masks(inst.n, closure)
+        expected = nice_from_tree(*elimination_tree(nbr, min_fill_order_rescan(inst.n, closure)))
+        assert build_nice_decomposition(inst) == (expected, expected.width), (inst.n, inst.edges)
 
 
 def test_min_fill_order_on_a_large_tree():
@@ -100,7 +119,7 @@ def test_min_fill_order_on_a_large_tree():
     edges = tuple(
         tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)
     )
-    raw = order_to_raw(n, edges, min_fill_order(n, edges))
+    raw = order_to_raw(n, edges, min_fill_order(adjacency_masks(n, edges)))
     validate_raw_decomposition(n, edges, raw)
     assert max(len(b) for b in raw.bags) - 1 == 1
 
@@ -126,7 +145,7 @@ def test_elimination_tree_matches_order_to_raw():
     rng = random.Random(89)
     for _ in range(2000):
         n, edges = random_graph_for_orders(rng)
-        order = min_fill_order(n, edges) if rng.random() < 0.5 else rng.sample(range(n), n)
+        order = min_fill_order(adjacency_masks(n, edges)) if rng.random() < 0.5 else rng.sample(range(n), n)
         bags, children, root = elimination_tree(adjacency_masks(n, edges), order)
         raw = order_to_raw(n, edges, order)
         assert [tuple(bits(b)) for b in bags] == list(raw.bags), (n, edges, order)
@@ -249,7 +268,7 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         dec, width = build_nice_decomposition(inst)
         assert width == dec.width
         assert_nx_tree_decomposition(dec, graph)
-        if n <= EXACT_WIDTH_LIMIT:
+        if n <= 10:
             assert width <= treewidth_min_fill_in(graph)[0]
             assert width <= treewidth_min_degree(graph)[0]
     for _ in range(150):
