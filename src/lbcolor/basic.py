@@ -1,9 +1,10 @@
-"""Solvers for edgeless instances and for two colors via per-component choices."""
+"""Solvers for edgeless instances, and the per-component enumerator behind the
+two-color and the cograph and split edge-coloring solvers."""
 
 from __future__ import annotations
 
 from .errors import UsageError
-from .instance import ColoringInstance, SolveOutcome, bits
+from .instance import ColoringInstance, SolveOutcome, adjacency_masks, bits
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
 from .packed import PackedBounds
 
@@ -81,72 +82,103 @@ def solve_isolated_k_fixed(inst: ColoringInstance) -> SolveOutcome:
     return SolveOutcome.feasible_from(inst, color_of)
 
 
-def _components(n, nbr):
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
+def _fitting_colorings(order, earlier, units, packing) -> dict:
+    """The proper list colorings of one component that fit the bounds, as
+    {packed state: colors of ``order``}, the first found kept per state.
+
+    ``earlier[e]`` lists the positions in ``order`` of the elements before e
+    that conflict with e.  Depth-first with an explicit stack of candidate
+    lists, one per colored position, colors tried in increasing order.
+    """
+    offset, guard = packing.offset, packing.guard
+    last = len(order) - 1
+    color = [0] * len(order)
+
+    def candidates(i, state):
+        # largest color first: pop() takes them in increasing order
+        e = order[i]
+        taken = {color[j] for j in earlier[e]}
+        return [
+            (c, x)
+            for c, unit in reversed(units[e].items())
+            if c not in taken and not ((x := state + unit) + offset) & guard
+        ]
+
+    found = {}
+    stack = [candidates(0, 0)]
+    while stack:
+        options = stack[-1]
+        if not options:
+            stack.pop()
             continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in bits(nbr[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+        c, state = options.pop()
+        i = len(stack) - 1
+        color[i] = c
+        if i == last:
+            found.setdefault(state, tuple(color))
+            if state == packing.target:
+                # it carries all the weight, so it is the only component
+                break
+        else:
+            stack.append(candidates(i + 1, state))
+    return found
+
+
+def solve_by_components(inst: ColoringInstance, where: str) -> SolveOutcome:
+    """Decide by listing, per connected component of the conflict graph, the
+    colorings that fit the bounds, and combining the components' packed
+    weight states through ``PackedBounds.choose``.
+
+    Components have few colorings where the callers use this: at most two at
+    k = 2, and few in edge mode once no vertex has more than k edges (more is
+    infeasible at once).  Each component is walked breadth-first from its
+    lowest element, neighbors in increasing order, so every later element
+    conflicts with an earlier one and at k = 2 has at most one color left.
+    ``where`` names the caller in errors.
+    """
+    if inst.mode == "edge" and any(mask.bit_count() > inst.k for mask in inst.neighbor_masks):
+        return SolveOutcome.infeasible_outcome()
+    m = inst.num_elements
+    pairs = inst.conflict_pairs
+    conflict = inst.neighbor_masks if inst.mode == "vertex" else adjacency_masks(m, pairs)
+    comps = []
+    rank = [0] * m  # position in its component's walk
+    seen = 0
+    for start in range(m):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        order = [start]
+        for i, u in enumerate(order):  # the list grows while it is read: breadth-first
+            rank[u] = i
+            fresh = conflict[u] & ~seen
+            seen |= fresh
+            order.extend(bits(fresh))
+        comps.append(order)
+    earlier = [[] for _ in range(m)]
+    for a, b in pairs:
+        if rank[a] < rank[b]:
+            earlier[b].append(rank[a])
+        else:
+            earlier[a].append(rank[b])
+
+    units, packing = inst.units, inst.packing
+    chosen = packing.choose((_fitting_colorings(order, earlier, units, packing) for order in comps), where)
+    if chosen is None:
+        return SolveOutcome.infeasible_outcome()
+    color_of = [0] * m
+    for order, colors in zip(comps, chosen):
+        for e, c in zip(order, colors):
+            color_of[e] = c
+    return SolveOutcome.feasible_from(inst, color_of)
 
 
 def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
-    """Two-color instances: each bipartite component has at most two proper
-    colorings, and components combine through a DP over per-part color-1
-    weights (color-2 weights are fixed by the part totals)."""
+    """Two-color instances: a connected component has at most two proper
+    colorings (none on an odd cycle), listed and combined by
+    ``solve_by_components``."""
     if inst.mode != "vertex":
         raise UsageError("solve_components_k2: requires a vertex-mode instance")
     if inst.k != 2:
         raise UsageError("solve_components_k2: requires exactly 2 colors")
-
-    nbr = inst.neighbor_masks
-    caps = tuple(inst.bounds[h][0] for h in range(inst.p))
-    # a component's color-1 weight in a part is at most the part's total weight
-    packing = PackedBounds(caps, max(sum(row) for row in inst.bounds))
-
-    options_per_comp = []
-    comps = _components(inst.n, nbr)
-    for comp in comps:
-        side = {comp[0]: 0}
-        stack = [comp[0]]
-        while stack:
-            u = stack.pop()
-            for v in bits(nbr[u]):
-                if v not in side:
-                    side[v] = side[u] ^ 1
-                    stack.append(v)
-                elif side[v] == side[u]:
-                    return SolveOutcome.infeasible_outcome()  # odd cycle
-        options = {}
-        for flip in (0, 1):
-            coloring = {v: (side[v] ^ flip) + 1 for v in comp}
-            if any(coloring[v] not in inst.allowed[v] for v in comp):
-                continue
-            vec = [0] * inst.p
-            for v in comp:
-                if coloring[v] == 1:
-                    vec[inst.part_of[v] - 1] += inst.weight[v]
-            options.setdefault(packing.pack(vec), coloring)
-        if not options:
-            return SolveOutcome.infeasible_outcome()
-        options_per_comp.append(options)
-
-    chosen = packing.choose(options_per_comp, "solve_components_k2")
-    if chosen is None:
-        return SolveOutcome.infeasible_outcome()
-    color_of = [0] * inst.n
-    for coloring in chosen:
-        for v, c in coloring.items():
-            color_of[v] = c
-    return SolveOutcome.feasible_from(inst, color_of)
+    return solve_by_components(inst, "solve_components_k2")

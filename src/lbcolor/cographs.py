@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basic import part_weight_assignment
+from .basic import part_weight_assignment, solve_by_components
 from .errors import NotACographError, UsageError
 from .instance import ColoringInstance, SolveOutcome, adjacency_masks, bits
 from .matching import AssignmentProblem, max_weight_perfect_assignment
@@ -447,70 +447,11 @@ def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
 
 
 def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
-    """Edge coloring in cographs with few colors: components are small (their
-    diameter is at most two), so enumerate each component's proper list
-    edge-colorings and combine the reachable weight vectors across components."""
+    """Edge coloring in cographs with few colors: a component's diameter is at
+    most two, so with at most k edges at each vertex it is small, and
+    ``solve_by_components`` lists each component's edge colorings."""
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
     if inst.n:
         _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)  # NotACographError off cographs
-    degree = [0] * inst.n
-    for u, v in inst.edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d > inst.k for d in degree):
-        return SolveOutcome.infeasible_outcome()
-
-    packing = inst.packing
-
-    # edge ids grouped by connected component, skipping isolated vertices
-    parent = list(range(inst.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in inst.edges:
-        parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for idx, (u, v) in enumerate(inst.edges):
-        groups.setdefault(find(u), []).append(idx)
-    comp_edges = [groups[r] for r in sorted(groups)]
-    earlier = [[] for _ in inst.edges]  # per edge, the adjacent edges with lower ids
-    for a, b in inst.conflict_pairs:
-        earlier[b].append(a)
-
-    def component_states(edge_ids):
-        """All reachable packed weight vectors of one component, with one witness each."""
-        pos = {e: i for i, e in enumerate(edge_ids)}  # ascending: earlier[e] is colored before e
-        found: dict[int, tuple] = {}
-        colors = [0] * len(edge_ids)
-
-        def backtrack(i, state):
-            if i == len(edge_ids):
-                if state not in found:
-                    found[state] = tuple(colors)
-                return
-            e = edge_ids[i]
-            for c in sorted(inst.allowed[e]):
-                if any(colors[pos[f]] == c for f in earlier[e]):
-                    continue
-                nxt = state + inst.units[e][c]
-                if packing.fits(nxt):
-                    colors[i] = c
-                    backtrack(i + 1, nxt)
-            colors[i] = 0
-
-        backtrack(0, 0)
-        return found
-
-    chosen = packing.choose((component_states(edge_ids) for edge_ids in comp_edges), "solve_cograph_edges")
-    if chosen is None:
-        return SolveOutcome.infeasible_outcome()
-    color_of = [0] * len(inst.edges)
-    for edge_ids, colors in zip(comp_edges, chosen):
-        for e, c in zip(edge_ids, colors):
-            color_of[e] = c
-    return SolveOutcome.feasible_from(inst, color_of)
+    return solve_by_components(inst, "solve_cograph_edges")

@@ -23,10 +23,10 @@ class PackedBounds:
         top = max(bounds, default=0)
         self.dim = len(bounds)
         self.width = max(2 * top, top + max_weight).bit_length() + 1
-        half = 1 << (self.width - 1)
-        self.offset = self.pack([half - 1 - b for b in bounds])
-        self.guard = self.pack([half] * self.dim)
+        ones = ((1 << self.width * self.dim) - 1) // ((1 << self.width) - 1)  # 1 in every field
+        self.guard = ones << (self.width - 1)
         self.target = self.pack(bounds)
+        self.offset = self.guard - ones - self.target
 
     def pack(self, vec) -> int:
         return sum(x << (i * self.width) for i, x in enumerate(vec))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .basic import part_weight_assignment, solve_isolated_unit
+from .basic import part_weight_assignment, solve_by_components, solve_isolated_unit
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome, adjacency_masks
 from .matching import AssignmentProblem, max_weight_perfect_assignment
@@ -255,45 +255,11 @@ def solve_split_singular(inst: ColoringInstance) -> SolveOutcome:
 
 
 def solve_split_edges(inst: ColoringInstance) -> SolveOutcome:
-    """Edge coloring in split graphs with few colors: the edge count is tiny
-    (every edge touches the clique), so prune-and-backtrack directly."""
+    """Edge coloring in split graphs with few colors: every edge touches the
+    clique, so with at most k edges at each vertex there are ``O(k^2)`` edges,
+    and ``solve_by_components`` lists their colorings."""
     if inst.mode != "edge":
         raise UsageError("solve_split_edges: requires an edge-mode instance")
     if inst.split_partition is None:
         raise UsageError("solve_split_edges: the graph is not a split graph")
-    degree = [0] * inst.n
-    for u, v in inst.edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d > inst.k for d in degree):
-        return SolveOutcome.infeasible_outcome()
-
-    m = len(inst.edges)
-    bounds = inst.bounds_flat
-    adjacent = [[] for _ in range(m)]  # per edge, the adjacent edges with lower ids
-    for a, b in inst.conflict_pairs:
-        adjacent[b].append(a)
-    colors = [0] * m
-    tally = [0] * len(bounds)
-
-    def backtrack(e):
-        if e == m:
-            return list(tally) == list(bounds)
-        base = (inst.part_of[e] - 1) * inst.k - 1
-        for c in sorted(inst.allowed[e]):
-            if any(colors[f] == c for f in adjacent[e]):
-                continue
-            s = base + c
-            if tally[s] + inst.weight[e] > bounds[s]:
-                continue
-            tally[s] += inst.weight[e]
-            colors[e] = c
-            if backtrack(e + 1):
-                return True
-            tally[s] -= inst.weight[e]
-            colors[e] = 0
-        return False
-
-    if not backtrack(0):
-        return SolveOutcome.infeasible_outcome()
-    return SolveOutcome.feasible_from(inst, colors)
+    return solve_by_components(inst, "solve_split_edges")

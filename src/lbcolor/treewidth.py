@@ -349,6 +349,21 @@ def conflict_closure(nbr) -> list[int]:
     return closure
 
 
+def _check_conflicts_coresident(inst: ColoringInstance, raw: RawDecomposition) -> None:
+    """Raise unless every two edges sharing a vertex lie inside one bag of a
+    supplied decomposition; the edge DP sees their conflict only there."""
+    bags = [sum(1 << v for v in bag) for bag in raw.bags]
+    ends = [1 << u | 1 << v for u, v in inst.edges]
+    for a, b in inst.conflict_pairs:
+        span = ends[a] | ends[b]
+        if not any(span & ~bag == 0 for bag in bags):
+            raise UsageError(
+                "dp_edge: the decomposition never gathers adjacent edges "
+                f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
+                "over the conflict closure (omit the supplied decomposition)"
+            )
+
+
 def build_nice_decomposition(
     inst: ColoringInstance, supplied: RawDecomposition | None = None
 ) -> tuple[NiceDecomposition, int]:
@@ -360,7 +375,8 @@ def build_nice_decomposition(
     of the constructed decomposition.  For edge-mode instances both run over
     the conflict closure of the graph, so that every two edges sharing a
     vertex meet inside some bag (still a valid decomposition of the graph
-    itself, just a deeper one).
+    itself, just a deeper one).  A supplied decomposition of an edge-mode
+    instance must do the same, or UsageError is raised.
     Either tree becomes nice by ``nice_from_tree``: forget early, join on
     the kept bag, introduce after the joins.
     """
@@ -368,6 +384,8 @@ def build_nice_decomposition(
         supplied = inst.decomposition
     if supplied is not None:
         validate_raw_decomposition(inst.n, inst.edges, supplied)
+        if inst.mode == "edge":
+            _check_conflicts_coresident(inst, supplied)
         nice = normalize_decomposition(supplied)
     else:
         nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
@@ -510,18 +528,6 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
 # edge DP: the vertex DP on the line graph
 
 
-def _check_conflicts_coresident(inst: ColoringInstance, dec: NiceDecomposition) -> None:
-    bag_sets = [set(b) for b in dec.bags]
-    for a, b in inst.conflict_pairs:
-        span = set(inst.edges[a]) | set(inst.edges[b])
-        if not any(span <= bag for bag in bag_sets):
-            raise UsageError(
-                "dp_edge: the decomposition never gathers adjacent edges "
-                f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
-                "over the conflict closure (omit the supplied decomposition)"
-            )
-
-
 def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
     """The vertex-mode instance on L(G): one vertex per edge, same lists and
     bounds.  Its fields were checked on ``inst``, and the conflict pairs are
@@ -554,12 +560,12 @@ def _lift_decomposition(inst: ColoringInstance, dec: NiceDecomposition) -> NiceD
 def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
     """Edge-coloring DP: dp_vertex on the line graph over the lifted decomposition.
 
-    The decomposition must gather every pair of adjacent edges into some bag;
-    build_nice_decomposition does this for edge-mode instances.
+    The decomposition must gather every pair of adjacent edges into some bag:
+    build_nice_decomposition builds one so for edge-mode instances, and
+    rejects a supplied one that does not.
     """
     if inst.mode != "edge":
         raise UsageError("dp_edge: requires an edge-mode instance")
-    _check_conflicts_coresident(inst, dec)
     outcome = dp_vertex(_line_graph_instance(inst), _lift_decomposition(inst, dec), objective)
     if not outcome.feasible:
         return outcome

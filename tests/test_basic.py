@@ -9,6 +9,7 @@ from lbcolor import (
     solve_components_k2,
     solve_isolated_k_fixed,
     solve_isolated_unit,
+    validate_coloring,
 )
 
 from corpus import (
@@ -134,6 +135,38 @@ def test_components_k2_odd_cycle():
                             k=2, p=1, part_of=(1,) * 5, weight=(1,) * 5,
                             bounds=((3, 2),), allowed=(full(2),) * 5)
     assert not solve_components_k2(inst).feasible
+
+
+def long_k2_instance(rng, n, closed):
+    """A path on n shuffled labels, closed into a cycle when ``closed``, with
+    random parts, weights and lists; the bounds are those of the coloring
+    that alternates along the path."""
+    label = rng.sample(range(n), n)
+    edges = [(label[i], label[i + 1]) for i in range(n - 1)]
+    if closed:
+        edges.append((label[-1], label[0]))
+    color_of = [0] * n
+    for i, v in enumerate(label):
+        color_of[v] = 1 + i % 2
+    part_of = [rng.randint(1, 3) for _ in range(n)]
+    weight = [rng.randint(1, 3) for _ in range(n)]
+    bounds = [[0, 0] for _ in range(3)]
+    for v in range(n):
+        bounds[part_of[v] - 1][color_of[v] - 1] += weight[v]
+    allowed = [full(2) if rng.random() < 0.9 else frozenset({color_of[v]}) for v in range(n)]
+    return ColoringInstance(mode="vertex", n=n, edges=tuple(edges), k=2, p=3, part_of=tuple(part_of),
+                            weight=tuple(weight), bounds=tuple(map(tuple, bounds)), allowed=tuple(allowed))
+
+
+def test_components_k2_one_component_of_thousands():
+    # one component as deep as the walk can be: a long path is feasible and
+    # an odd cycle of the same size is not
+    rng = random.Random(47)
+    path = long_k2_instance(rng, 3000, closed=False)
+    out = solve_components_k2(path)
+    assert out.feasible
+    assert validate_coloring(path, out.witness).ok
+    assert not solve_components_k2(long_k2_instance(rng, 3001, closed=True)).feasible
 
 
 def test_components_k2_requires_two_colors():

@@ -592,3 +592,18 @@ def test_python_m_lbcolor_exit_codes(tmp_path):
         assert proc.returncode == expected, (args, proc.stderr)
         if expected < 2:
             assert json.loads(proc.stdout)["status"] == ("feasible", "infeasible")[expected]
+
+
+def test_supplied_edge_decomposition_splitting_conflicts_exits_two(tmp_path, capsys):
+    doc = {
+        "mode": "edge", "n": 3, "edges": [[0, 1], [1, 2]], "k": 2, "p": 1, "part_of": [1, 1],
+        "weight": [1, 1], "bounds": [[1, 1]], "allowed": [full(2)] * 2,
+        "decomposition": {"bags": [[0, 1], [1, 2]], "tree_edges": [[0, 1]], "root": 0},
+    }
+    path = write_doc(tmp_path, "split_bags.json", doc)
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "treewidth-edge"])
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: dp_edge: the decomposition never gathers adjacent edges (0, 1) and (1, 2) into one "
+        "bag; build one over the conflict closure (omit the supplied decomposition)"
+    )

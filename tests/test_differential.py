@@ -11,8 +11,12 @@ and k <= 9 check the ``complete-bipartite`` search against the cotree DP,
 and against the tree-decomposition DP where its width min(a, b) is at most
 2.  Two-colour instances on trees plus chords, even cycles mostly and an
 odd cycle in about a quarter of the draws, check ``components-k2`` on graphs
-with cycles; an odd cycle must make every solver answer infeasible.  Every
-applicable solver must reach the same verdict,
+with cycles; an odd cycle must make every solver answer infeasible.
+Three-dimensional matching sources of three elements per set and four or
+five triples, a perfect matching planted in about half, become split graphs
+on 13 or 14 vertices with k = 4 or 5 colors (``gen_from_three_dim_matching``),
+on which ``split-singular`` must agree with ``split-kfixed`` and with the
+source's own answer.  Every applicable solver must reach the same verdict,
 the DPs and ``complete`` the same maximum profit, and every witness must
 be valid.
 """
@@ -24,9 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcolor import classify_graph, solve_with
+from lbcolor import ThreeDimMatchingSource, classify_graph, gen_from_three_dim_matching, solve_with
 
-from corpus import assert_outcome, random_cograph_edges, random_edge_instance, random_vertex_instance
+from corpus import (
+    assert_outcome,
+    random_cograph_edges,
+    random_edge_instance,
+    random_vertex_instance,
+    three_dim_matching_answer,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
@@ -154,6 +164,27 @@ def test_vertex_solvers_agree_past_the_oracle_cap(shape, seed):
         assert not solve_with("treewidth", inst).feasible  # the others agreed with it
     if len(maximize) > 1:
         check_agreement(inst, maximize, ["maximize"])
+
+
+def three_dim_matching_source(rng, size=3):
+    """Four or five random triples over ``size`` elements per set; in about
+    half of the draws the first ``size`` of them, before shuffling, form a
+    perfect matching."""
+    triples = [tuple(rng.randint(1, size) for _ in range(3)) for _ in range(rng.randint(4, 5))]
+    if rng.random() < 0.5:
+        ys, zs = rng.sample(range(1, size + 1), size), rng.sample(range(1, size + 1), size)
+        triples[:size] = zip(range(1, size + 1), ys, zs)
+    rng.shuffle(triples)
+    return ThreeDimMatchingSource(size=size, triples=tuple(triples))
+
+
+@EXAMPLES
+@given(seed=SEEDS)
+def test_split_singular_agrees_with_split_kfixed(seed):
+    src = three_dim_matching_source(random.Random(seed))
+    inst = gen_from_three_dim_matching(src).instance
+    check_agreement(inst, ["split-singular", "split-kfixed"], ["decide"])
+    assert solve_with("split-singular", inst).feasible == three_dim_matching_answer(src.size, src.triples)
 
 
 def edge_instance(rng, shape):

@@ -47,3 +47,30 @@ def test_integer_checks_go_through_one_helper():
         ]
     assert helpers == 1
     assert found == []
+
+
+def _calls_itself(func) -> bool:
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == func.name:
+                return True
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == func.name
+                and getattr(callee.value, "id", None) == "self"
+            ):
+                return True
+    return False
+
+
+def test_package_has_no_recursive_functions():
+    # components, cotrees and decompositions can be deeper than Python's
+    # recursion limit, so every walk keeps an explicit stack
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
+    ]
+    assert found == []

@@ -449,9 +449,8 @@ def test_dp_edge_rejects_decomposition_splitting_conflicts():
                             part_of=(1, 1), weight=(1, 1), bounds=((1, 1),),
                             allowed=(full(2),) * 2)
     raw = RawDecomposition(bags=((0, 1), (1, 2)), tree_edges=((0, 1),), root=0)
-    dec, _ = build_nice_decomposition(inst, raw)
     with pytest.raises(UsageError, match="adjacent edges"):
-        dp_edge(inst, dec)
+        build_nice_decomposition(inst, raw)
 
 
 def test_dp_edge_accepts_supplied_single_bag_decomposition():
