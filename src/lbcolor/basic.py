@@ -64,21 +64,30 @@ def solve_isolated_unit(inst: ColoringInstance) -> SolveOutcome:
     return SolveOutcome.feasible_from(inst, color_of)
 
 
+def assign_parts(inst: ColoringInstance, elements, lists, bounds, color_of) -> bool:
+    """Color independent ``elements`` part by part, part 1 first: element
+    ``elements[i]`` takes a color from ``lists[i]`` and each part h's colors
+    gather exactly the row ``bounds[h-1]`` (``part_weight_assignment``).
+    Writes the colors into ``color_of``; False when some part cannot fit.
+    """
+    for h, row in enumerate(bounds, start=1):
+        members = [i for i, e in enumerate(elements) if inst.part_of[e] == h]
+        colors = part_weight_assignment(
+            [inst.weight[elements[i]] for i in members], [lists[i] for i in members], row
+        )
+        if colors is None:
+            return False
+        for i, c in zip(members, colors):
+            color_of[elements[i]] = c
+    return True
+
+
 def solve_isolated_k_fixed(inst: ColoringInstance) -> SolveOutcome:
     """Edgeless instances with arbitrary weights; each part is independent."""
     _require_edgeless_vertex(inst, "solve_isolated_k_fixed")
     color_of = [0] * inst.n
-    for h in range(1, inst.p + 1):
-        members = [v for v in range(inst.n) if inst.part_of[v] == h]
-        colors = part_weight_assignment(
-            [inst.weight[v] for v in members],
-            [inst.allowed[v] for v in members],
-            inst.bounds[h - 1],
-        )
-        if colors is None:
-            return SolveOutcome.infeasible_outcome()
-        for v, c in zip(members, colors):
-            color_of[v] = c
+    if not assign_parts(inst, range(inst.n), inst.allowed, inst.bounds, color_of):
+        return SolveOutcome.infeasible_outcome()
     return SolveOutcome.feasible_from(inst, color_of)
 
 

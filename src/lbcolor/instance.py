@@ -55,7 +55,7 @@ def _require_list(name: str, value):
 class RawDecomposition:
     """A tree decomposition as supplied in an instance document (not yet nice).
 
-    Construction checks only types and shapes; ``validate_raw_decomposition``
+    Construction checks only types and shapes; ``treewidth.check_raw_decomposition``
     checks it against the graph."""
 
     bags: tuple[tuple[int, ...], ...]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .basic import part_weight_assignment, solve_by_components, solve_isolated_unit
+from .basic import assign_parts, solve_by_components, solve_isolated_unit
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome, adjacency_masks
 from .matching import AssignmentProblem, max_weight_perfect_assignment
@@ -135,19 +135,7 @@ def solve_split_k_fixed(inst: ColoringInstance) -> SolveOutcome:
         color_of = [0] * inst.n
         for u, c in zip(clique, combo):
             color_of[u] = c
-        for h in range(1, inst.p + 1):
-            members = [i for i, v in enumerate(indep) if inst.part_of[v] == h]
-            colors = part_weight_assignment(
-                [inst.weight[indep[i]] for i in members],
-                [lists[i] for i in members],
-                residual[h - 1],
-            )
-            if colors is None:
-                ok = False
-                break
-            for i, c in zip(members, colors):
-                color_of[indep[i]] = c
-        if ok:
+        if assign_parts(inst, indep, lists, residual, color_of):
             return SolveOutcome.feasible_from(inst, color_of)
     return SolveOutcome.infeasible_outcome()
 
@@ -232,16 +220,17 @@ def solve_split_singular(inst: ColoringInstance) -> SolveOutcome:
             lists.append(rest)
         if not ok:
             continue
-        sub = ColoringInstance(
-            mode="vertex",
+        # every field is in checked form, and each residual row sums to the
+        # weight of its part's independent vertices, so no check runs again
+        sub = inst._derived(
             n=len(indep),
             edges=(),
-            k=inst.k,
-            p=inst.p,
             part_of=tuple(inst.part_of[v] for v in indep),
             weight=tuple(inst.weight[v] for v in indep),
             bounds=tuple(tuple(row) for row in residual),
             allowed=tuple(lists),
+            profit=None,
+            decomposition=None,
         )
         outcome = solve_isolated_unit(sub)
         if outcome.feasible:

@@ -2,12 +2,15 @@
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
 forget(v), introduce(v), or join nodes; leaf and root bags are empty, so
-every vertex gets its color where it is introduced.  Every one is built by
-``nice_from_tree`` from a rooted tree of bitmask bags: a computed one from
-the clique tree of the min-fill elimination order, both played on the
-instance's neighbor bitmasks (on their square, the conflict closure, in edge
-mode), a supplied one from its validated raw form, and the edge DP's from
-the lifted bags.  The DPs run on any decomposition, so min-fill's upper
+every vertex gets its color where it is introduced.  ``build_nice_decomposition``
+makes every one with a single ``nice_from_tree`` call on a rooted tree of
+bitmask bags: a computed tree is the clique tree of the min-fill elimination
+order, played on the instance's neighbor bitmasks; a supplied one is checked
+and rooted in one bitmask pass (``check_raw_decomposition``).  In edge mode
+the tree is one of G, computed over the conflict closure (the square of G),
+and each bag is replaced by the edges inside it before the nice form is
+made, so the result decomposes the line graph L(G) and the edge DP is the
+vertex DP on L(G).  The DPs run on any decomposition, so min-fill's upper
 bound on the tree-width is all they need.  Vertices are forgotten
 early, children join on the union of the bags they keep, and the rest of a
 bag is introduced after the joins, so no vertex is introduced on both
@@ -168,22 +171,35 @@ def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# validation and normalization
+# supplied decompositions, and the lift to the line graph
 
 
-def validate_raw_decomposition(n: int, edges, raw: RawDecomposition) -> None:
-    """Check tree shape plus the three tree-decomposition conditions."""
+def check_raw_decomposition(n: int, edges, raw: RawDecomposition) -> tuple[list[int], list[list[int]]]:
+    """Check a supplied decomposition of the graph (n, edges) and return its
+    bag masks and, hung from ``raw.root``, each bag's children: its other
+    tree neighbors in the order the tree edges list them.
+
+    Checks the tree shape, then the three tree-decomposition conditions in
+    order: (1) every vertex lies in a bag, (2) every edge lies inside one,
+    and (3) no vertex is new to two bags, new meaning held by the bag and
+    not by its parent, which makes the bags holding a vertex connected.
+    Raises DecompositionError at the first failure.
+    """
     nb = len(raw.bags)
     if nb == 0:
         raise DecompositionError("decomposition: needs at least one bag")
     if not 0 <= raw.root < nb:
         raise DecompositionError(f"decomposition: root {raw.root} out of range")
+    bags = []
     for i, bag in enumerate(raw.bags):
+        mask = 0
         for v in bag:
             if not 0 <= v < n:
                 raise DecompositionError(f"decomposition: bags[{i}] mentions unknown vertex {v}")
-        if len(set(bag)) != len(bag):
+            mask |= 1 << v
+        if mask.bit_count() != len(bag):
             raise DecompositionError(f"decomposition: bags[{i}] repeats a vertex")
+        bags.append(mask)
     if len(raw.tree_edges) != nb - 1:
         raise DecompositionError(
             f"decomposition: {nb} bags need {nb - 1} tree edges, got {len(raw.tree_edges)}"
@@ -194,41 +210,63 @@ def validate_raw_decomposition(n: int, edges, raw: RawDecomposition) -> None:
             raise DecompositionError(f"decomposition: bad tree edge ({i}, {j})")
         nbrs[i].append(j)
         nbrs[j].append(i)
-    seen = {raw.root}
+
+    children = [[] for _ in range(nb)]
+    placed = [False] * nb
+    placed[raw.root] = True
+    held = bags[raw.root]  # the vertices new to some bag so far; all the root's are
+    twice = 0  # the vertices new to two bags
     stack = [raw.root]
     while stack:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if w not in seen:
-                seen.add(w)
+        node = stack.pop()
+        for w in nbrs[node]:
+            if not placed[w]:
+                placed[w] = True
+                children[node].append(w)
                 stack.append(w)
-    if len(seen) != nb:
+                new = bags[w] & ~bags[node]
+                twice |= held & new
+                held |= new
+    if not all(placed):
         raise DecompositionError("decomposition: tree edges do not connect all bags")
+    everything = (1 << n) - 1
+    if held != everything:
+        raise DecompositionError(f"condition (1): vertices {list(bits(everything & ~held))} appear in no bag")
+    inside = 0
+    for mask in _edges_inside(n, edges, bags):
+        inside |= mask
+    if missing := ((1 << len(edges)) - 1) & ~inside:
+        u, v = edges[(missing & -missing).bit_length() - 1]
+        raise DecompositionError(f"condition (2): edge ({u}, {v}) is inside no bag")
+    if twice:
+        v = (twice & -twice).bit_length() - 1
+        raise DecompositionError(f"condition (3): bags containing vertex {v} are not connected")
+    return bags, children
 
-    covered = set()
-    for bag in raw.bags:
-        covered.update(bag)
-    if covered != set(range(n)):
-        missing = sorted(set(range(n)) - covered)
-        raise DecompositionError(f"condition (1): vertices {missing} appear in no bag")
-    bag_sets = [set(b) for b in raw.bags]
-    for u, v in edges:
-        if not any(u in b and v in b for b in bag_sets):
-            raise DecompositionError(f"condition (2): edge ({u}, {v}) is inside no bag")
-    for v in range(n):
-        holders = [i for i in range(nb) if v in bag_sets[i]]
-        start = holders[0]
-        seen = {start}
-        stack = [start]
-        holder_set = set(holders)
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if w in holder_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(holders):
-            raise DecompositionError(f"condition (3): bags containing vertex {v} are not connected")
+
+def _edges_inside(n: int, edges, bags) -> list[int]:
+    """Per vertex bag mask, the mask of the edge ids with both ends in it.
+
+    The bags holding edge uv are those holding u and v, an intersection of
+    two subtrees and so a subtree; once every two adjacent edges share a bag,
+    the lifted bags form a tree decomposition of the line graph.
+    """
+    incident = [0] * n
+    for idx, (u, v) in enumerate(edges):
+        incident[u] |= 1 << idx
+        incident[v] |= 1 << idx
+    lifted = []
+    for bag in bags:
+        once = inside = 0  # edges meeting the bag at one end so far, at both ends
+        for v in bits(bag):
+            inside |= once & incident[v]
+            once |= incident[v]
+        lifted.append(inside)
+    return lifted
+
+
+# ---------------------------------------------------------------------------
+# nice form
 
 
 def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
@@ -310,28 +348,6 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
     )
 
 
-def normalize_decomposition(raw: RawDecomposition) -> NiceDecomposition:
-    """Nice form (see ``nice_from_tree``) of a validated raw decomposition,
-    rooted at ``raw.root``; a node's children are its other tree neighbors in
-    the order the tree edges list them."""
-    nbrs = [[] for _ in raw.bags]
-    for i, j in raw.tree_edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    children = [[] for _ in raw.bags]
-    placed = {raw.root}
-    stack = [raw.root]
-    while stack:
-        node = stack.pop()
-        for w in nbrs[node]:
-            if w not in placed:
-                placed.add(w)
-                children[node].append(w)
-                stack.append(w)
-    masks = [sum(1 << v for v in bag) for bag in raw.bags]
-    return nice_from_tree(masks, children, raw.root)
-
-
 def conflict_closure(nbr) -> list[int]:
     """Neighbor bitmasks of G plus a pair for every two vertices with a
     common neighbor (the square of G).
@@ -349,47 +365,42 @@ def conflict_closure(nbr) -> list[int]:
     return closure
 
 
-def _check_conflicts_coresident(inst: ColoringInstance, raw: RawDecomposition) -> None:
-    """Raise unless every two edges sharing a vertex lie inside one bag of a
-    supplied decomposition; the edge DP sees their conflict only there."""
-    bags = [sum(1 << v for v in bag) for bag in raw.bags]
-    ends = [1 << u | 1 << v for u, v in inst.edges]
-    for a, b in inst.conflict_pairs:
-        span = ends[a] | ends[b]
-        if not any(span & ~bag == 0 for bag in bags):
-            raise UsageError(
-                "dp_edge: the decomposition never gathers adjacent edges "
-                f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
-                "over the conflict closure (omit the supplied decomposition)"
-            )
-
-
 def build_nice_decomposition(
     inst: ColoringInstance, supplied: RawDecomposition | None = None
 ) -> tuple[NiceDecomposition, int]:
-    """Build (or validate and normalize) a nice decomposition of the graph.
+    """Build (or check and root) a tree decomposition of the instance and
+    return its nice form with its width; ``nice_from_tree`` runs once.
 
-    Without a supplied decomposition, the min-fill elimination order of the
-    instance's neighbor bitmasks gives the clique tree straight from the
-    elimination game (``elimination_tree``); the returned width is the width
-    of the constructed decomposition.  For edge-mode instances both run over
-    the conflict closure of the graph, so that every two edges sharing a
-    vertex meet inside some bag (still a valid decomposition of the graph
-    itself, just a deeper one).  A supplied decomposition of an edge-mode
-    instance must do the same, or UsageError is raised.
-    Either tree becomes nice by ``nice_from_tree``: forget early, join on
-    the kept bag, introduce after the joins.
+    Without a supplied decomposition (the argument, else the instance's),
+    the min-fill elimination order of the neighbor bitmasks gives the clique
+    tree straight from the elimination game (``elimination_tree``).  A
+    supplied one is checked and rooted by ``check_raw_decomposition``.
+    In edge mode the result decomposes the line graph L(G), over the
+    instance's elements (edge ids): the tree of G is computed over the
+    conflict closure, so every two edges sharing a vertex meet inside some
+    bag, and each bag is replaced by the edges inside it.  A supplied one
+    must gather adjacent edges the same way, or UsageError is raised.
     """
     if supplied is None:
         supplied = inst.decomposition
     if supplied is not None:
-        validate_raw_decomposition(inst.n, inst.edges, supplied)
-        if inst.mode == "edge":
-            _check_conflicts_coresident(inst, supplied)
-        nice = normalize_decomposition(supplied)
+        bags, children = check_raw_decomposition(inst.n, inst.edges, supplied)
+        root = supplied.root
     else:
         nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
-        nice = nice_from_tree(*elimination_tree(nbr, min_fill_order(nbr)))
+        bags, children, root = elimination_tree(nbr, min_fill_order(nbr))
+    if inst.mode == "edge":
+        bags = _edges_inside(inst.n, inst.edges, bags)
+        if supplied is not None:
+            for a, b in inst.conflict_pairs:
+                pair = 1 << a | 1 << b
+                if not any(pair & bag == pair for bag in bags):
+                    raise UsageError(
+                        "dp_edge: the decomposition never gathers adjacent edges "
+                        f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
+                        "over the conflict closure (omit the supplied decomposition)"
+                    )
+    nice = nice_from_tree(bags, children, root)
     return nice, nice.width
 
 
@@ -535,38 +546,15 @@ def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
     return inst._derived(mode="vertex", n=len(inst.edges), edges=inst.conflict_pairs, decomposition=None)
 
 
-def _lift_decomposition(inst: ColoringInstance, dec: NiceDecomposition) -> NiceDecomposition:
-    """Replace every bag by the edges inside it, keeping the tree, and make
-    the result nice again.
-
-    The bags holding edge uv are those holding u and v, an intersection of
-    two subtrees and so a subtree; once every two adjacent edges share a bag
-    this is a tree decomposition of the line graph.
-    """
-    incident = [0] * inst.n
-    for idx, (u, v) in enumerate(inst.edges):
-        incident[u] |= 1 << idx
-        incident[v] |= 1 << idx
-    bags = []
-    for bag in dec.bags:
-        once = inside = 0  # edges meeting the bag at one end so far, at both ends
-        for v in bag:
-            inside |= once & incident[v]
-            once |= incident[v]
-        bags.append(inside)
-    return nice_from_tree(bags, dec.children, dec.root)
-
-
 def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
-    """Edge-coloring DP: dp_vertex on the line graph over the lifted decomposition.
+    """Edge-coloring DP: dp_vertex on the line graph L(G).
 
-    The decomposition must gather every pair of adjacent edges into some bag:
-    build_nice_decomposition builds one so for edge-mode instances, and
-    rejects a supplied one that does not.
+    ``dec`` decomposes L(G), over the instance's edge ids, as
+    build_nice_decomposition returns for edge-mode instances.
     """
     if inst.mode != "edge":
         raise UsageError("dp_edge: requires an edge-mode instance")
-    outcome = dp_vertex(_line_graph_instance(inst), _lift_decomposition(inst, dec), objective)
+    outcome = dp_vertex(_line_graph_instance(inst), dec, objective)
     if not outcome.feasible:
         return outcome
     return SolveOutcome.feasible_from(inst, outcome.witness.color_of)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from lbcolor import ColoringInstance, RawDecomposition, SolveOutcome, validate_coloring
+from lbcolor import ColoringInstance, DecompositionError, RawDecomposition, SolveOutcome, validate_coloring
 from lbcolor.basic import part_weight_assignment
 from lbcolor.cographs import Cotree
 from lbcolor.matching import AssignmentResult
@@ -59,6 +59,68 @@ def order_to_raw(n, edges, order):
     for a, b in zip(pending_roots, pending_roots[1:]):
         tree_edges.append((a, b))
     return RawDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges), root=len(order) - 1)
+
+
+def validate_raw_decomposition(n, edges, raw):
+    """Check tree shape plus the three tree-decomposition conditions over
+    Python sets, raising DecompositionError at the first failure: the
+    reference for the bitmask ``treewidth.check_raw_decomposition``."""
+    nb = len(raw.bags)
+    if nb == 0:
+        raise DecompositionError("decomposition: needs at least one bag")
+    if not 0 <= raw.root < nb:
+        raise DecompositionError(f"decomposition: root {raw.root} out of range")
+    for i, bag in enumerate(raw.bags):
+        for v in bag:
+            if not 0 <= v < n:
+                raise DecompositionError(f"decomposition: bags[{i}] mentions unknown vertex {v}")
+        if len(set(bag)) != len(bag):
+            raise DecompositionError(f"decomposition: bags[{i}] repeats a vertex")
+    if len(raw.tree_edges) != nb - 1:
+        raise DecompositionError(
+            f"decomposition: {nb} bags need {nb - 1} tree edges, got {len(raw.tree_edges)}"
+        )
+    nbrs = [[] for _ in range(nb)]
+    for i, j in raw.tree_edges:
+        if not (0 <= i < nb and 0 <= j < nb) or i == j:
+            raise DecompositionError(f"decomposition: bad tree edge ({i}, {j})")
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = {raw.root}
+    stack = [raw.root]
+    while stack:
+        u = stack.pop()
+        for w in nbrs[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != nb:
+        raise DecompositionError("decomposition: tree edges do not connect all bags")
+
+    covered = set()
+    for bag in raw.bags:
+        covered.update(bag)
+    if covered != set(range(n)):
+        missing = sorted(set(range(n)) - covered)
+        raise DecompositionError(f"condition (1): vertices {missing} appear in no bag")
+    bag_sets = [set(b) for b in raw.bags]
+    for u, v in edges:
+        if not any(u in b and v in b for b in bag_sets):
+            raise DecompositionError(f"condition (2): edge ({u}, {v}) is inside no bag")
+    for v in range(n):
+        holders = [i for i in range(nb) if v in bag_sets[i]]
+        start = holders[0]
+        seen = {start}
+        stack = [start]
+        holder_set = set(holders)
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w in holder_set and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(holders):
+            raise DecompositionError(f"condition (3): bags containing vertex {v} are not connected")
 
 
 def min_fill_width(n, edges):

@@ -74,3 +74,25 @@ def test_package_has_no_recursive_functions():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
     ]
     assert found == []
+
+
+def test_nice_decompositions_are_made_only_by_nice_from_tree():
+    # one route from a tree of bags to the DP: every NiceDecomposition is
+    # constructed inside treewidth.nice_from_tree
+    inside, outside = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "nice_from_tree" and path.name == "treewidth.py":
+                exempt.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name == "NiceDecomposition":
+                if id(node) in exempt:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside == 1
+    assert outside == []

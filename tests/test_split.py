@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,15 +9,17 @@ from lbcolor import (
     brute_force_solve,
     build_nice_decomposition,
     dp_vertex,
+    gen_from_three_dim_matching,
     infer_singular_spec,
     solve_split_edges,
     solve_split_k_fixed,
     solve_split_singular,
     split_partition,
 )
+from lbcolor import split
 from lbcolor.split import is_split, split_partition_graph
 
-from corpus import assert_outcome, random_edge_instance, random_split_instance
+from corpus import assert_outcome, random_edge_instance, random_split_instance, random_three_dim_source
 
 
 def full(k):
@@ -235,6 +238,24 @@ def test_singular_matches_oracle_random():
         assert out.status == brute_force_solve(inst).status
         assert_outcome(inst, out)
         tested += 1
+
+
+def test_singular_residuals_pass_the_checks_they_skip(monkeypatch):
+    residuals = []
+    solve_residual = split.solve_isolated_unit
+
+    def recording(sub):
+        residuals.append(sub)
+        return solve_residual(sub)
+
+    monkeypatch.setattr(split, "solve_isolated_unit", recording)
+    rng = random.Random(137)
+    for _ in range(40):
+        solve_split_singular(gen_from_three_dim_matching(random_three_dim_source(rng)).instance)
+    assert len(residuals) > 40
+    for sub in residuals:
+        assert dataclasses.replace(sub) == sub  # replace runs every check
+        assert (sub.mode, sub.edges, sub.profit, sub.decomposition) == ("vertex", (), None, None)
 
 
 def test_singular_clique_general_lists_and_weights():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -16,16 +17,15 @@ from lbcolor import (
     dp_vertex,
 )
 from lbcolor.instance import adjacency_masks, bits
+from lbcolor import treewidth
 from lbcolor.treewidth import (
-    _lift_decomposition,
     _line_graph_instance,
     _vertex_tables,
+    check_raw_decomposition,
     conflict_closure,
     elimination_tree,
     min_fill_order,
     nice_from_tree,
-    normalize_decomposition,
-    validate_raw_decomposition,
 )
 
 from corpus import (
@@ -39,6 +39,7 @@ from corpus import (
     random_graph_for_orders,
     random_vertex_instance,
     treewidth_by_elimination_orders,
+    validate_raw_decomposition,
 )
 
 
@@ -87,7 +88,7 @@ def test_min_fill_order_matches_rescan_reference():
         assert order == reference, (n, edges)
         assert nbr == adjacency_masks(n, edges)  # the caller's masks are not eliminated
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
-        expected = normalize_decomposition(order_to_raw(n, edges, reference))
+        expected, _ = build_nice_decomposition(inst, order_to_raw(n, edges, reference))
         assert build_nice_decomposition(inst) == (expected, expected.width)
 
 
@@ -100,13 +101,20 @@ def test_conflict_closure_matches_set_reference():
         assert nbr == adjacency_masks(n, edges)
 
 
+def edges_inside_reference(edges, bag):
+    """The mask of the edge ids with both ends in the vertex bag ``bag``."""
+    return sum(1 << i for i, (u, v) in enumerate(edges) if bag >> u & 1 and bag >> v & 1)
+
+
 def test_edge_decomposition_is_min_fill_over_the_reference_closure():
     rng = random.Random(67)
     for _ in range(300):
         inst = random_edge_instance(rng, n_max=rng.choice((6, 14)), m_max=rng.choice((7, 30)))
         closure = conflict_closure_sets(inst.n, inst.edges)
         nbr = adjacency_masks(inst.n, closure)
-        expected = nice_from_tree(*elimination_tree(nbr, min_fill_order_rescan(inst.n, closure)))
+        bags, children, root = elimination_tree(nbr, min_fill_order_rescan(inst.n, closure))
+        lifted = [edges_inside_reference(inst.edges, bag) for bag in bags]
+        expected = nice_from_tree(lifted, children, root)
         assert build_nice_decomposition(inst) == (expected, expected.width), (inst.n, inst.edges)
 
 
@@ -120,7 +128,7 @@ def test_min_fill_order_on_a_large_tree():
         tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)
     )
     raw = order_to_raw(n, edges, min_fill_order(adjacency_masks(n, edges)))
-    validate_raw_decomposition(n, edges, raw)
+    check_raw_decomposition(n, edges, raw)
     assert max(len(b) for b in raw.bags) - 1 == 1
 
 
@@ -237,7 +245,7 @@ def test_joins_meet_on_kept_bags():
     for _ in range(150):
         inst = random_edge_instance(rng, n_max=8, m_max=12)
         line = _line_graph_instance(inst)
-        lifted = _lift_decomposition(inst, build_nice_decomposition(inst)[0])
+        lifted, _ = build_nice_decomposition(inst)
         nice_invariants(lifted, line.n, line.edges)
         joins_meet_on_kept_bags(lifted)
         joins += lifted.kinds.count("join")
@@ -276,10 +284,9 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         graph = nx.empty_graph(inst.n)
         graph.add_edges_from(inst.edges)
         dec, _ = build_nice_decomposition(inst)
-        assert_nx_tree_decomposition(dec, nx.power(graph, 2))  # the conflict closure
         line = nx.line_graph(graph)
         line = nx.relabel_nodes(line, {e: inst.edges.index(tuple(sorted(e))) for e in line})
-        assert_nx_tree_decomposition(_lift_decomposition(inst, dec), line)
+        assert_nx_tree_decomposition(dec, line)
 
 
 def test_computed_decompositions_build_no_raw_decomposition(monkeypatch):
@@ -300,20 +307,118 @@ def test_computed_decompositions_build_no_raw_decomposition(monkeypatch):
 def test_supplied_decomposition_validation_errors():
     edges = ((0, 1), (1, 2))
     with pytest.raises(DecompositionError, match=r"condition \(1\)"):
-        validate_raw_decomposition(3, edges, RawDecomposition(((0, 1),), (), 0))
+        check_raw_decomposition(3, edges, RawDecomposition(((0, 1),), (), 0))
     with pytest.raises(DecompositionError, match=r"condition \(2\)"):
-        validate_raw_decomposition(
+        check_raw_decomposition(
             3, edges, RawDecomposition(((0, 1), (2,)), ((0, 1),), 0)
         )
     with pytest.raises(DecompositionError, match=r"condition \(3\)"):
-        validate_raw_decomposition(
+        check_raw_decomposition(
             3, edges,
             RawDecomposition(((0, 1), (2,), (1, 2)), ((0, 1), (1, 2)), 0),
         )
     with pytest.raises(DecompositionError, match="tree"):
-        validate_raw_decomposition(
+        check_raw_decomposition(
             3, edges, RawDecomposition(((0, 1), (1, 2)), (), 0)
         )
+
+
+def corrupted(rng, n, edges, raw):
+    """``raw`` with one random fault of its tree or of a condition; a fault
+    that finds nothing to act on leaves it valid."""
+    bags = [list(bag) for bag in raw.bags]
+    tree_edges = list(raw.tree_edges)
+    root = raw.root
+    nb = len(bags)
+    bag = bags[rng.randrange(nb)]
+    fault = rng.randrange(11)
+    if fault == 0:  # a vertex out of range
+        bag.insert(rng.randrange(len(bag) + 1), rng.choice((-1, n, n + 2)))
+    elif fault == 1 and bag:  # a repeated vertex
+        bag.insert(rng.randrange(len(bag) + 1), rng.choice(bag))
+    elif fault == 2 and tree_edges:  # a dropped tree edge
+        tree_edges.pop(rng.randrange(len(tree_edges)))
+    elif fault == 3:  # an extra tree edge
+        tree_edges.insert(rng.randrange(len(tree_edges) + 1), (rng.randrange(nb), rng.randrange(-1, nb + 1)))
+    elif fault == 4 and tree_edges:  # a tree edge moved: bad, or disconnecting
+        tree_edges[rng.randrange(len(tree_edges))] = (rng.randrange(nb), rng.randrange(-1, nb + 1))
+    elif fault == 5:  # a bad root
+        root = rng.choice((-1, nb, nb + 3))
+    elif fault == 6 and n:  # an uncovered vertex
+        v = rng.randrange(n)
+        bags = [[u for u in b if u != v] for b in bags]
+    elif fault == 7 and edges:  # an edge inside no bag
+        u, v = rng.choice(edges)
+        for b in bags:
+            if u in b and v in b:
+                b.remove(rng.choice((u, v)))
+    elif fault == 8 and n:  # a split holder subtree, unless the bag joins it
+        v = rng.randrange(n)
+        if v not in bag:
+            bag.append(v)
+    elif fault == 9 and bag:  # a vertex dropped from one bag: any of (1)-(3)
+        bag.remove(rng.choice(bag))
+    elif fault == 10:
+        bags, tree_edges = [], []
+    return RawDecomposition(bags=tuple(map(tuple, bags)), tree_edges=tuple(tree_edges), root=root)
+
+
+def checked(check, n, edges, raw):
+    try:
+        return check(n, edges, raw)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_check_raw_decomposition_matches_set_reference():
+    rng = random.Random(109)
+    messages = set()
+    accepted = 0
+    for _ in range(2400):
+        n, edges = random_graph_for_orders(rng, n_max=12)
+        raw = order_to_raw(n, edges, rng.sample(range(n), n))
+        if rng.random() < 0.5:
+            raw = reshuffled(rng, raw)
+        if rng.random() < 0.7:
+            raw = corrupted(rng, n, edges, raw)
+        expected = checked(validate_raw_decomposition, n, edges, raw)
+        got = checked(check_raw_decomposition, n, edges, raw)
+        if expected is None:
+            bags, children = got
+            assert bags == [sum(1 << v for v in bag) for bag in raw.bags]
+            assert children == rooted_children(raw), (n, edges, raw)
+            accepted += 1
+        else:
+            assert got == expected, (n, edges, raw)
+            messages.add(re.sub(r"\[[-\d, ]*\]|-?\d+", "#", expected[1]))
+    assert accepted > 500
+    assert len(messages) == 10, messages  # every check fires
+
+
+def test_nice_from_tree_runs_once_per_decomposition(monkeypatch):
+    calls = []
+    make_nice = treewidth.nice_from_tree
+
+    def counted(*args):
+        calls.append(args)
+        return make_nice(*args)
+
+    monkeypatch.setattr(treewidth, "nice_from_tree", counted)
+    rng = random.Random(113)
+    instances = [random_vertex_instance(rng, n_max=8) for _ in range(15)]
+    instances += [random_edge_instance(rng) for _ in range(15)]
+    for inst in instances:
+        # a decomposition of the conflict closure gathers adjacent edges
+        graph = inst.edges if inst.mode == "vertex" else conflict_closure_sets(inst.n, inst.edges)
+        raw = reshuffled(rng, order_to_raw(inst.n, graph, rng.sample(range(inst.n), inst.n)))
+        for supplied in (None, raw):
+            calls.clear()
+            dec, _ = build_nice_decomposition(inst, supplied)
+            assert len(calls) == 1, (inst.mode, supplied)
+            if inst.mode == "edge":
+                calls.clear()
+                dp_edge(inst, dec)
+                assert calls == []
 
 
 def test_supplied_decomposition_is_used():
@@ -379,8 +484,7 @@ def test_decomposition_independence():
         dec_a, _ = build_nice_decomposition(inst)
         # alternative decomposition from the identity elimination order
         raw = order_to_raw(inst.n, inst.edges, list(range(inst.n)))
-        validate_raw_decomposition(inst.n, inst.edges, raw)
-        dec_b = normalize_decomposition(raw)
+        dec_b, _ = build_nice_decomposition(inst, raw)
         assert dp_vertex(inst, dec_a).status == dp_vertex(inst, dec_b).status
         a = dp_vertex(inst, dec_a, "maximize")
         b = dp_vertex(inst, dec_b, "maximize")
@@ -453,13 +557,36 @@ def test_dp_edge_rejects_decomposition_splitting_conflicts():
         build_nice_decomposition(inst, raw)
 
 
+def test_supplied_edge_decompositions_must_gather_conflicts():
+    rng = random.Random(127)
+    outcomes = set()
+    for _ in range(300):
+        inst = random_edge_instance(rng, n_max=8, m_max=12)
+        # a decomposition of G alone may split two adjacent edges
+        raw = reshuffled(rng, order_to_raw(inst.n, inst.edges, rng.sample(range(inst.n), inst.n)))
+        split = [
+            (a, b) for a, b in inst.conflict_pairs
+            if not any(set(inst.edges[a] + inst.edges[b]) <= set(bag) for bag in raw.bags)
+        ]
+        if split:
+            a, b = split[0]
+            with pytest.raises(UsageError) as err:
+                build_nice_decomposition(inst, raw)
+            assert f"adjacent edges {inst.edges[a]} and {inst.edges[b]} into one bag" in str(err.value)
+        else:
+            dec, _ = build_nice_decomposition(inst, raw)
+            assert_outcome(inst, dp_edge(inst, dec))
+        outcomes.add(bool(split))
+    assert outcomes == {False, True}
+
+
 def test_dp_edge_accepts_supplied_single_bag_decomposition():
     inst = ColoringInstance(mode="edge", n=3, edges=((0, 1), (1, 2)), k=2, p=1,
                             part_of=(1, 1), weight=(1, 1), bounds=((1, 1),),
                             allowed=(full(2),) * 2)
     raw = RawDecomposition(bags=((0, 1, 2),), tree_edges=(), root=0)
     dec, width = build_nice_decomposition(inst, raw)
-    assert width == 2
+    assert width == 1  # one bag of L(G) holding both edges
     out = dp_edge(inst, dec)
     assert out.feasible
     assert_outcome(inst, out)
@@ -479,9 +606,8 @@ def test_lifted_decomposition_is_valid_for_the_line_graph():
     rng = random.Random(83)
     for _ in range(60):
         inst = random_edge_instance(rng)
-        dec, _ = build_nice_decomposition(inst)
+        lifted, _ = build_nice_decomposition(inst)
         line = _line_graph_instance(inst)
-        lifted = _lift_decomposition(inst, dec)
         tree_edges = [(node, c) for node in range(lifted.size) for c in lifted.children[node]]
         raw = RawDecomposition(bags=lifted.bags, tree_edges=tree_edges, root=lifted.root)
         validate_raw_decomposition(line.n, line.edges, raw)
@@ -504,9 +630,8 @@ def test_edge_join_conservation():
     total = 0
     for _ in range(30):
         inst = random_edge_instance(rng, m_max=6)
-        dec, _ = build_nice_decomposition(inst)
+        lifted, _ = build_nice_decomposition(inst)
         line = _line_graph_instance(inst)
-        lifted = _lift_decomposition(inst, dec)
         checked, mismatches = join_row_mismatches(line, lifted, _vertex_tables(line, lifted, maximize=False))
         assert mismatches == 0
         total += checked
