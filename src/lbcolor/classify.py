@@ -1,37 +1,49 @@
 """Graph-class recognition and the solver auto-dispatch that reads it.
 
-Runners call solver functions as module attributes (``treewidth.dp_vertex``),
-so a wrapper set on such an attribute sees every call."""
+``ClassReport(inst)`` is the one view of an instance's graph classes: each
+property reads the instance's cached class test on first access, so the
+report, dispatch and the solvers share one run of each test.  Runners call
+solver functions as module attributes (``treewidth.dp_vertex``), so a wrapper
+set on such an attribute sees every call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import basic, cographs, split, treewidth
-from .cographs import is_cograph, is_complete, is_complete_bipartite
 from .errors import UsageError
 from .instance import ColoringInstance, SolveOutcome
 from .oracle import brute_force_solve
-from .split import is_split
 
 
 @dataclass(frozen=True)
 class ClassReport:
-    edgeless: bool
-    complete: bool
-    complete_bipartite: bool
-    split: bool
-    cograph: bool
+    """The graph classes of ``inst``, each tested lazily on the instance's
+    cached results (``neighbor_masks``, ``split_partition``,
+    ``complete_bipartite_sides``, ``cotree_or_prime``)."""
 
+    inst: ColoringInstance
 
-def classify_graph(n: int, edges) -> ClassReport:
-    return ClassReport(
-        edgeless=not edges,
-        complete=is_complete(n, edges),
-        complete_bipartite=is_complete_bipartite(n, edges),
-        split=is_split(n, edges),
-        cograph=is_cograph(n, edges),
-    )
+    @property
+    def edgeless(self) -> bool:
+        return not self.inst.edges
+
+    @property
+    def complete(self) -> bool:
+        return cographs.is_complete(self.inst.n, self.inst.edges)
+
+    @property
+    def complete_bipartite(self) -> bool:
+        return self.inst.complete_bipartite_sides is not None
+
+    @property
+    def split(self) -> bool:
+        return self.inst.split_partition is not None
+
+    @property
+    def cograph(self) -> bool:
+        # the empty graph's cotree has no nodes, so it counts as a cograph
+        return isinstance(self.inst.cotree_or_prime, cographs.Cotree)
 
 
 # ---------------------------------------------------------------------------
@@ -74,40 +86,35 @@ SOLVERS = {
 }
 
 
-def _instance_is_cograph(inst: ColoringInstance) -> bool:
-    # recognition builds the instance's cotree, which the cotree solvers reuse
-    return inst.n == 0 or isinstance(inst.cotree_or_prime, cographs.Cotree)
-
-
 def auto_solver_name(inst: ColoringInstance, objective: str = "decide") -> str:
     """Most specific applicable solver, specialized classes before the DPs.
-    Runs only the class tests the choice reads, in the order it reads them;
-    the instance caches the split, complete-bipartite and cotree results for
-    the solver it picks."""
-    n, edges = inst.n, inst.edges
+    Reads ``ClassReport(inst)`` in the order below, so only the class tests
+    the choice reads run; the instance caches their results for the solver
+    it picks."""
+    report = ClassReport(inst)
     if inst.mode == "edge":
         if objective != "decide":
             return "treewidth-edge"
-        if inst.split_partition is not None:
+        if report.split:
             return "split-edge"
-        if _instance_is_cograph(inst):
+        if report.cograph:
             return "cograph-edge"
         return "treewidth-edge"
     if objective == "decide":
-        if is_complete(n, edges):
+        if report.complete:
             return "complete"
-        if inst.complete_bipartite_sides is not None:
+        if report.complete_bipartite:
             return "complete-bipartite"
-        if not edges:
+        if report.edgeless:
             return "isolated-unit" if inst.unit_weights else "isolated-kfixed"
-        if inst.split_partition is not None:
+        if report.split:
             return "split-kfixed"
-        if _instance_is_cograph(inst):
+        if report.cograph:
             return "cograph"
         return "treewidth"
-    if is_complete(n, edges):
+    if report.complete:
         return "complete"
-    if _instance_is_cograph(inst):
+    if report.cograph:
         return "cograph"
     return "treewidth"
 

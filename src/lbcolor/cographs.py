@@ -6,14 +6,15 @@ from dataclasses import dataclass
 
 from .basic import part_weight_assignment, solve_by_components
 from .errors import NotACographError, UsageError
-from .instance import ColoringInstance, SolveOutcome, adjacency_masks, bits
+from .instance import ColoringInstance, SolveOutcome, bits
 from .matching import AssignmentProblem, max_weight_perfect_assignment
 from .packed import first_predecessor
 
 
 @dataclass(frozen=True)
 class Cotree:
-    """Binary cotree: leaves carry graph vertices, internal nodes are union/join."""
+    """Binary cotree: leaves carry graph vertices, internal nodes are union/join.
+    The empty graph's cotree has no nodes (root -1)."""
 
     kinds: tuple[str, ...]  # "leaf" | "union" | "join"
     children: tuple[tuple[int, ...], ...]
@@ -22,7 +23,7 @@ class Cotree:
 
     def post_order(self):
         order = []
-        stack = [self.root]
+        stack = [self.root] if self.kinds else []
         while stack:
             node = stack.pop()
             order.append(node)
@@ -102,8 +103,8 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
             return "prime", None
         return "join", parts
 
-    if n == 0:
-        raise UsageError("cotree: the graph has no vertices")
+    if n == 0:  # the empty graph is a cograph whose cotree has no nodes
+        return Cotree(kinds=(), children=(), vertex=(), root=-1)
     # frames [kind, parts, next part, node so far]; parts fold left into binary nodes
     frames = []
     vset = (1 << n) - 1
@@ -135,22 +136,12 @@ def _require_cotree(found: Cotree | list[int], nbr) -> Cotree:
     return found
 
 
-def build_cotree_graph(n: int, edges) -> Cotree:
-    """The cotree of a cograph; raises NotACographError with a P4 witness."""
-    nbr = adjacency_masks(n, edges)
-    return _require_cotree(_cotree_or_prime(n, nbr), nbr)
-
-
 def build_cotree(inst: ColoringInstance) -> Cotree:
     """The instance's cotree (built once per instance, see
     ``ColoringInstance.cotree_or_prime``)."""
     if inst.mode != "vertex":
         raise UsageError("build_cotree: requires a vertex-mode instance")
     return _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)
-
-
-def is_cograph(n: int, edges) -> bool:
-    return n == 0 or isinstance(_cotree_or_prime(n, adjacency_masks(n, edges)), Cotree)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +166,8 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     maximize = objective == "maximize"
     if maximize and inst.profit is None:
         raise UsageError("dp_cograph: maximize requires a profit matrix")
+    if not ct.kinds:  # the empty graph: its bounds are all zero, met by the empty coloring
+        return SolveOutcome.feasible_from(inst, [])
 
     packing = inst.packing
     k = inst.k
@@ -323,15 +316,6 @@ def complete_bipartite_masks(nbr):
     return tuple(bits(side_a)), tuple(bits(side_b))
 
 
-def complete_bipartite_sides(n: int, edges):
-    """Sides (A, B) when the graph is complete bipartite with edges, else None."""
-    return complete_bipartite_masks(adjacency_masks(n, edges))
-
-
-def is_complete_bipartite(n: int, edges) -> bool:
-    return complete_bipartite_sides(n, edges) is not None
-
-
 def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
     """Complete bipartite graphs with few colors: commit every color to one
     side, after which the two sides decouple into edgeless per-part
@@ -452,6 +436,5 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     ``solve_by_components`` lists each component's edge colorings."""
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
-    if inst.n:
-        _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)  # NotACographError off cographs
+    _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)  # NotACographError off cographs
     return solve_by_components(inst, "solve_cograph_edges")

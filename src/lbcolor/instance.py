@@ -223,8 +223,7 @@ class ColoringInstance:
     @cached_property
     def cotree_or_prime(self):
         """The graph's cotree, or off cographs a prime module (it holds an
-        induced P4); recognition and the cotree solvers share this one build.
-        Raises UsageError when n = 0."""
+        induced P4); recognition and the cotree solvers share this one build."""
         from . import cographs  # cographs imports this module
 
         return cographs._cotree_or_prime(self.n, self.neighbor_masks)
@@ -272,15 +271,12 @@ class ColoringInstance:
 
     def negated(self) -> "ColoringInstance":
         """The same instance with every profit negated.  It starts with the
-        cached properties already computed here, none of which reads the
-        profits, so a minimize solve runs no class test twice."""
+        cached properties already computed here, so a minimize solve runs no
+        class test twice."""
         twin = self._derived(profit=tuple(tuple(-x for x in row) for row in self.profit))
-        for name in (
-            "bounds_flat", "packing", "units", "neighbor_masks", "cotree_or_prime",
-            "split_partition", "complete_bipartite_sides", "conflict_pairs",
-        ):
-            if name in self.__dict__:
-                twin.__dict__[name] = self.__dict__[name]
+        # holds while no cached property reads the profits
+        for name, value in self.__dict__.items():
+            twin.__dict__.setdefault(name, value)
         return twin
 
     def profit_of(self, element: int, color: int) -> int:

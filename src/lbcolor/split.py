@@ -7,7 +7,7 @@ from itertools import product
 
 from .basic import assign_parts, solve_by_components, solve_isolated_unit
 from .errors import UsageError
-from .instance import ColoringInstance, SolveOutcome, adjacency_masks
+from .instance import ColoringInstance, SolveOutcome
 from .matching import AssignmentProblem, max_weight_perfect_assignment
 
 
@@ -53,21 +53,6 @@ def split_partition_masks(nbr) -> SplitPartition | None:
     return SplitPartition(clique=tuple(clique), independent=tuple(independent))
 
 
-def split_partition_graph(n: int, edges) -> SplitPartition | None:
-    """``split_partition_masks`` of the graph (n, edges)."""
-    return split_partition_masks(adjacency_masks(n, edges))
-
-
-def split_partition(inst: ColoringInstance) -> SplitPartition | None:
-    if inst.mode != "vertex":
-        raise UsageError("split_partition: requires a vertex-mode instance")
-    return inst.split_partition
-
-
-def is_split(n: int, edges) -> bool:
-    return split_partition_graph(n, edges) is not None
-
-
 def infer_singular_spec(inst: ColoringInstance) -> SingularSpec:
     """Derive (B, singular colors) from the bound matrix.
 
@@ -95,7 +80,7 @@ def infer_singular_spec(inst: ColoringInstance) -> SingularSpec:
 def _require_split(inst: ColoringInstance, op: str) -> SplitPartition:
     if inst.mode != "vertex":
         raise UsageError(f"{op}: requires a vertex-mode instance")
-    sp = split_partition(inst)
+    sp = inst.split_partition
     if sp is None:
         raise UsageError(f"{op}: the graph is not a split graph")
     return sp

@@ -312,6 +312,13 @@ def complete_bipartite_sides_sets(n, edges):
     return a, b
 
 
+def graph_instance(n, edges):
+    """A plain vertex-mode instance on the graph (n, edges), for the class
+    tests: p = 1, k = 1, unit weights, bounds ((n,),)."""
+    return ColoringInstance(mode="vertex", n=n, edges=tuple(edges), k=1, p=1, part_of=(1,) * n,
+                            weight=(1,) * n, bounds=((n,),), allowed=(frozenset({1}),) * n)
+
+
 def relabel(rng, n, edges):
     """The edges under a random permutation of the vertices, sorted."""
     label = rng.sample(range(n), n)

@@ -6,10 +6,10 @@ determinism criterion can rerun them and byte-compare the outputs."""
 import random
 
 from lbcolor import (
+    ClassReport,
     brute_force_solve,
     build_cotree,
     build_nice_decomposition,
-    classify_graph,
     dp_cograph,
     dp_edge,
     dp_vertex,
@@ -25,7 +25,6 @@ from lbcolor import (
     solve_isolated_unit,
     solve_split_edges,
     solve_split_k_fixed,
-    split_partition,
     validate_coloring,
 )
 from lbcolor.generators import ThreePartitionSource
@@ -82,7 +81,7 @@ def run_criterion_1(seed):
         out = dp_vertex(inst, dec)
         rec.outcome(inst, f"1.dp[{i}]", out)
         ok = out.status == oracle.status
-        report = classify_graph(inst.n, inst.edges)
+        report = ClassReport(inst)
         if report.cograph:
             cg = dp_cograph(inst, build_cotree(inst))
             rec.outcome(inst, f"1.cograph[{i}]", cg)
@@ -111,7 +110,7 @@ def run_criterion_2(seed):
         out = dp_vertex(inst, dec, "maximize")
         rec.outcome(inst, f"2.dp[{i}]", out)
         ok = out.status == oracle.status and out.objective == oracle.objective
-        if classify_graph(inst.n, inst.edges).cograph:
+        if ClassReport(inst).cograph:
             cg = dp_cograph(inst, build_cotree(inst), "maximize")
             rec.outcome(inst, f"2.cograph[{i}]", cg)
             ok = ok and cg.status == oracle.status and cg.objective == oracle.objective
@@ -130,7 +129,7 @@ def run_criterion_3(seed):
         out = dp_edge(inst, dec)
         rec.outcome(inst, f"3.dp[{i}]", out)
         ok = out.status == oracle.status
-        report = classify_graph(inst.n, inst.edges)
+        report = ClassReport(inst)
         if report.cograph:
             ce = solve_cograph_edges(inst)
             rec.outcome(inst, f"3.cograph[{i}]", ce)
@@ -242,7 +241,7 @@ def run_criterion_6(seed):
     for i in range(30):
         src = random_three_dim_source(rng, size_max=2, triples_max=3)
         inst = gen_from_three_dim_matching(src).instance
-        sp = split_partition(inst)
+        sp = inst.split_partition
         good = (
             sp is not None
             and len(sp.clique) == len(src.triples)
@@ -299,7 +298,7 @@ def run_criterion_7(seed):
     for i in range(40):
         inst = random_vertex_instance(rng, n_max=7, edges=None, tw_cap=None,
                                       edge_p=0.5)
-        if not classify_graph(inst.n, inst.edges).cograph:
+        if not ClassReport(inst).cograph:
             continue
         ct = build_cotree(inst)
         out = dp_cograph(inst, ct)

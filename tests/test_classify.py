@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from lbcolor import ColoringInstance, auto_solver_name, classify_graph, cographs, split, treewidth
-from lbcolor.instance import adjacency_masks
+from lbcolor import ClassReport, ColoringInstance, UsageError, auto_solver_name, solve_with, treewidth
+from lbcolor import cographs, split
 
 from corpus import (
+    assert_outcome,
     complete_bipartite_sides_sets,
     cotree_or_prime_sets,
+    graph_instance,
     random_cograph_edges,
     min_fill_width,
     random_vertex_instance,
@@ -20,14 +22,14 @@ from corpus import (
 
 
 def test_three_isolated_vertices():
-    rep = classify_graph(3, ())
+    rep = ClassReport(graph_instance(3, ()))
     assert rep.edgeless and rep.cograph and rep.split
     assert not rep.complete and not rep.complete_bipartite
     assert min_fill_width(3, ()) == 0
 
 
 def test_p4_flags():
-    rep = classify_graph(4, ((0, 1), (1, 2), (2, 3)))
+    rep = ClassReport(graph_instance(4, ((0, 1), (1, 2), (2, 3))))
     # P4 is the forbidden structure for cographs, yet it is a split graph
     # (clique = the middle edge, independent set = the endpoints)
     assert not rep.cograph and rep.split
@@ -35,17 +37,17 @@ def test_p4_flags():
 
 
 def test_k22_flags():
-    rep = classify_graph(4, ((0, 2), (0, 3), (1, 2), (1, 3)))
+    rep = ClassReport(graph_instance(4, ((0, 2), (0, 3), (1, 2), (1, 3))))
     assert rep.complete_bipartite and rep.cograph and not rep.split
     assert min_fill_width(4, ((0, 2), (0, 3), (1, 2), (1, 3))) == 2
     assert treewidth_by_elimination_orders(4, ((0, 2), (0, 3), (1, 2), (1, 3))) == 2
 
 
 def test_single_vertex_and_complete_graphs():
-    rep = classify_graph(1, ())
+    rep = ClassReport(graph_instance(1, ()))
     assert rep.complete and rep.edgeless and rep.split and rep.cograph
     k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
-    rep = classify_graph(4, k4)
+    rep = ClassReport(graph_instance(4, k4))
     assert rep.complete and rep.split and rep.cograph and not rep.complete_bipartite
     assert min_fill_width(4, k4) == 3
 
@@ -103,7 +105,7 @@ def test_flags_match_brute_force_definitions():
     for _ in range(80):
         n = rng.randint(1, 7)
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45)
-        rep = classify_graph(n, edges)
+        rep = ClassReport(graph_instance(n, edges))
         complete, has_p4, split, cb = brute_flags(n, edges)
         assert rep.complete == complete
         assert rep.cograph == (not has_p4)
@@ -196,18 +198,48 @@ def _recognition_corpus(rng):
 def test_bitmask_class_tests_match_the_set_based_ones():
     cographs_seen = primes_seen = split_seen = bipartite_seen = 0
     for n, edges in _recognition_corpus(random.Random(113)):
+        inst = graph_instance(n, edges)
         if n:
-            found = cographs._cotree_or_prime(n, adjacency_masks(n, edges))
+            found = inst.cotree_or_prime
             assert found == cotree_or_prime_sets(n, edges), (n, edges)
             cographs_seen += isinstance(found, cographs.Cotree)
             primes_seen += not isinstance(found, cographs.Cotree)
-        sp = split.split_partition_graph(n, edges)
+        sp = inst.split_partition
         assert sp == split_partition_sets(n, edges), (n, edges)
-        sides = cographs.complete_bipartite_sides(n, edges)
+        sides = inst.complete_bipartite_sides
         assert sides == complete_bipartite_sides_sets(n, edges), (n, edges)
         split_seen += sp is not None
         bipartite_seen += sides is not None
     assert min(cographs_seen, primes_seen, split_seen, bipartite_seen) >= 150
+
+
+# the README's dispatch order for vertex-mode decide: each class with the
+# solver that ``auto`` picks for it (graph_instance has unit weights) and
+# the solver forced for it
+CLASS_SOLVERS = (
+    ("complete", "complete", "complete"),
+    ("complete_bipartite", "complete-bipartite", "complete-bipartite"),
+    ("edgeless", "isolated-unit", "isolated-kfixed"),
+    ("split", "split-kfixed", "split-kfixed"),
+    ("cograph", "cograph", "cograph"),
+)
+
+
+def test_report_and_solvers_agree():
+    empty_seen = 0
+    for n, edges in _recognition_corpus(random.Random(131)):
+        inst = graph_instance(n, edges)
+        report = ClassReport(inst)
+        held = [(auto, forced) for name, auto, forced in CLASS_SOLVERS if getattr(report, name)]
+        for _, forced in held:
+            try:
+                out = solve_with(forced, inst)
+            except UsageError as err:
+                raise AssertionError(f"{forced} refused a graph the report places in its class: {err}") from err
+            assert_outcome(inst, out)
+        assert auto_solver_name(inst) == (held[0][0] if held else "treewidth"), (n, edges)
+        empty_seen += n == 0
+    assert empty_seen > 0
 
 
 def test_split_and_threshold_agree_with_networkx():
@@ -221,7 +253,7 @@ def test_split_and_threshold_agree_with_networkx():
         graph = nx.Graph()
         graph.add_nodes_from(range(n))
         graph.add_edges_from(edges)
-        report = classify_graph(n, edges)
+        report = ClassReport(graph_instance(n, edges))
         # Foldes-Hammer: split exactly when the graph and its complement are chordal
         assert report.split == (nx.is_chordal(graph) and nx.is_chordal(nx.complement(graph))), edges
         if is_threshold_graph(graph):

@@ -377,6 +377,18 @@ def test_forced_cograph_edge_checks_its_class(tmp_path, capsys):
     assert code == 0 and json.loads(out)["status"] == "feasible"
 
 
+@pytest.mark.parametrize("objective", ["decide", "maximize", "minimize"])
+def test_forced_cograph_solves_the_empty_graph(tmp_path, capsys, objective):
+    # the empty graph is a cograph, and its cotree has no nodes
+    empty = {"mode": "vertex", "n": 0, "edges": [], "k": 2, "p": 1, "part_of": [],
+             "weight": [], "bounds": [[0, 0]], "allowed": [], "profit": []}
+    path = write_doc(tmp_path, "empty.json", empty)
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", "cograph", "--objective", objective])
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert (doc["status"], doc["witness"], doc["objective"]) == ("feasible", {"color_of": []}, 0)
+
+
 def test_forced_cograph_on_a_large_tree_exits_fast(tmp_path, capsys):
     # a random tree on 240 vertices with shuffled labels: the P4 witness of
     # the error message must not cost a scan of every 4-subset

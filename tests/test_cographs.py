@@ -5,13 +5,14 @@ import sys
 import pytest
 
 from lbcolor import (
+    ClassReport,
     ColoringInstance,
     NotACographError,
     OneInThreeSatSource,
     UsageError,
+    auto_solver_name,
     brute_force_solve,
     build_cotree,
-    classify_graph,
     build_nice_decomposition,
     dp_cograph,
     dp_vertex,
@@ -21,12 +22,12 @@ from lbcolor import (
     solve_complete_graph,
 )
 from lbcolor import cographs
-from lbcolor.cographs import build_cotree_graph, is_cograph
 from lbcolor.instance import adjacency_masks
 
 from corpus import (
     assert_outcome,
     complete_bipartite_by_masks,
+    graph_instance,
     one_in_three_answer,
     random_cograph_edges,
     random_cograph_instance,
@@ -52,7 +53,7 @@ def vertex_inst(n, edges, k, p, part_of, weight, bounds, allowed=None, profit=No
 
 
 def test_p3_cotree_shape():
-    ct = build_cotree_graph(3, ((0, 1), (1, 2)))
+    ct = build_cotree(graph_instance(3, ((0, 1), (1, 2))))
     assert ct.kinds[ct.root] == "join"
     kids = sorted(ct.kinds[c] for c in ct.children[ct.root])
     assert kids == ["leaf", "union"]
@@ -61,7 +62,7 @@ def test_p3_cotree_shape():
 
 def test_p4_reports_witness_path():
     with pytest.raises(NotACographError) as err:
-        build_cotree_graph(4, ((0, 1), (1, 2), (2, 3)))
+        build_cotree(graph_instance(4, ((0, 1), (1, 2), (2, 3))))
     assert err.value.witness == (0, 1, 2, 3)
 
 
@@ -82,11 +83,12 @@ def test_p4_witness_is_an_induced_path_on_random_non_cographs():
     while checked < 80:
         n = rng.randint(4, 9)
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random())
-        if is_cograph(n, edges):
+        inst = graph_instance(n, edges)
+        if ClassReport(inst).cograph:
             continue
         edge_set = set(edges)
         with pytest.raises(NotACographError) as err:
-            build_cotree_graph(n, edges)
+            build_cotree(inst)
         path = err.value.witness
         assert _is_induced_p4(path, edge_set) and path[0] < path[-1]
         # over a whole vertex set: the first induced path in (a, b, c, d) order
@@ -100,14 +102,15 @@ def test_deep_threshold_cotree_needs_no_recursion():
     # with one cotree level per vertex
     for n in (300, 1200):
         edges = tuple((u, v) for v in range(1, n, 2) for u in range(v))
+        inst = graph_instance(n, edges)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
-            ct = build_cotree_graph(n, edges)
-            report = classify_graph(n, edges)
+            ct = build_cotree(inst)  # ClassReport reads this same cached build
+            report = ClassReport(inst)
+            assert report.split and report.cograph
         finally:
             sys.setrecursionlimit(limit)
-        assert report.split and report.cograph
         assert reconstruct_graph(ct) == (n, tuple(sorted(edges)))
         depth = [0] * len(ct.kinds)
         for node in reversed(ct.post_order()):
@@ -121,7 +124,7 @@ def test_random_cographs_round_trip():
     for _ in range(60):
         n = rng.randint(1, 8)
         edges = random_cograph_edges(rng, n)
-        ct = build_cotree_graph(n, edges)
+        ct = build_cotree(graph_instance(n, edges))
         assert reconstruct_graph(ct) == (n, tuple(sorted(edges)))
         # binary internal nodes; leaves biject with the vertex set
         leaves = []
@@ -151,7 +154,7 @@ def test_non_cograph_detection_matches_p4_scan():
             if len(inside) == 3 and degs == [1, 1, 2, 2]:
                 has_p4 = True
                 break
-        assert is_cograph(n, edges) == (not has_p4)
+        assert ClassReport(graph_instance(n, edges)).cograph == (not has_p4)
 
 
 def test_recognition_builds_no_p4_witness(monkeypatch):
@@ -167,8 +170,9 @@ def test_recognition_builds_no_p4_witness(monkeypatch):
     edges = tuple(sorted(
         tuple(sorted((label[v], label[u]))) for v, u in enumerate(parent, start=1)
     ))
-    assert not is_cograph(240, edges)
-    assert not classify_graph(240, edges).cograph
+    inst = graph_instance(240, edges)
+    assert not ClassReport(inst).cograph
+    assert auto_solver_name(inst) == "treewidth"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def test_cograph_edges_matches_oracle():
     tested = 0
     while tested < 60:
         inst = random_edge_instance(rng)
-        if not is_cograph(inst.n, inst.edges):
+        if not ClassReport(inst).cograph:
             continue
         out = solve_cograph_edges(inst)
         assert out.status == brute_force_solve(inst).status

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcolor import ThreeDimMatchingSource, classify_graph, gen_from_three_dim_matching, solve_with
+from lbcolor import ClassReport, ThreeDimMatchingSource, gen_from_three_dim_matching, solve_with
 
 from corpus import (
     assert_outcome,
@@ -106,7 +106,7 @@ def check_agreement(inst, solvers, objectives):
 
 
 def vertex_solvers(inst):
-    report = classify_graph(inst.n, inst.edges)
+    report = ClassReport(inst)
     sides = inst.complete_bipartite_sides
     # on K(a, b) the tree-decomposition DP has width min(a, b)
     decide = ["treewidth"] if sides is None or min(map(len, sides)) <= 2 else []
@@ -206,7 +206,7 @@ def edge_instance(rng, shape):
 @given(seed=SEEDS)
 def test_edge_solvers_agree_past_the_oracle_cap(shape, seed):
     inst = edge_instance(random.Random(seed), shape)
-    report = classify_graph(inst.n, inst.edges)
+    report = ClassReport(inst)
     solvers = ["treewidth-edge"]
     if report.cograph:
         solvers.append("cograph-edge")

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from lbcolor import (
+    ClassReport,
     InstanceFormatError,
     OneInThreeSatSource,
     PartitionSource,
@@ -12,7 +13,6 @@ from lbcolor import (
     UsageError,
     brute_force_solve,
     build_nice_decomposition,
-    classify_graph,
     gen_from_one_in_three_sat,
     gen_from_partition,
     gen_from_three_dim_matching,
@@ -24,7 +24,6 @@ from lbcolor import (
     solve_components_k2,
     solve_isolated_k_fixed,
     solve_split_singular,
-    split_partition,
 )
 from lbcolor.generators import source_from_doc, source_to_doc
 
@@ -139,7 +138,7 @@ def test_three_partition_star_forest_structure():
         assert inst.allowed[v] == frozenset(range(n * i + 3 * n + 1, n * i + 4 * n + 1))
         v += 1
     assert v == inst.n
-    assert classify_graph(inst.n, inst.edges).cograph
+    assert ClassReport(inst).cograph
     assert build_nice_decomposition(inst)[1] <= 1
 
 
@@ -179,7 +178,7 @@ def test_one_in_three_complete_bipartite_example():
     assert inst.k == 7
     assert inst.n == (1 + 3) + 3
     assert inst.bounds[0][2 * 3] == 1  # overflow color bound equals clause count
-    assert classify_graph(inst.n, inst.edges).complete_bipartite
+    assert ClassReport(inst).complete_bipartite
     assert brute_force_solve(inst).feasible
 
 
@@ -266,7 +265,7 @@ def test_three_dim_ground_truth_and_split_shape():
         if inst.k ** inst.num_elements <= 10 ** 6:
             assert brute_force_solve(inst).feasible == expected
         assert solve_split_singular(inst).feasible == expected
-        sp = split_partition(inst)
+        sp = inst.split_partition
         assert sp is not None
         assert len(sp.clique) == len(src.triples)
         assert len(sp.independent) == 3 * src.size
@@ -299,7 +298,7 @@ def test_star_forest_outputs_are_star_forests():
     for _ in range(10):
         src = random_one_in_three_source(rng)
         inst = gen_from_one_in_three_sat(src, "star_forest").instance
-        assert classify_graph(inst.n, inst.edges).cograph
+        assert ClassReport(inst).cograph
         assert build_nice_decomposition(inst)[1] <= 1
 
 

@@ -96,3 +96,32 @@ def test_nice_decompositions_are_made_only_by_nice_from_tree():
                     outside.append(f"{path.name}:{node.lineno}")
     assert inside == 1
     assert outside == []
+
+
+CLASS_TESTS = ("split_partition_masks", "complete_bipartite_masks", "_cotree_or_prime")
+
+
+def test_class_tests_are_run_only_by_the_instance_caches():
+    # one recognition path: each class test runs inside a cached property of
+    # ColoringInstance, which the report, dispatch and the solvers all read
+    inside, outside = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "ColoringInstance" and path.name == "instance.py":
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and any(
+                        getattr(d, "id", None) == "cached_property" for d in node.decorator_list
+                    ):
+                        exempt.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name in CLASS_TESTS:
+                if id(node) in exempt:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert inside == len(CLASS_TESTS)
+    assert outside == []

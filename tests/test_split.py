@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lbcolor import (
+    ClassReport,
     ColoringInstance,
     UsageError,
     brute_force_solve,
@@ -14,12 +15,16 @@ from lbcolor import (
     solve_split_edges,
     solve_split_k_fixed,
     solve_split_singular,
-    split_partition,
 )
 from lbcolor import split
-from lbcolor.split import is_split, split_partition_graph
 
-from corpus import assert_outcome, random_edge_instance, random_split_instance, random_three_dim_source
+from corpus import (
+    assert_outcome,
+    graph_instance,
+    random_edge_instance,
+    random_split_instance,
+    random_three_dim_source,
+)
 
 
 def full(k):
@@ -37,22 +42,22 @@ def vertex_inst(n, edges, k, p, part_of, weight, bounds, allowed=None):
 
 
 def test_triangle_plus_pendant():
-    sp = split_partition_graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    sp = graph_instance(4, ((0, 1), (0, 2), (1, 2), (2, 3))).split_partition
     assert sp.clique == (0, 1, 2) and sp.independent == (3,)
 
 
 def test_c4_is_not_split():
-    assert split_partition_graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))) is None
+    assert graph_instance(4, ((0, 1), (1, 2), (2, 3), (0, 3))).split_partition is None
 
 
 def test_edgeless_gets_empty_clique():
-    sp = split_partition_graph(3, ())
+    sp = graph_instance(3, ()).split_partition
     assert sp.clique == () and sp.independent == (0, 1, 2)
 
 
 def test_clique_side_is_maximized():
     # path a-b: one endpoint can join the 1-clique, so K has 2 vertices
-    sp = split_partition_graph(2, ((0, 1),))
+    sp = graph_instance(2, ((0, 1),)).split_partition
     assert len(sp.clique) == 2
 
 
@@ -79,7 +84,7 @@ def test_split_recognition_matches_brute_force():
         n = rng.randint(1, 7)
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45)
         expected = brute_split(n, edges)
-        sp = split_partition_graph(n, edges)
+        sp = graph_instance(n, edges).split_partition
         if expected is None:
             assert sp is None
         else:
@@ -277,7 +282,7 @@ def test_witness_colors_clique_distinctly():
         out = solve_split_k_fixed(inst)
         if not out.feasible:
             continue
-        sp = split_partition(inst)
+        sp = inst.split_partition
         clique_colors = [out.witness.color_of[u] for u in sp.clique]
         assert len(set(clique_colors)) == len(clique_colors)
         seen += 1
@@ -309,7 +314,7 @@ def test_split_edges_matches_oracle():
     tested = 0
     while tested < 60:
         inst = random_edge_instance(rng)
-        if not is_split(inst.n, inst.edges):
+        if not ClassReport(inst).split:
             continue
         out = solve_split_edges(inst)
         assert out.status == brute_force_solve(inst).status
