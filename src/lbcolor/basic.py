@@ -1,10 +1,11 @@
-"""Solvers for edgeless instances, and the per-component enumerator behind the
-two-color and the cograph and split edge-coloring solvers."""
+"""Solvers for edgeless instances, the per-component enumerator behind the
+two-color and the cograph and split edge-coloring solvers, and the forced
+colors that the DPs fix before they run."""
 
 from __future__ import annotations
 
 from .errors import UsageError
-from .instance import ColoringInstance, SolveOutcome, adjacency_masks, bits
+from .instance import ColoringInstance, RawDecomposition, SolveOutcome, bits
 from .matching import CapacitatedBipartiteNetwork, max_flow_saturate
 from .packed import PackedBounds
 
@@ -149,7 +150,7 @@ def solve_by_components(inst: ColoringInstance, where: str) -> SolveOutcome:
         return SolveOutcome.infeasible_outcome()
     m = inst.num_elements
     pairs = inst.conflict_pairs
-    conflict = inst.neighbor_masks if inst.mode == "vertex" else adjacency_masks(m, pairs)
+    conflict = inst.conflict_masks
     comps = []
     rank = [0] * m  # position in its component's walk
     seen = 0
@@ -191,3 +192,118 @@ def solve_components_k2(inst: ColoringInstance) -> SolveOutcome:
     if inst.k != 2:
         raise UsageError("solve_components_k2: requires exactly 2 colors")
     return solve_by_components(inst, "solve_components_k2")
+
+
+# ---------------------------------------------------------------------------
+# forced colors
+
+
+def forced_residual(inst: ColoringInstance):
+    """Fix the colors that the lists and the bounds force, and return
+    ``(color_of, residual, kept)``, or None when no valid coloring exists.
+
+    Three rules run until none applies; each removes only colors that no
+    valid coloring uses:
+
+    - weight: color c leaves the list of element e when w(e) is more than
+      what the fixed elements leave of the bound of (part(e), c);
+    - singleton: an element with one color left takes it; its weight leaves
+      that bound, and the color leaves its conflict neighbors' lists;
+    - empty list: no valid coloring exists.
+
+    ``color_of`` holds the fixed colors and 0 for the elements left unfixed,
+    which ``kept`` lists in increasing order: element i of ``residual`` is
+    element ``kept[i]`` of ``inst``, with its pruned list, under what is left
+    of the bounds.  In vertex mode ``residual`` is the induced subgraph,
+    relabelled in order, and carries a supplied decomposition restricted to
+    it (bags less the fixed vertices); in edge mode it is G less the fixed
+    edges, on which a supplied decomposition stays valid.  The valid
+    colorings of ``inst`` are exactly the fixed colors joined with a valid
+    coloring of ``residual``; with nothing kept, its bounds are all zero and
+    ``color_of`` is one.
+    """
+    m, k = inst.num_elements, inst.k
+    weight, part_of = inst.weight, inst.part_of
+    conflict = inst.conflict_masks
+    left = list(inst.bounds_flat)
+    lists = [0] * m  # per element, its colors as a bitmask: color c is bit c - 1
+    holders = [0] * k  # per color, the unfixed elements whose lists hold it
+    for e, colors in enumerate(inst.allowed):
+        for c in colors:
+            lists[e] |= 1 << (c - 1)
+            holders[c - 1] |= 1 << e
+    color_of = [0] * m
+    # per part, its elements heaviest first: the ones too heavy for what is
+    # left of a bound are a prefix, which only grows as the bound falls
+    heavy = [[] for _ in range(inst.p)]
+    for e in sorted(range(m), key=weight.__getitem__, reverse=True):
+        heavy[part_of[e] - 1].append(e)
+    cut = [0] * len(left)  # per (part, color) slot, the prefix whose lists lost the color
+    pending = list(range(len(left)))  # every bound is checked before the first fix
+    single = [e for e in range(m) if not lists[e] & (lists[e] - 1)]
+    while pending or single:
+        if pending:
+            slot, losers = pending.pop(), 0
+        else:
+            e = single.pop()
+            c = lists[e].bit_length() - 1
+            lists[e] = 0
+            holders[c] ^= 1 << e
+            color_of[e] = c + 1
+            slot = (part_of[e] - 1) * k + c
+            left[slot] -= weight[e]
+            losers = conflict[e]
+        # the weight rule on the bound that fell, so a fixed element always fits its bound
+        members, end = heavy[slot // k], cut[slot]
+        while end < len(members) and weight[members[end]] > left[slot]:
+            losers |= 1 << members[end]
+            end += 1
+        cut[slot] = end
+        c = slot % k
+        bit = 1 << c
+        for f in bits(losers & holders[c]):
+            lists[f] ^= bit
+            holders[c] ^= 1 << f
+            if not lists[f]:
+                return None
+            if not lists[f] & (lists[f] - 1):
+                single.append(f)
+
+    kept = [e for e in range(m) if lists[e]]
+    colors = {}  # per list bitmask, its frozenset, built once: few lists differ
+    for e in kept:
+        if lists[e] not in colors:
+            colors[lists[e]] = frozenset([c + 1 for c in bits(lists[e])])
+    allowed = tuple([colors[lists[e]] for e in kept])
+    if len(kept) == m:
+        residual = inst._derived(allowed=allowed)
+        # the graph and the bounds are unchanged, and so is every cache but
+        # the packed units of the lists
+        for name, value in inst.__dict__.items():
+            if name != "units":
+                residual.__dict__.setdefault(name, value)
+        return color_of, residual, kept
+
+    def rows(seq):
+        return tuple([seq[e] for e in kept])
+
+    changes = {
+        "part_of": rows(part_of),
+        "weight": rows(weight),
+        "allowed": allowed,
+        "bounds": tuple([tuple(left[i : i + k]) for i in range(0, len(left), k)]),
+        "profit": None if inst.profit is None else rows(inst.profit),
+    }
+    if inst.mode == "edge":
+        changes["edges"] = rows(inst.edges)
+    else:
+        new = {v: i for i, v in enumerate(kept)}
+        changes["n"] = len(kept)
+        changes["edges"] = tuple([(new[u], new[v]) for u, v in inst.edges if u in new and v in new])
+        raw = inst.decomposition
+        if raw is not None:
+            # a decomposition of G restricts to one of the induced subgraph;
+            # the treewidth runners check the supplied one before they get here
+            bags = [[new[v] for v in bag if v in new] for bag in raw.bags]
+            changes["decomposition"] = RawDecomposition(bags=bags, tree_edges=raw.tree_edges, root=raw.root)
+    return color_of, inst._derived(**changes), kept

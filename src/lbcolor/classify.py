@@ -53,19 +53,57 @@ _DECIDE_ONLY = ("decide",)
 _WITH_PROFIT = ("decide", "maximize", "minimize")
 
 
+def _on_residual(inst, objective, solve):
+    """Solve through ``basic.forced_residual``: ``solve(residual, objective)``
+    runs only when elements are left unfixed, and its witness is lifted back
+    onto ``inst``.  The residual's valid colorings are the restrictions of
+    the instance's, so status and objective are those of ``inst``."""
+    forced = basic.forced_residual(inst)
+    if forced is None:
+        return SolveOutcome.infeasible_outcome()
+    color_of, residual, kept = forced
+    if kept:
+        outcome = solve(residual, objective)
+        if not outcome.feasible:
+            return outcome
+        for e, c in zip(kept, outcome.witness.color_of):
+            color_of[e] = c
+    return SolveOutcome.feasible_from(inst, color_of)
+
+
+# Each runner first makes, on the whole instance, the checks its
+# decomposition or cotree build and its DP make, in their order: a residual
+# may need no DP, and an error must not read as "infeasible".
+
+
+def _check_supplied_decomposition(inst):
+    if inst.decomposition is not None:
+        treewidth.decomposition_tree(inst)  # DecompositionError, or UsageError in edge mode
+
+
 def _run_treewidth(inst, objective):
-    dec, _ = treewidth.build_nice_decomposition(inst)
-    return treewidth.dp_vertex(inst, dec, objective)
+    _check_supplied_decomposition(inst)
+    if inst.mode != "vertex":
+        raise UsageError("dp_vertex: requires a vertex-mode instance")
+    return _on_residual(
+        inst, objective, lambda r, obj: treewidth.dp_vertex(r, treewidth.build_nice_decomposition(r)[0], obj)
+    )
 
 
 def _run_cograph(inst, objective):
-    ct = cographs.build_cotree(inst)
-    return cographs.dp_cograph(inst, ct, objective)
+    if inst.mode != "vertex":
+        raise UsageError("build_cotree: requires a vertex-mode instance")
+    cographs.require_cograph(inst)
+    return _on_residual(inst, objective, lambda r, obj: cographs.dp_cograph(r, cographs.build_cotree(r), obj))
 
 
 def _run_treewidth_edge(inst, objective):
-    dec, _ = treewidth.build_nice_decomposition(inst)
-    return treewidth.dp_edge(inst, dec, objective)
+    _check_supplied_decomposition(inst)
+    if inst.mode != "edge":
+        raise UsageError("dp_edge: requires an edge-mode instance")
+    return _on_residual(
+        inst, objective, lambda r, obj: treewidth.dp_edge(r, treewidth.build_nice_decomposition(r)[0], obj)
+    )
 
 
 SOLVERS = {

@@ -130,9 +130,12 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
             return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
 
 
-def _require_cotree(found: Cotree | list[int], nbr) -> Cotree:
+def require_cograph(inst: ColoringInstance) -> Cotree:
+    """The instance's cotree; off cographs, NotACographError naming an
+    induced P4."""
+    found = inst.cotree_or_prime
     if not isinstance(found, Cotree):
-        raise NotACographError(find_induced_p4(found, nbr))
+        raise NotACographError(find_induced_p4(found, inst.neighbor_masks))
     return found
 
 
@@ -141,7 +144,7 @@ def build_cotree(inst: ColoringInstance) -> Cotree:
     ``ColoringInstance.cotree_or_prime``)."""
     if inst.mode != "vertex":
         raise UsageError("build_cotree: requires a vertex-mode instance")
-    return _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)
+    return require_cograph(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -436,5 +439,5 @@ def solve_cograph_edges(inst: ColoringInstance) -> SolveOutcome:
     ``solve_by_components`` lists each component's edge colorings."""
     if inst.mode != "edge":
         raise UsageError("solve_cograph_edges: requires an edge-mode instance")
-    _require_cotree(inst.cotree_or_prime, inst.neighbor_masks)  # NotACographError off cographs
+    require_cograph(inst)
     return solve_by_components(inst, "solve_cograph_edges")

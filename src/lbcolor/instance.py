@@ -221,6 +221,19 @@ class ColoringInstance:
         return tuple(adjacency_masks(self.n, self.edges))
 
     @cached_property
+    def conflict_masks(self) -> tuple[int, ...]:
+        """Per element, the bitmask of the elements it conflicts with: its
+        neighbors in vertex mode, the edges sharing an end with it in edge
+        mode."""
+        if self.mode == "vertex":
+            return self.neighbor_masks
+        incident = [0] * self.n
+        for idx, (u, v) in enumerate(self.edges):
+            incident[u] |= 1 << idx
+            incident[v] |= 1 << idx
+        return tuple([(incident[u] | incident[v]) & ~(1 << idx) for idx, (u, v) in enumerate(self.edges)])
+
+    @cached_property
     def cotree_or_prime(self):
         """The graph's cotree, or off cographs a prime module (it holds an
         induced P4); recognition and the cotree solvers share this one build."""

@@ -365,17 +365,17 @@ def conflict_closure(nbr) -> list[int]:
     return closure
 
 
-def build_nice_decomposition(
+def decomposition_tree(
     inst: ColoringInstance, supplied: RawDecomposition | None = None
-) -> tuple[NiceDecomposition, int]:
-    """Build (or check and root) a tree decomposition of the instance and
-    return its nice form with its width; ``nice_from_tree`` runs once.
+) -> tuple[list[int], list[list[int]], int]:
+    """The rooted tree of bitmask bags that ``build_nice_decomposition``
+    makes nice, as (bags, children, root).
 
     Without a supplied decomposition (the argument, else the instance's),
     the min-fill elimination order of the neighbor bitmasks gives the clique
     tree straight from the elimination game (``elimination_tree``).  A
     supplied one is checked and rooted by ``check_raw_decomposition``.
-    In edge mode the result decomposes the line graph L(G), over the
+    In edge mode the tree decomposes the line graph L(G), over the
     instance's elements (edge ids): the tree of G is computed over the
     conflict closure, so every two edges sharing a vertex meet inside some
     bag, and each bag is replaced by the edges inside it.  A supplied one
@@ -400,7 +400,16 @@ def build_nice_decomposition(
                         f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
                         "over the conflict closure (omit the supplied decomposition)"
                     )
-    nice = nice_from_tree(bags, children, root)
+    return bags, children, root
+
+
+def build_nice_decomposition(
+    inst: ColoringInstance, supplied: RawDecomposition | None = None
+) -> tuple[NiceDecomposition, int]:
+    """Build (or check and root) a tree decomposition of the instance
+    (``decomposition_tree``) and return its nice form with its width;
+    ``nice_from_tree`` runs once."""
+    nice = nice_from_tree(*decomposition_tree(inst, supplied))
     return nice, nice.width
 
 

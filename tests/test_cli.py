@@ -619,3 +619,35 @@ def test_supplied_edge_decomposition_splitting_conflicts_exits_two(tmp_path, cap
         "error: dp_edge: the decomposition never gathers adjacent edges (0, 1) and (1, 2) into one "
         "bag; build one over the conflict closure (omit the supplied decomposition)"
     )
+
+
+def clashing(doc, allowed):
+    # singleton lists that no coloring meets: propagation alone proves them infeasible
+    return dict(doc, allowed=allowed)
+
+
+@pytest.mark.parametrize("solver, doc, message", [
+    ("treewidth", clashing(dict(edge_split_doc(), edges=[[0, 1], [1, 2]], n=3, part_of=[1, 1], weight=[1, 1],
+                                bounds=[[2, 0, 0]]), [[1], [1]]),
+     "dp_vertex: requires a vertex-mode instance"),
+    ("treewidth-edge", clashing(p3_doc(), [[1], [1], [1]]), "dp_edge: requires an edge-mode instance"),
+    ("cograph", clashing(dict(p3_doc(), mode="edge", n=4, edges=[[0, 1], [1, 2], [2, 3]]), [[1], [1], [1]]),
+     "build_cotree: requires a vertex-mode instance"),
+    ("cograph", clashing(p4_doc(), [[1], [1], [2], [2]]), "not a cograph: induced P4 on vertices (0, 1, 2, 3)"),
+    ("treewidth", dict(p3_doc(), allowed=[[1], [2], [1]],
+                       decomposition={"bags": [[0, 1], [2]], "tree_edges": [[0, 1]], "root": 0}),
+     "condition (2): edge (1, 2) is inside no bag"),
+    ("treewidth-edge", dict(p3_doc(), mode="edge", n=3, part_of=[1, 1], weight=[1, 1], bounds=[[1, 1]],
+                            allowed=[[1], [2]],
+                            decomposition={"bags": [[0, 1], [1, 2]], "tree_edges": [[0, 1]], "root": 0}),
+     "dp_edge: the decomposition never gathers adjacent edges (0, 1) and (1, 2) into one bag; build one "
+     "over the conflict closure (omit the supplied decomposition)"),
+])
+@pytest.mark.parametrize("objective", ["decide", "maximize", "minimize"])
+def test_forced_runners_check_the_whole_instance_first(tmp_path, capsys, solver, doc, message, objective):
+    # every element of these is forced (or clashes), so no DP would run: the
+    # checks of the decomposition or cotree and of the DP still must
+    doc = dict(doc, profit=[[1] * doc["k"]] * len(doc["allowed"]))
+    path = write_doc(tmp_path, "inst.json", doc)
+    code, out, err = run(capsys, ["solve", "--input", path, "--solver", solver, "--objective", objective])
+    assert (code, out, err.strip()) == (2, "", f"error: {message}")

@@ -28,7 +28,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcolor import ClassReport, ThreeDimMatchingSource, gen_from_three_dim_matching, solve_with
+from lbcolor import (
+    ClassReport,
+    ThreeDimMatchingSource,
+    build_cotree,
+    build_nice_decomposition,
+    dp_cograph,
+    dp_edge,
+    dp_vertex,
+    gen_from_three_dim_matching,
+    solve_with,
+)
 
 from corpus import (
     assert_outcome,
@@ -197,7 +207,7 @@ def edge_instance(rng, shape):
         k = 5
         edges = split_edges(rng, n, clique=3, degree_max=1, clique_degree=k)
     return random_edge_instance(
-        rng, n=n, edges=edges, k=k, p_max=2, w_max=2, planted=rng.random() < 0.8
+        rng, n=n, edges=edges, k=k, p_max=2, w_max=2, profit=True, planted=rng.random() < 0.8
     )
 
 
@@ -213,3 +223,38 @@ def test_edge_solvers_agree_past_the_oracle_cap(shape, seed):
     if report.split:
         solvers.append("split-edge")
     check_agreement(inst, solvers, ["decide"])
+
+
+def unreduced(name, inst, objective):
+    """Status and profit objective of the runner's DP on the whole instance,
+    without the forced-color reduction the runner applies first."""
+    twin = inst.negated() if objective == "minimize" else inst
+    effective = "decide" if objective == "decide" else "maximize"
+    if name == "cograph":
+        out = dp_cograph(twin, build_cotree(twin), effective)
+    else:
+        dp = dp_vertex if name == "treewidth" else dp_edge
+        out = dp(twin, build_nice_decomposition(twin)[0], effective)
+    if objective == "decide" or not out.feasible:
+        return out.status, None
+    return out.status, -out.objective if objective == "minimize" else out.objective
+
+
+@pytest.mark.parametrize("shape", ["cograph", "split", "forest", "edge-cograph", "edge-split"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_runners_agree_with_the_unreduced_dps(shape, seed):
+    # runner against runner would share the reduction; the DPs called
+    # directly do not run it
+    rng = random.Random(seed)
+    if shape.startswith("edge-"):
+        inst, names = edge_instance(rng, shape[5:]), ["treewidth-edge"]
+    else:
+        inst = vertex_instance(rng, shape)
+        names = ["treewidth", "cograph"] if ClassReport(inst).cograph else ["treewidth"]
+    for name in names:
+        for objective in ("decide", "maximize", "minimize"):
+            out = solve_with(name, inst, objective)
+            assert_outcome(inst, out)
+            got = (out.status, None if objective == "decide" else out.objective)
+            assert got == unreduced(name, inst, objective), (name, objective)
