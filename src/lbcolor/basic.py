@@ -216,8 +216,10 @@ def forced_residual(inst: ColoringInstance):
     element ``kept[i]`` of ``inst``, with its pruned list, under what is left
     of the bounds.  In vertex mode ``residual`` is the induced subgraph,
     relabelled in order, and carries a supplied decomposition restricted to
-    it (bags less the fixed vertices); in edge mode it is G less the fixed
-    edges, on which a supplied decomposition stays valid.  The valid
+    it (bags less the fixed vertices) and, when the instance has cached one,
+    the cotree restricted to it (``Cotree.restricted``), so the cotree is not
+    built again; in edge mode it is G less the fixed edges, on which a
+    supplied decomposition stays valid.  The valid
     colorings of ``inst`` are exactly the fixed colors joined with a valid
     coloring of ``residual``; with nothing kept, its bounds are all zero and
     ``color_of`` is one.
@@ -306,4 +308,9 @@ def forced_residual(inst: ColoringInstance):
             # the treewidth runners check the supplied one before they get here
             bags = [[new[v] for v in bag if v in new] for bag in raw.bags]
             changes["decomposition"] = RawDecomposition(bags=bags, tree_edges=raw.tree_edges, root=raw.root)
-    return color_of, inst._derived(**changes), kept
+    residual = inst._derived(**changes)
+    found = inst.__dict__.get("cotree_or_prime")
+    if inst.mode == "vertex" and found is not None and not isinstance(found, list):
+        # a cached cotree (not a prime module) restricts to the induced subgraph's
+        residual.__dict__["cotree_or_prime"] = found.restricted(kept)
+    return color_of, residual, kept

@@ -44,6 +44,33 @@ class Cotree:
                 below[node] = tuple(sorted(acc))
         return below
 
+    def restricted(self, kept) -> "Cotree":
+        """The cotree of the subgraph induced on ``kept`` (increasing),
+        vertex ``kept[i]`` relabelled i: the other leaves are dropped and a
+        node left with one child is replaced by it.  Two kept vertices keep
+        their lowest common ancestor, and with it their adjacency."""
+        new = {v: i for i, v in enumerate(kept)}
+        kinds, children, vertex = [], [], []
+        image = [-1] * len(self.kinds)  # per node, its node in the restriction, or -1
+        for node in self.post_order():
+            if self.kinds[node] == "leaf":
+                v = new.get(self.vertex[node])
+                if v is None:
+                    continue
+                kids = ()
+            else:
+                kids = tuple([image[ch] for ch in self.children[node] if image[ch] >= 0])
+                if len(kids) < 2:
+                    image[node] = kids[0] if kids else -1
+                    continue
+                v = None
+            image[node] = len(kinds)
+            kinds.append(self.kinds[node])
+            children.append(kids)
+            vertex.append(v)
+        # the root's image is the last node made (-1 when nothing is kept)
+        return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=len(kinds) - 1)
+
 
 def find_induced_p4(vertices, nbr):
     """An induced path a-b-c-d among ``vertices``, the lexicographically

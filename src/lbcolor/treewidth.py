@@ -14,11 +14,16 @@ vertex DP on L(G).  The DPs run on any decomposition, so min-fill's upper
 bound on the tree-width is all they need.  Vertices are forgotten
 early, children join on the union of the bags they keep, and the rest of a
 bag is introduced after the joins, so no vertex is introduced on both
-branches of a join.  The DP keeps sparse tables: per
+branches of a join.  A computed tree gives isolated vertices no node, and
+hangs two or more connected components under one root with an empty bag.
+The DP keeps sparse tables: per
 node, a map from bag coloring to a row of the reachable packed part-by-color
 weight vectors (see ``packed``), a set to decide and a map to the best profit
-to maximize.  Rows store no predecessors: the witness is recovered top-down
-from the root state, finding at each node a child state that rebuilds it.
+to maximize.  The vertices in no bag are packed steps outside the tables, and
+the target is met by lookup between their row and the rows below the root
+join (``dp_vertex``).  Rows store no predecessors: the witness is recovered
+top-down from the matched states, finding at each node a child state that
+rebuilds it.
 """
 
 from __future__ import annotations
@@ -133,41 +138,48 @@ def min_fill_order(nbr) -> list[int]:
 def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
     """Clique tree of an elimination order, as (bag masks, children, root).
 
-    Plays the elimination game on the neighbor bitmasks ``nbr``: node i is
-    the i-th eliminated vertex v, its bag is v with the neighbors that remain
-    after the fill of the earlier steps, and its parent is the earliest
-    eliminated of those neighbors.  A vertex left with no neighbor closes a
-    connected component; each such root hangs below the next one, so the last
-    eliminated vertex is the root.  Children are listed in elimination order,
-    a chained component root last.
+    Plays the elimination game on the neighbor bitmasks ``nbr``: each
+    eliminated vertex v that has a neighbor gets the next node, whose bag is
+    v with the neighbors that remain after the fill of the earlier steps, and
+    whose parent is the node of the earliest eliminated of those neighbors.
+    A vertex with no neighbor gets no node: the DPs color such vertices apart
+    from the tree.  A vertex left with no neighbor closes a connected
+    component; when two or more components have nodes, their roots hang, in
+    elimination order, under one last node with an empty bag, the root.
+    Children are listed in elimination order.  With no node at all, the tree
+    is one empty bag.
     """
-    n = len(order)
-    if n == 0:
-        return [0], [[]], 0
+    node_of = [0] * len(order)
+    nodes = 0
+    for v in order:
+        if nbr[v]:
+            node_of[v] = nodes
+            nodes += 1
     adj = list(nbr)
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
-    remaining = (1 << n) - 1
+    remaining = (1 << len(order)) - 1
     bags = []
-    children = [[] for _ in range(n)]
-    last_root = None
-    for i, v in enumerate(order):
+    children = [[] for _ in range(nodes)]
+    roots = []
+    for v in order:
         remaining ^= 1 << v
+        if not nbr[v]:
+            continue
         nbrs = adj[v] & remaining
         bags.append(nbrs | 1 << v)
-        parent = n
+        parent = nodes
         for u in bits(nbrs):
             adj[u] |= nbrs  # fill; u's own bit is masked off by `remaining`
-            if position[u] < parent:
-                parent = position[u]
+            if node_of[u] < parent:
+                parent = node_of[u]
         if nbrs:
-            children[parent].append(i)
+            children[parent].append(node_of[v])
         else:
-            if last_root is not None:
-                children[i].append(last_root)
-            last_root = i
-    return bags, children, n - 1
+            roots.append(node_of[v])
+    if len(roots) == 1:
+        return bags, children, roots[0]
+    bags.append(0)
+    children.append(roots)
+    return bags, children, len(bags) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +435,11 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
     nbr = inst.neighbor_masks
     units = inst.units
     tables: list[dict] = [None] * dec.size
+    order = dec.post_order()
+    if dec.kinds[dec.root] == "join":
+        order.pop()  # the root comes last; dp_vertex meets its children at the target
 
-    for node in dec.post_order():
+    for node in order:
         kind = dec.kinds[node]
         bag = dec.bags[node]
         table: dict = {}
@@ -484,7 +499,16 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
 
 
 def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
-    """Vertex-coloring DP over a nice decomposition; decide or maximize profit."""
+    """Vertex-coloring DP over a nice decomposition; decide or maximize profit.
+
+    A vertex in no bag must have no neighbor (a computed decomposition gives
+    isolated vertices no node); each such vertex is one packed step, and the
+    steps are layered into one row S.  The target is met, not tabled: with
+    the root join's two child rows, or else the root row, S makes three or
+    two rows; the two smaller are summed, and each state x of the largest
+    looks up target - x in that sum (meet in the middle).  The root join's
+    own table is never built.
+    """
     if inst.mode != "vertex":
         raise UsageError("dp_vertex: requires a vertex-mode instance")
     if objective not in ("decide", "maximize"):
@@ -492,18 +516,81 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
     maximize = objective == "maximize"
     if maximize and inst.profit is None:
         raise UsageError("dp_vertex: maximize requires a profit matrix")
+    covered = 0  # every vertex in a bag is introduced, as leaf and root bags are empty
+    for kind, v in zip(dec.kinds, dec.vertex):
+        if kind == "introduce":
+            covered |= 1 << v
+    loose = [v for v in range(inst.n) if not covered >> v & 1]
+    nbr = inst.neighbor_masks
+    for v in loose:
+        if nbr[v]:
+            raise UsageError(f"dp_vertex: vertex {v} has neighbors but lies in no bag")
+
+    packing = inst.packing
+    units = inst.units
+    layers = [{0: 0} if maximize else {0}]  # layer i: the sums of the first i steps
+    for v in loose:
+        if maximize:
+            layer = packing.best_sums(layers[-1], {unit: inst.profit_of(v, c) for c, unit in units[v].items()})
+        else:
+            layer = packing.sums(layers[-1], units[v].values())
+        if not layer:
+            return SolveOutcome.infeasible_outcome()
+        layers.append(layer)
 
     tables = _vertex_tables(inst, dec, maximize)
-    target = inst.packing.target
-    if target not in tables[dec.root].get((), ()):
+    root = dec.root
+    starts = dec.children[root] if dec.kinds[root] == "join" else (root,)
+    sides = [layers[-1], *(tables[node].get((), {}) for node in starts)]
+    *small, big = sorted(range(len(sides)), key=lambda i: len(sides[i]))
+    if len(small) == 2:
+        a, b = sides[small[0]], sides[small[1]]
+        half = packing.best_sums(a, b) if maximize else packing.sums(a, b)
+    else:
+        half = sides[small[0]]
+    target = packing.target
+    found = best = None
+    if maximize:
+        for x, q in sides[big].items():
+            r = half.get(target - x)
+            if r is not None and (found is None or q + r > best):
+                found, best = x, q + r
+    else:
+        found = next((x for x in sides[big] if target - x in half), None)
+    if found is None:
         return SolveOutcome.infeasible_outcome()
 
-    # witness: from the root state down, find at each node the child state
-    # (and child key) that rebuilds it with the same profit; every vertex
-    # gets its color where it is introduced
-    units = inst.units
+    # witness: split the matched state back into its rows, walk S's layers
+    # back to color the loose vertices, then from each tree row's state down
+    # find at each node the child state (and child key) that rebuilds it
+    # with the same profit; every vertex gets its color where it is introduced
+    states = [0] * len(sides)
+    states[big] = found
+    rest = target - found
+    if len(small) == 2:
+        states[small[0]] = first_predecessor(
+            (x for x in a if (rest - x) in b and (not maximize or a[x] + b[rest - x] == half[rest])),
+            "dp_vertex meet",
+        )
+        states[small[1]] = rest - states[small[0]]
+    else:
+        states[small[0]] = rest
     color_of = [0] * inst.n
-    stack = [(dec.root, (), target)]
+    state = states[0]
+    for v, layer, above in zip(reversed(loose), reversed(layers[:-1]), reversed(layers[1:])):
+        profit = above[state] if maximize else None
+        c = first_predecessor(
+            (
+                c
+                for c, unit in units[v].items()
+                if state - unit in layer and (not maximize or layer[state - unit] + inst.profit_of(v, c) == profit)
+            ),
+            "dp_vertex step",
+        )
+        color_of[v] = c
+        state -= units[v][c]
+
+    stack = [(node, (), state) for node, state in zip(starts, states[1:])]
     while stack:
         node, key, state = stack.pop()
         kind = dec.kinds[node]

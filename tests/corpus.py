@@ -10,7 +10,7 @@ from lbcolor.cographs import Cotree
 from lbcolor.matching import AssignmentResult
 from lbcolor.split import SplitPartition
 from lbcolor.instance import adjacency_masks
-from lbcolor.treewidth import min_fill_order
+from lbcolor.treewidth import dp_vertex, min_fill_order
 
 
 def assert_outcome(inst, outcome):
@@ -31,7 +31,10 @@ def assert_outcome(inst, outcome):
 
 def order_to_raw(n, edges, order):
     """Clique-tree decomposition induced by an elimination order, eliminating
-    over Python sets; the reference for ``treewidth.elimination_tree``."""
+    over Python sets.  It covers every vertex: when two or more connected
+    components remain, their roots hang under one last bag, an empty one.
+    On a graph without isolated vertices it is the reference for
+    ``treewidth.elimination_tree`` (see ``computed_tree_reference``)."""
     if n == 0:
         return RawDecomposition(bags=((),), tree_edges=(), root=0)
     adj = [set() for _ in range(n)]
@@ -55,10 +58,37 @@ def order_to_raw(n, edges, order):
             tree_edges.append((position[v], position[nbrs[0]]))
         else:
             pending_roots.append(position[v])
-    # chains together the roots of different connected components
-    for a, b in zip(pending_roots, pending_roots[1:]):
-        tree_edges.append((a, b))
-    return RawDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges), root=len(order) - 1)
+    if len(pending_roots) == 1:
+        return RawDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges), root=pending_roots[0])
+    # the roots of the connected components hang under one empty bag
+    root = len(bags)
+    tree_edges.extend((root, r) for r in pending_roots)
+    return RawDecomposition(bags=(*bags, ()), tree_edges=tuple(tree_edges), root=root)
+
+
+def isolated_vertices(n, edges):
+    """The vertices of the graph (n, edges) with no neighbor."""
+    return set(range(n)) - {v for edge in edges for v in edge}
+
+
+def without_isolated(n, edges):
+    """The graph less its isolated vertices, relabelled in order, as
+    (labels, edges): its vertex i is vertex labels[i] of the graph."""
+    labels = sorted({v for edge in edges for v in edge})
+    new = {v: i for i, v in enumerate(labels)}
+    return labels, tuple((new[u], new[v]) for u, v in edges)
+
+
+def computed_tree_reference(n, edges, order):
+    """What ``treewidth.elimination_tree`` computes for an elimination order:
+    ``order_to_raw`` on the graph less its isolated vertices, under the order
+    restricted to them, with its bags relabelled back.  The isolated vertices
+    lie in no bag, so it is no decomposition of the whole graph."""
+    labels, sub = without_isolated(n, edges)
+    new = {v: i for i, v in enumerate(labels)}
+    raw = order_to_raw(len(labels), sub, [new[v] for v in order if v in new])
+    bags = tuple(tuple(labels[v] for v in bag) for bag in raw.bags)
+    return RawDecomposition(bags=bags, tree_edges=raw.tree_edges, root=raw.root)
 
 
 def validate_raw_decomposition(n, edges, raw):
@@ -593,18 +623,64 @@ def reconstruct_graph(ct):
 # join rows of the tree-decomposition DP, recomputed field by field
 
 
+def fieldwise_sums(inst, lefts, rights):
+    """{a + b : a in lefts, b in rights, within the bounds}, over unpacked tuples."""
+    bounds = inst.bounds_flat
+    out = set()
+    for qa in lefts:
+        for qb in rights:
+            fields = tuple(x + y for x, y in zip(qa, qb))
+            if all(f <= b for f, b in zip(fields, bounds)):
+                out.add(fields)
+    return out
+
+
+def loose_sums(inst, dec):
+    """S: the weight vectors, unpacked, of the vertices in no bag of ``dec``
+    colored one color each from their lists, within the bounds."""
+    dim = len(inst.bounds_flat)
+    covered = {v for bag in dec.bags for v in bag}
+    sums = {(0,) * dim}
+    for v in range(inst.n):
+        if v not in covered:
+            steps = []
+            for c in sorted(inst.allowed[v]):
+                step = [0] * dim
+                step[inst.flat_index(inst.part_of[v], c)] = inst.weight[v]
+                steps.append(tuple(step))
+            sums = fieldwise_sums(inst, sums, steps)
+    return sums
+
+
+def root_meet_mismatch(inst, dec, tables) -> bool:
+    """Whether ``dp_vertex``'s verdict differs from target in S + left +
+    right, recomputed one unpacked field at a time: S is ``loose_sums``,
+    and left and right are the rows of the root join's children (the join's
+    own table is not built)."""
+    sums = loose_sums(inst, dec)
+    for child in dec.children[dec.root]:
+        sums = fieldwise_sums(inst, sums, [inst.packing.unpack(s) for s in tables[child].get((), ())])
+    return dp_vertex(inst, dec).feasible != (inst.bounds_flat in sums)
+
+
 def join_row_mismatches(inst, dec, tables):
     """Recompute every join row of ``treewidth._vertex_tables`` from its
     children's rows, one unpacked field at a time.  A row must be exactly
     {a + b - bag weight : a in the left row, b in the right row, within the
     bounds} (sound and complete), every child state must hold the bag weight
-    in every field, and a join key needs a row in both children.  Returns
-    (bag colorings checked, mismatches)."""
+    in every field, and a join key needs a row in both children.  The root
+    join's table is not built; that join is checked by ``root_meet_mismatch``
+    instead, and counts among the mismatches only.  Returns (bag colorings
+    checked, mismatches)."""
     unpack = inst.packing.unpack
     bounds = inst.bounds_flat
     checked = mismatches = 0
     for node in range(dec.size):
         if dec.kinds[node] != "join":
+            continue
+        if node == dec.root:
+            assert tables[node] is None
+            mismatches += root_meet_mismatch(inst, dec, tables)
             continue
         left, right = dec.children[node]
         table, lt, rt = tables[node], tables[left], tables[right]

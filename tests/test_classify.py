@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from lbcolor import ClassReport, ColoringInstance, UsageError, auto_solver_name, solve_with, treewidth
-from lbcolor import cographs, split
+from lbcolor import basic, cographs, split
 
 from corpus import (
     assert_outcome,
@@ -261,3 +261,78 @@ def test_split_and_threshold_agree_with_networkx():
             threshold_seen += 1
         split_seen += report.split
     assert split_seen >= 200 and threshold_seen >= 200
+
+
+def lowest_common_ancestors(ct):
+    """Per pair of graph vertices u < v, the kind of their lowest common
+    ancestor in the cotree ``ct``."""
+    parent = [-1] * len(ct.kinds)
+    for node, kids in enumerate(ct.children):
+        for child in kids:
+            parent[child] = node
+    leaf = {v: node for node, v in enumerate(ct.vertex) if v is not None}
+    kinds = {}
+    for u in leaf:
+        above = set()
+        node = leaf[u]
+        while node >= 0:
+            above.add(node)
+            node = parent[node]
+        for v in leaf:
+            if u < v:
+                node = leaf[v]
+                while node not in above:
+                    node = parent[node]
+                kinds[u, v] = ct.kinds[node]
+    return kinds
+
+
+def test_restricted_cotrees_join_exactly_the_adjacent_pairs():
+    rng = random.Random(139)
+    restricted = dp_checked = 0
+    for n, edges in _recognition_corpus(random.Random(113)):
+        found = graph_instance(n, edges).cotree_or_prime if n else None
+        if not isinstance(found, cographs.Cotree):
+            continue
+        kept = sorted(rng.sample(range(n), rng.randint(0, n)))
+        new = {v: i for i, v in enumerate(kept)}
+        sub = tuple((new[u], new[v]) for u, v in edges if u in new and v in new)
+        ct = found.restricted(kept)
+        assert sorted(v for v in ct.vertex if v is not None) == list(range(len(kept)))
+        assert all(len(kids) == (0 if kind == "leaf" else 2) for kind, kids in zip(ct.kinds, ct.children))
+        joined = {pair for pair, kind in lowest_common_ancestors(ct).items() if kind == "join"}
+        assert joined == set(sub), (n, edges, kept)
+        restricted += 1
+        if len(kept) <= 12:
+            inst = random_vertex_instance(rng, n=len(kept), k=rng.randint(2, 3), edges=sub, profit=True,
+                                          planted=rng.random() < 0.8)
+            rebuilt = cographs.build_cotree(inst)
+            got, want = cographs.dp_cograph(inst, ct), cographs.dp_cograph(inst, rebuilt)
+            assert_outcome(inst, got)
+            assert got.status == want.status
+            got, want = cographs.dp_cograph(inst, ct, "maximize"), cographs.dp_cograph(inst, rebuilt, "maximize")
+            assert_outcome(inst, got)
+            assert (got.status, got.objective) == (want.status, want.objective)
+            dp_checked += 1
+    assert restricted >= 500 and dp_checked >= 100
+
+
+def test_the_cograph_residual_restricts_the_cached_cotree(monkeypatch):
+    builds = []
+    original = cographs._cotree_or_prime
+    monkeypatch.setattr(cographs, "_cotree_or_prime", lambda n, nbr: builds.append(n) or original(n, nbr))
+    rng = random.Random(149)
+    shrunk = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        edges = relabel(rng, n, random_cograph_edges(rng, n))
+        inst = random_vertex_instance(rng, n=n, k=3, edges=edges, profit=True, planted=True)
+        builds.clear()
+        for objective in ("decide", "maximize"):
+            assert_outcome(inst, solve_with("cograph", inst, objective))
+        assert builds == [n]  # the whole instance's, shared by both solves
+        forced = basic.forced_residual(inst)
+        if forced is not None and 0 < len(forced[2]) < n:
+            assert forced[1].__dict__["cotree_or_prime"] == inst.cotree_or_prime.restricted(forced[2])
+            shrunk += 1
+    assert shrunk >= 40

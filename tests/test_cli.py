@@ -12,6 +12,7 @@ import pytest
 
 from lbcolor import cli, cographs, instance_to_doc, split, write_instance
 from lbcolor.codec import instance_from_doc
+from lbcolor.instance import Coloring, SolveOutcome
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
 from lbcolor.packed import PackedBounds
@@ -651,3 +652,20 @@ def test_forced_runners_check_the_whole_instance_first(tmp_path, capsys, solver,
     path = write_doc(tmp_path, "inst.json", doc)
     code, out, err = run(capsys, ["solve", "--input", path, "--solver", solver, "--objective", objective])
     assert (code, out, err.strip()) == (2, "", f"error: {message}")
+
+
+@pytest.mark.parametrize("solver", ["auto", *SOLVERS])
+def test_solve_document_is_the_indented_json_dump(solver):
+    witnesses = [None, Coloring(()), Coloring((1,)), Coloring(tuple(range(1, 41)))]
+    for witness in witnesses:
+        for objective in (None, 0, -7, 12):
+            status = "infeasible" if witness is None else "feasible"
+            outcome = SolveOutcome(status=status, witness=witness, objective=objective)
+            doc = {
+                "status": status,
+                "witness": None if witness is None else {"color_of": list(witness.color_of)},
+                "objective": objective,
+                "solver_used": solver,
+                "elapsed_ms": 3,
+            }
+            assert cli.solve_document(outcome, solver, 3) == json.dumps(doc, indent=2)

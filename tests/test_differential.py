@@ -12,6 +12,10 @@ and against the tree-decomposition DP where its width min(a, b) is at most
 2.  Two-colour instances on trees plus chords, even cycles mostly and an
 odd cycle in about a quarter of the draws, check ``components-k2`` on graphs
 with cycles; an odd cycle must make every solver answer infeasible.
+Forests plus up to twelve isolated vertices, in both modes, check the
+meet at the target (isolated vertices as packed steps, components under one
+empty root): against the oracle inside its cap, and past it against the DP
+over a supplied decomposition that covers every vertex.
 Three-dimensional matching sources of three elements per set and four or
 five triples, a perfect matching planted in about half, become split graphs
 on 13 or 14 vertices with k = 4 or 5 colors (``gen_from_three_dim_matching``),
@@ -21,6 +25,7 @@ the DPs and ``complete`` the same maximum profit, and every witness must
 be valid.
 """
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -30,7 +35,10 @@ from hypothesis import strategies as st
 
 from lbcolor import (
     ClassReport,
+    ColoringInstance,
     ThreeDimMatchingSource,
+    auto_solver_name,
+    brute_force_solve,
     build_cotree,
     build_nice_decomposition,
     dp_cograph,
@@ -39,9 +47,16 @@ from lbcolor import (
     gen_from_three_dim_matching,
     solve_with,
 )
+from lbcolor import treewidth
+from lbcolor.treewidth import _vertex_tables, conflict_closure, min_fill_order
 
 from corpus import (
     assert_outcome,
+    bounds_from_assignment,
+    isolated_vertices,
+    loose_sums,
+    order_to_raw,
+    plant,
     random_cograph_edges,
     random_edge_instance,
     random_vertex_instance,
@@ -258,3 +273,142 @@ def test_runners_agree_with_the_unreduced_dps(shape, seed):
             assert_outcome(inst, out)
             got = (out.status, None if objective == "decide" else out.objective)
             assert got == unreduced(name, inst, objective), (name, objective)
+
+
+def forest_plus_isolated(rng, mode, forest_max):
+    """A random forest on 2 to ``forest_max`` vertices (each vertex after the
+    first joins an earlier one with probability 3/4, else starts a tree)
+    plus 0 to 12 isolated vertices, relabelled; k 2-4, p 1-2,
+    lists of 1 to 3 colors, weights 1-2, profits, and in about 80 % bounds
+    planted around a greedy coloring.  Edge mode colors the forest's edges."""
+    size = rng.randint(2, forest_max)
+    n = size + rng.randint(0, 12)
+    edges = relabel(rng, n, [(rng.randrange(v), v) for v in range(1, size) if rng.random() < 0.75])
+    k, p = rng.randint(2, 4), rng.randint(1, 2)
+    m = n if mode == "vertex" else len(edges)
+    weight = tuple(rng.randint(1, 2) for _ in range(m))
+    part_of = tuple(rng.randint(1, p) for _ in range(m))
+    allowed = tuple(frozenset(rng.sample(range(1, k + 1), rng.randint(1, min(3, k)))) for _ in range(m))
+    if rng.random() < 0.8:
+        conflicts = edges if mode == "vertex" else [
+            (a, b) for a in range(m) for b in range(a) if set(edges[a]) & set(edges[b])
+        ]
+        allowed, bounds = plant(rng, k, p, part_of, weight, allowed, conflicts)
+    else:
+        bounds = bounds_from_assignment(rng, k, p, part_of, weight, allowed)
+    profit = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(m))
+    return ColoringInstance(mode=mode, n=n, edges=edges, k=k, p=p, part_of=part_of, weight=weight,
+                            bounds=bounds, allowed=allowed, profit=profit)
+
+
+def status_and_objective(out, objective):
+    return out.status, None if objective == "decide" or not out.feasible else out.objective
+
+
+# the oracle enumerates every product of the lists: keep it to small ones
+ORACLE_CAP = 50_000
+
+
+def covering_reference(inst, objective):
+    """The DP over a supplied decomposition from the min-fill elimination
+    order of the graph (in edge mode of its conflict closure), which covers
+    every vertex, isolated ones in bags of their own: the route without
+    packed steps.  Minimize negates the profits."""
+    twin = inst.negated() if objective == "minimize" else inst
+    nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
+    graph = [(u, v) for u in range(inst.n) for v in range(u + 1, inst.n) if nbr[u] >> v & 1]
+    raw = order_to_raw(inst.n, graph, min_fill_order(nbr))
+    dp = dp_vertex if inst.mode == "vertex" else dp_edge
+    out = dp(twin, build_nice_decomposition(twin, raw)[0], "decide" if objective == "decide" else "maximize")
+    if objective == "minimize" and out.feasible:
+        out = dataclasses.replace(out, objective=-out.objective)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_auto_meets_the_oracle_on_forests_with_isolated_vertices(mode, seed):
+    inst = forest_plus_isolated(random.Random(seed), mode, forest_max=10)
+    dp = "treewidth" if mode == "vertex" else "treewidth-edge"
+    for objective in ("decide", "maximize", "minimize"):
+        if inst.k ** inst.num_elements <= ORACLE_CAP:
+            want = brute_force_solve(inst, objective)
+        else:
+            want = covering_reference(inst, objective)
+        for name in (auto_solver_name(inst, objective), dp):
+            if objective == "decide" or name in (dp, "cograph", "complete"):
+                out = solve_with(name, inst, objective)
+                assert_outcome(inst, out)
+                assert status_and_objective(out, objective) == status_and_objective(want, objective), (name, objective)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_the_meet_agrees_with_a_covering_decomposition_past_the_oracle_cap(mode, seed):
+    # over the computed decomposition every isolated vertex is a packed step
+    inst = forest_plus_isolated(random.Random(seed), mode, forest_max=22)
+    dp = dp_vertex if mode == "vertex" else dp_edge
+    computed = build_nice_decomposition(inst)[0]
+    for objective in ("decide", "maximize"):
+        got, want = dp(inst, computed, objective), covering_reference(inst, objective)
+        assert_outcome(inst, got)
+        assert_outcome(inst, want)
+        assert status_and_objective(got, objective) == status_and_objective(want, objective), objective
+
+
+def largest_meet_side(inst, dec):
+    """Which of S (the vertices in no bag), the root join's left row and its
+    right row holds the most states, or None on a tie or without a root
+    join; S is recomputed one unpacked field at a time."""
+    if dec.kinds[dec.root] != "join":
+        return None
+    tables = _vertex_tables(inst, dec, maximize=False)
+    sizes = [len(loose_sums(inst, dec)), *(len(tables[child].get((), ())) for child in dec.children[dec.root])]
+    top = max(sizes)
+    return ("S", "left", "right")[sizes.index(top)] if sizes.count(top) == 1 else None
+
+
+def test_each_side_of_the_meet_can_be_the_largest():
+    # the two smaller rows are summed and the largest is scanned, whichever it is
+    rng = random.Random(131)
+    found = {"S": 0, "left": 0, "right": 0}
+    for _ in range(3000):
+        inst = forest_plus_isolated(rng, "vertex", forest_max=7)
+        if inst.k ** inst.n > ORACLE_CAP:
+            continue
+        dec, _ = build_nice_decomposition(inst)
+        side = largest_meet_side(inst, dec)
+        if side is None or found[side] == 10:
+            continue
+        for objective in ("decide", "maximize"):
+            out = dp_vertex(inst, dec, objective)
+            assert_outcome(inst, out)
+            want = brute_force_solve(inst, objective)
+            assert status_and_objective(out, objective) == status_and_objective(want, objective), (side, objective)
+        found[side] += 1
+        if min(found.values()) == 10:
+            break
+    assert min(found.values()) == 10, found
+
+
+def test_no_nice_node_is_built_for_an_isolated_vertex(monkeypatch):
+    seen = []
+    original = treewidth.dp_vertex
+
+    def spy(inst, dec, objective="decide"):
+        introduced = {v for kind, v in zip(dec.kinds, dec.vertex) if kind == "introduce"}
+        loose = isolated_vertices(inst.n, inst.edges)
+        assert not introduced & loose
+        assert introduced | loose == set(range(inst.n))
+        seen.append(len(loose))
+        return original(inst, dec, objective)
+
+    monkeypatch.setattr(treewidth, "dp_vertex", spy)
+    rng = random.Random(137)
+    for _ in range(100):
+        inst = forest_plus_isolated(rng, "vertex", forest_max=8)
+        for objective in ("decide", "maximize"):
+            assert_outcome(inst, solve_with("treewidth", inst, objective))
+    assert sum(seen) > 0

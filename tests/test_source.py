@@ -76,26 +76,36 @@ def test_package_has_no_recursive_functions():
     assert found == []
 
 
-def test_nice_decompositions_are_made_only_by_nice_from_tree():
-    # one route from a tree of bags to the DP: every NiceDecomposition is
-    # constructed inside treewidth.nice_from_tree
+def _call_sites(name, owner, owner_file):
+    """(calls of ``name`` inside function ``owner`` of ``owner_file``, the
+    places of the calls anywhere else in the package)."""
     inside, outside = 0, []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         exempt = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "nice_from_tree" and path.name == "treewidth.py":
+            if isinstance(node, ast.FunctionDef) and node.name == owner and path.name == owner_file:
                 exempt.update(id(sub) for sub in ast.walk(node))
         for node in ast.walk(tree):
             callee = node.func if isinstance(node, ast.Call) else None
-            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
-            if name == "NiceDecomposition":
+            if name in (getattr(callee, "id", None), getattr(callee, "attr", None)):
                 if id(node) in exempt:
                     inside += 1
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
-    assert inside == 1
-    assert outside == []
+    return inside, outside
+
+
+def test_nice_decompositions_are_made_only_by_nice_from_tree():
+    # one route from a tree of bags to the DP: every NiceDecomposition is
+    # constructed inside treewidth.nice_from_tree
+    assert _call_sites("NiceDecomposition", "nice_from_tree", "treewidth.py") == (1, [])
+
+
+def test_vertex_tables_are_built_only_by_dp_vertex():
+    # one route from the tables to a verdict: the target check and the
+    # witness walk exist once, in dp_vertex, which the edge DP calls too
+    assert _call_sites("_vertex_tables", "dp_vertex", "treewidth.py") == (1, [])
 
 
 CLASS_TESTS = ("split_partition_masks", "complete_bipartite_masks", "_cotree_or_prime")

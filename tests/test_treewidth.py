@@ -30,7 +30,9 @@ from lbcolor.treewidth import (
 
 from corpus import (
     assert_outcome,
+    computed_tree_reference,
     conflict_closure_sets,
+    isolated_vertices,
     join_row_mismatches,
     min_fill_order_rescan,
     min_fill_width,
@@ -38,13 +40,29 @@ from corpus import (
     random_edge_instance,
     random_graph_for_orders,
     random_vertex_instance,
+    root_meet_mismatch,
     treewidth_by_elimination_orders,
     validate_raw_decomposition,
+    without_isolated,
 )
 
 
 def full(k):
     return frozenset(range(1, k + 1))
+
+
+def uncovered(dec, n):
+    """The vertices of 0..n-1 in no bag of ``dec``."""
+    return set(range(n)) - {v for bag in dec.bags for v in bag}
+
+
+def relabelled(dec, labels):
+    """``dec`` with vertex v renamed labels[v] (labels increasing)."""
+    return dataclasses.replace(
+        dec,
+        bags=tuple(tuple(labels[v] for v in bag) for bag in dec.bags),
+        vertex=tuple(None if v is None else labels[v] for v in dec.vertex),
+    )
 
 
 def vertex_inst(n, edges, k, p, part_of, weight, bounds, allowed=None, profit=None):
@@ -87,9 +105,15 @@ def test_min_fill_order_matches_rescan_reference():
         reference = min_fill_order_rescan(n, edges)
         assert order == reference, (n, edges)
         assert nbr == adjacency_masks(n, edges)  # the caller's masks are not eliminated
+        # computed trees give isolated vertices no node: compare on the rest
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
-        expected, _ = build_nice_decomposition(inst, order_to_raw(n, edges, reference))
+        labels, sub = without_isolated(n, edges)
+        m, new = len(labels), {v: i for i, v in enumerate(labels)}
+        sub_inst = vertex_inst(m, sub, 1, 1, (1,) * m, (1,) * m, ((m,),))
+        expected, _ = build_nice_decomposition(sub_inst, order_to_raw(m, sub, [new[v] for v in reference if v in new]))
+        expected = relabelled(expected, labels)
         assert build_nice_decomposition(inst) == (expected, expected.width)
+        assert uncovered(expected, n) == isolated_vertices(n, edges)
 
 
 def test_conflict_closure_matches_set_reference():
@@ -155,18 +179,23 @@ def test_elimination_tree_matches_order_to_raw():
         n, edges = random_graph_for_orders(rng)
         order = min_fill_order(adjacency_masks(n, edges)) if rng.random() < 0.5 else rng.sample(range(n), n)
         bags, children, root = elimination_tree(adjacency_masks(n, edges), order)
-        raw = order_to_raw(n, edges, order)
+        raw = computed_tree_reference(n, edges, order)
         assert [tuple(bits(b)) for b in bags] == list(raw.bags), (n, edges, order)
         assert root == raw.root
         assert children == rooted_children(raw), (n, edges, order)
+        covered = {v for bag in raw.bags for v in bag}
+        assert set(range(n)) - covered == isolated_vertices(n, edges)
 
 
-def nice_invariants(dec, n, edges):
+def nice_invariants(dec, n, edges, uncovered=frozenset()):
+    """``dec`` is a nice decomposition of the graph less ``uncovered``, a set
+    of isolated vertices that lie in no bag (computed trees give them none)."""
     seen = set()
     for bag in dec.bags:
         seen.update(bag)
         assert list(bag) == sorted(set(bag))
-    assert seen == set(range(n))
+    assert seen == set(range(n)) - uncovered
+    assert not uncovered & {v for edge in edges for v in edge}
     for u, v in edges:
         assert any(u in bag and v in bag for bag in dec.bags)
     # per-vertex occurrences form a connected subtree
@@ -174,7 +203,7 @@ def nice_invariants(dec, n, edges):
     for i in range(dec.size):
         for ch in dec.children[i]:
             parent[ch] = i
-    for v in range(n):
+    for v in seen:
         holders = [i for i in range(dec.size) if v in dec.bags[i]]
         tops = [i for i in holders if parent[i] not in holders]
         assert len(tops) == 1, f"vertex {v} occurrences split"
@@ -216,7 +245,7 @@ def test_nice_form_invariants_on_random_graphs():
     for _ in range(30):
         inst = random_vertex_instance(rng, n_max=8)
         dec, width = build_nice_decomposition(inst)
-        nice_invariants(dec, inst.n, inst.edges)
+        nice_invariants(dec, inst.n, inst.edges, isolated_vertices(inst.n, inst.edges))
         joins_meet_on_kept_bags(dec)
         assert dec.size <= 4 * (inst.n + 1) * (width + 2)
 
@@ -238,8 +267,8 @@ def test_joins_meet_on_kept_bags():
         computed, _ = build_nice_decomposition(inst)
         raw = reshuffled(rng, order_to_raw(n, edges, rng.sample(range(n), n)))
         supplied, _ = build_nice_decomposition(inst, raw)
-        for dec in (computed, supplied):
-            nice_invariants(dec, n, edges)
+        for dec, loose in ((computed, isolated_vertices(n, edges)), (supplied, set())):
+            nice_invariants(dec, n, edges, loose)
             joins_meet_on_kept_bags(dec)
             joins += dec.kinds.count("join")
     for _ in range(150):
@@ -275,7 +304,9 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
         dec, width = build_nice_decomposition(inst)
         assert width == dec.width
-        assert_nx_tree_decomposition(dec, graph)
+        # computed trees give isolated vertices no node: they alone lie in no bag
+        assert uncovered(dec, n) == set(nx.isolates(graph))
+        assert_nx_tree_decomposition(dec, graph.subgraph(v for v in graph if graph.degree(v)))
         if n <= 10:
             assert width <= treewidth_min_fill_in(graph)[0]
             assert width <= treewidth_min_degree(graph)[0]
@@ -477,6 +508,18 @@ def test_dp_vertex_usage_errors():
         dp_vertex(inst, dec, "minimize")
 
 
+def test_a_vertex_with_neighbors_must_lie_in_a_bag():
+    # a computed decomposition leaves isolated vertices out; one with an
+    # edge cannot be colored apart from the tree
+    edge = vertex_inst(3, [(0, 1)], 2, 1, (1, 1, 1), (1, 1, 1), ((2, 1),))
+    path = vertex_inst(3, [(0, 1), (1, 2)], 2, 1, (1, 1, 1), (1, 1, 1), ((2, 1),))
+    dec, _ = build_nice_decomposition(edge)
+    assert uncovered(dec, 3) == {2}
+    assert dp_vertex(edge, dec).feasible
+    with pytest.raises(UsageError, match="vertex 2 has neighbors but lies in no bag"):
+        dp_vertex(path, dec)
+
+
 def test_decomposition_independence():
     rng = random.Random(61)
     for _ in range(25):
@@ -497,7 +540,11 @@ def test_stored_tuples_stay_within_bounds():
         inst = random_vertex_instance(rng, n_max=6)
         dec, _ = build_nice_decomposition(inst)
         tables = _vertex_tables(inst, dec, maximize=False)
-        for table in tables:
+        for node, table in enumerate(tables):
+            if table is None:  # only the root join's, met at the target instead
+                assert node == dec.root and dec.kinds[node] == "join"
+                assert not root_meet_mismatch(inst, dec, tables)
+                continue
             for row in table.values():
                 for state in row:
                     tup = inst.packing.unpack(state)
@@ -627,10 +674,13 @@ def test_line_graph_instance_passes_the_checks_it_skips():
 def test_edge_join_conservation():
     # the edge DP is the vertex DP on the line graph: check its join tables there
     rng = random.Random(79)
-    total = 0
-    for _ in range(30):
-        inst = random_edge_instance(rng, m_max=6)
+    total = drawn = 0
+    while drawn < 30:
+        inst = random_edge_instance(rng, n_max=8, m_max=10, planted=True)
         lifted, _ = build_nice_decomposition(inst)
+        if all(kind != "join" or node == lifted.root for node, kind in enumerate(lifted.kinds)):
+            continue  # no join but the root's, which is met at the target, not tabled
+        drawn += 1
         line = _line_graph_instance(inst)
         checked, mismatches = join_row_mismatches(line, lifted, _vertex_tables(line, lifted, maximize=False))
         assert mismatches == 0
