@@ -2,26 +2,27 @@
 
 A nice decomposition is a rooted binary tree of bags whose nodes are leaf,
 forget(v), introduce(v), or join nodes; leaf and root bags are empty, so
-every vertex gets its color where it is introduced.  ``build_nice_decomposition``
-makes every one with a single ``nice_from_tree`` call on a rooted tree of
-bitmask bags: a computed tree is the clique tree of the min-fill elimination
-order, played on the instance's neighbor bitmasks; a supplied one is checked
-and rooted in one bitmask pass (``check_raw_decomposition``).  In edge mode
-the tree is one of G, computed over the conflict closure (the square of G),
-and each bag is replaced by the edges inside it before the nice form is
-made, so the result decomposes the line graph L(G) and the edge DP is the
-vertex DP on L(G).  The DPs run on any decomposition, so min-fill's upper
-bound on the tree-width is all they need.  Vertices are forgotten
-early, children join on the union of the bags they keep, and the rest of a
-bag is introduced after the joins, so no vertex is introduced on both
-branches of a join.  A computed tree gives isolated vertices no node, and
-hangs two or more connected components under one root with an empty bag.
-The DP keeps sparse tables: per
-node, a map from bag coloring to a row of the reachable packed part-by-color
-weight vectors (see ``packed``), a set to decide and a map to the best profit
-to maximize.  The vertices in no bag are packed steps outside the tables, and
-the target is met by lookup between their row and the rows below the root
-join (``dp_vertex``).  Rows store no predecessors: the witness is recovered
+every element gets its color where it is introduced.
+``build_nice_decomposition`` makes every one with a single ``nice_from_tree``
+call on a rooted tree of bitmask bags over the instance's elements: a
+computed tree is the clique tree of the min-fill elimination order, played
+on the conflict bitmasks; a supplied one is checked and rooted in one
+bitmask pass (``check_raw_decomposition``).  In edge mode two edges
+conflict when they share an end, so a computed tree decomposes the line
+graph L(G) over edge ids, a supplied tree of G is lifted to the edges
+inside its bags, and the edge DP is the vertex DP on L(G): ``dp_vertex``
+and ``dp_edge`` share one body.  The DPs run on any decomposition, so
+min-fill's upper bound on the tree-width is all they need.  Elements are
+forgotten early, children join on the union of the bags they keep, and the
+rest of a bag is introduced after the joins, so no element is introduced on
+both branches of a join.  A computed tree gives elements without a conflict
+no node, and hangs two or more connected components under one root with an
+empty bag.  The DP keeps sparse tables: per node, a map from bag coloring
+to a row of the reachable packed part-by-color weight vectors (see
+``packed``), a set to decide and a map to the best profit to maximize.  The
+elements in no bag are packed steps outside the tables, and the target is
+met by lookup between their row and the rows below the root join
+(``_conflict_dp``).  Rows store no predecessors: the witness is recovered
 top-down from the matched states, finding at each node a child state that
 rebuilds it.
 """
@@ -183,13 +184,14 @@ def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# supplied decompositions, and the lift to the line graph
+# supplied decompositions, and their lift to the line graph
 
 
-def check_raw_decomposition(n: int, edges, raw: RawDecomposition) -> tuple[list[int], list[list[int]]]:
+def check_raw_decomposition(n: int, edges, raw: RawDecomposition) -> tuple[list[int], list[list[int]], list[int]]:
     """Check a supplied decomposition of the graph (n, edges) and return its
-    bag masks and, hung from ``raw.root``, each bag's children: its other
-    tree neighbors in the order the tree edges list them.
+    bag masks; hung from ``raw.root``, each bag's children: its other tree
+    neighbors in the order the tree edges list them; and per bag, the mask
+    of the edge ids inside it (``_edges_inside``), its lift to L(G).
 
     Checks the tree shape, then the three tree-decomposition conditions in
     order: (1) every vertex lies in a bag, (2) every edge lies inside one,
@@ -244,8 +246,9 @@ def check_raw_decomposition(n: int, edges, raw: RawDecomposition) -> tuple[list[
     everything = (1 << n) - 1
     if held != everything:
         raise DecompositionError(f"condition (1): vertices {list(bits(everything & ~held))} appear in no bag")
+    lifted = _edges_inside(n, edges, bags)
     inside = 0
-    for mask in _edges_inside(n, edges, bags):
+    for mask in lifted:
         inside |= mask
     if missing := ((1 << len(edges)) - 1) & ~inside:
         u, v = edges[(missing & -missing).bit_length() - 1]
@@ -253,7 +256,7 @@ def check_raw_decomposition(n: int, edges, raw: RawDecomposition) -> tuple[list[
     if twice:
         v = (twice & -twice).bit_length() - 1
         raise DecompositionError(f"condition (3): bags containing vertex {v} are not connected")
-    return bags, children
+    return bags, children, lifted
 
 
 def _edges_inside(n: int, edges, bags) -> list[int]:
@@ -360,84 +363,59 @@ def nice_from_tree(bags, children, root: int) -> NiceDecomposition:
     )
 
 
-def conflict_closure(nbr) -> list[int]:
-    """Neighbor bitmasks of G plus a pair for every two vertices with a
-    common neighbor (the square of G).
+def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int]], int]:
+    """The rooted tree of bitmask bags over the instance's elements that
+    ``build_nice_decomposition`` makes nice, as (bags, children, root).
 
-    Any two G-edges sharing a vertex span a triangle of this closure, so a
-    tree decomposition of the closure puts them inside one common bag, which
-    is what the edge-coloring DP needs to see their conflict.
+    Without a supplied decomposition, it is the clique tree of the min-fill
+    elimination order of the conflict bitmasks, straight from the
+    elimination game (``elimination_tree``); in edge mode that decomposes
+    the line graph L(G) over edge ids, and an edge that no other edge
+    touches gets no node, as an isolated vertex does.  A supplied one
+    (``inst.decomposition``, always one of G) is checked and rooted by
+    ``check_raw_decomposition``; in edge mode its bags are replaced by their
+    lift, the edges inside them, which must gather every two adjacent
+    edges into one bag, or UsageError is raised.
     """
-    closure = []
-    for v, mask in enumerate(nbr):
-        reach = mask
-        for u in bits(mask):
-            reach |= nbr[u]
-        closure.append(reach & ~(1 << v))
-    return closure
-
-
-def decomposition_tree(
-    inst: ColoringInstance, supplied: RawDecomposition | None = None
-) -> tuple[list[int], list[list[int]], int]:
-    """The rooted tree of bitmask bags that ``build_nice_decomposition``
-    makes nice, as (bags, children, root).
-
-    Without a supplied decomposition (the argument, else the instance's),
-    the min-fill elimination order of the neighbor bitmasks gives the clique
-    tree straight from the elimination game (``elimination_tree``).  A
-    supplied one is checked and rooted by ``check_raw_decomposition``.
-    In edge mode the tree decomposes the line graph L(G), over the
-    instance's elements (edge ids): the tree of G is computed over the
-    conflict closure, so every two edges sharing a vertex meet inside some
-    bag, and each bag is replaced by the edges inside it.  A supplied one
-    must gather adjacent edges the same way, or UsageError is raised.
-    """
-    if supplied is None:
-        supplied = inst.decomposition
-    if supplied is not None:
-        bags, children = check_raw_decomposition(inst.n, inst.edges, supplied)
-        root = supplied.root
-    else:
-        nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
-        bags, children, root = elimination_tree(nbr, min_fill_order(nbr))
+    raw = inst.decomposition
+    if raw is None:
+        nbr = inst.conflict_masks
+        return elimination_tree(nbr, min_fill_order(nbr))
+    bags, children, lifted = check_raw_decomposition(inst.n, inst.edges, raw)
     if inst.mode == "edge":
-        bags = _edges_inside(inst.n, inst.edges, bags)
-        if supplied is not None:
-            for a, b in inst.conflict_pairs:
-                pair = 1 << a | 1 << b
-                if not any(pair & bag == pair for bag in bags):
-                    raise UsageError(
-                        "dp_edge: the decomposition never gathers adjacent edges "
-                        f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
-                        "over the conflict closure (omit the supplied decomposition)"
-                    )
-    return bags, children, root
+        for a, b in inst.conflict_pairs:
+            pair = 1 << a | 1 << b
+            if not any(pair & bag == pair for bag in lifted):
+                raise UsageError(
+                    "dp_edge: the decomposition never gathers adjacent edges "
+                    f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
+                    "over the conflict closure (omit the supplied decomposition)"
+                )
+        bags = lifted
+    return bags, children, raw.root
 
 
-def build_nice_decomposition(
-    inst: ColoringInstance, supplied: RawDecomposition | None = None
-) -> tuple[NiceDecomposition, int]:
+def build_nice_decomposition(inst: ColoringInstance) -> tuple[NiceDecomposition, int]:
     """Build (or check and root) a tree decomposition of the instance
     (``decomposition_tree``) and return its nice form with its width;
     ``nice_from_tree`` runs once."""
-    nice = nice_from_tree(*decomposition_tree(inst, supplied))
+    nice = nice_from_tree(*decomposition_tree(inst))
     return nice, nice.width
 
 
 # ---------------------------------------------------------------------------
-# vertex DP
+# the DP, on the conflict graph of the elements
 
 
 def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
     packing = inst.packing
     offset, guard = packing.offset, packing.guard
-    nbr = inst.neighbor_masks
+    nbr = inst.conflict_masks
     units = inst.units
     tables: list[dict] = [None] * dec.size
     order = dec.post_order()
     if dec.kinds[dec.root] == "join":
-        order.pop()  # the root comes last; dp_vertex meets its children at the target
+        order.pop()  # the root comes last; _conflict_dp meets its children at the target
 
     for node in order:
         kind = dec.kinds[node]
@@ -499,18 +477,37 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
 
 
 def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
-    """Vertex-coloring DP over a nice decomposition; decide or maximize profit.
+    """Vertex-coloring DP over a nice decomposition; decide or maximize
+    profit (``_conflict_dp``)."""
+    if inst.mode != "vertex":
+        raise UsageError("dp_vertex: requires a vertex-mode instance")
+    return _conflict_dp(inst, dec, objective)
 
-    A vertex in no bag must have no neighbor (a computed decomposition gives
-    isolated vertices no node); each such vertex is one packed step, and the
+
+def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
+    """Edge-coloring DP: the vertex DP on the line graph L(G)
+    (``_conflict_dp``).
+
+    ``dec`` decomposes L(G), over the instance's edge ids, as
+    build_nice_decomposition returns for edge-mode instances.
+    """
+    if inst.mode != "edge":
+        raise UsageError("dp_edge: requires an edge-mode instance")
+    return _conflict_dp(inst, dec, objective)
+
+
+def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str) -> SolveOutcome:
+    """The DP over a nice decomposition of the elements' conflict graph:
+    G in vertex mode, L(G) in edge mode.
+
+    An element in no bag must have no conflict (a computed decomposition
+    gives such elements no node); each one is a packed step, and the
     steps are layered into one row S.  The target is met, not tabled: with
     the root join's two child rows, or else the root row, S makes three or
     two rows; the two smaller are summed, and each state x of the largest
     looks up target - x in that sum (meet in the middle).  The root join's
     own table is never built.
     """
-    if inst.mode != "vertex":
-        raise UsageError("dp_vertex: requires a vertex-mode instance")
     if objective not in ("decide", "maximize"):
         raise UsageError(f"dp_vertex: objective must be decide or maximize, got {objective!r}")
     maximize = objective == "maximize"
@@ -520,8 +517,8 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
     for kind, v in zip(dec.kinds, dec.vertex):
         if kind == "introduce":
             covered |= 1 << v
-    loose = [v for v in range(inst.n) if not covered >> v & 1]
-    nbr = inst.neighbor_masks
+    loose = [v for v in range(inst.num_elements) if not covered >> v & 1]
+    nbr = inst.conflict_masks
     for v in loose:
         if nbr[v]:
             raise UsageError(f"dp_vertex: vertex {v} has neighbors but lies in no bag")
@@ -575,7 +572,7 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
         states[small[1]] = rest - states[small[0]]
     else:
         states[small[0]] = rest
-    color_of = [0] * inst.n
+    color_of = [0] * inst.num_elements
     state = states[0]
     for v, layer, above in zip(reversed(loose), reversed(layers[:-1]), reversed(layers[1:])):
         profit = above[state] if maximize else None
@@ -629,28 +626,3 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
             stack.append((left, key, a))
             stack.append((right, key, state + bag_w - a))
     return SolveOutcome.feasible_from(inst, color_of)
-
-
-# ---------------------------------------------------------------------------
-# edge DP: the vertex DP on the line graph
-
-
-def _line_graph_instance(inst: ColoringInstance) -> ColoringInstance:
-    """The vertex-mode instance on L(G): one vertex per edge, same lists and
-    bounds.  Its fields were checked on ``inst``, and the conflict pairs are
-    distinct sorted pairs of edge ids, so it is not checked again."""
-    return inst._derived(mode="vertex", n=len(inst.edges), edges=inst.conflict_pairs, decomposition=None)
-
-
-def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
-    """Edge-coloring DP: dp_vertex on the line graph L(G).
-
-    ``dec`` decomposes L(G), over the instance's edge ids, as
-    build_nice_decomposition returns for edge-mode instances.
-    """
-    if inst.mode != "edge":
-        raise UsageError("dp_edge: requires an edge-mode instance")
-    outcome = dp_vertex(_line_graph_instance(inst), dec, objective)
-    if not outcome.feasible:
-        return outcome
-    return SolveOutcome.feasible_from(inst, outcome.witness.color_of)

@@ -66,6 +66,19 @@ def order_to_raw(n, edges, order):
     return RawDecomposition(bags=(*bags, ()), tree_edges=tuple(tree_edges), root=root)
 
 
+def line_graph_instance(inst):
+    """The vertex-mode instance on the line graph L(G) of an edge-mode
+    instance, built through the checking constructor: vertex i is edge i,
+    two are adjacent when their edges share an end, and the lists, weights,
+    parts, bounds and profits are the edges'."""
+    m = len(inst.edges)
+    pairs = tuple((a, b) for b in range(m) for a in range(b) if set(inst.edges[a]) & set(inst.edges[b]))
+    return ColoringInstance(
+        mode="vertex", n=m, edges=pairs, k=inst.k, p=inst.p, part_of=inst.part_of, weight=inst.weight,
+        bounds=inst.bounds, allowed=inst.allowed, profit=inst.profit,
+    )
+
+
 def isolated_vertices(n, edges):
     """The vertices of the graph (n, edges) with no neighbor."""
     return set(range(n)) - {v for edge in edges for v in edge}
@@ -160,9 +173,10 @@ def min_fill_width(n, edges):
 
 
 def conflict_closure_sets(n, edges):
-    """Edges of G plus a pair for every two vertices with a common neighbor,
-    as a sorted edge tuple built over Python sets: the reference for the
-    bitmask ``treewidth.conflict_closure``."""
+    """Edges of G plus a pair for every two vertices with a common neighbor
+    (the square of G), as a sorted edge tuple built over Python sets.  Two
+    edges sharing a vertex span a triangle of it, so any tree decomposition
+    of it, supplied with an edge-mode instance, gathers them in one bag."""
     closed = set(tuple(e) for e in edges)
     nbr = [set() for _ in range(n)]
     for u, v in edges:

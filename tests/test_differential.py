@@ -48,11 +48,13 @@ from lbcolor import (
     solve_with,
 )
 from lbcolor import treewidth
-from lbcolor.treewidth import _vertex_tables, conflict_closure, min_fill_order
+from lbcolor.instance import adjacency_masks
+from lbcolor.treewidth import _vertex_tables, min_fill_order
 
 from corpus import (
     assert_outcome,
     bounds_from_assignment,
+    conflict_closure_sets,
     isolated_vertices,
     loose_sums,
     order_to_raw,
@@ -315,11 +317,11 @@ def covering_reference(inst, objective):
     every vertex, isolated ones in bags of their own: the route without
     packed steps.  Minimize negates the profits."""
     twin = inst.negated() if objective == "minimize" else inst
-    nbr = inst.neighbor_masks if inst.mode == "vertex" else conflict_closure(inst.neighbor_masks)
-    graph = [(u, v) for u in range(inst.n) for v in range(u + 1, inst.n) if nbr[u] >> v & 1]
-    raw = order_to_raw(inst.n, graph, min_fill_order(nbr))
+    graph = inst.edges if inst.mode == "vertex" else conflict_closure_sets(inst.n, inst.edges)
+    raw = order_to_raw(inst.n, graph, min_fill_order(adjacency_masks(inst.n, graph)))
     dp = dp_vertex if inst.mode == "vertex" else dp_edge
-    out = dp(twin, build_nice_decomposition(twin, raw)[0], "decide" if objective == "decide" else "maximize")
+    dec = build_nice_decomposition(dataclasses.replace(twin, decomposition=raw))[0]
+    out = dp(twin, dec, "decide" if objective == "decide" else "maximize")
     if objective == "minimize" and out.feasible:
         out = dataclasses.replace(out, objective=-out.objective)
     return out

@@ -104,8 +104,8 @@ def test_nice_decompositions_are_made_only_by_nice_from_tree():
 
 def test_vertex_tables_are_built_only_by_dp_vertex():
     # one route from the tables to a verdict: the target check and the
-    # witness walk exist once, in dp_vertex, which the edge DP calls too
-    assert _call_sites("_vertex_tables", "dp_vertex", "treewidth.py") == (1, [])
+    # witness walk exist once, in the DP body that dp_vertex and dp_edge share
+    assert _call_sites("_vertex_tables", "_conflict_dp", "treewidth.py") == (1, [])
 
 
 CLASS_TESTS = ("split_partition_masks", "complete_bipartite_masks", "_cotree_or_prime")

@@ -4,6 +4,8 @@ import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
 
 from lbcolor import (
@@ -19,10 +21,8 @@ from lbcolor import (
 from lbcolor.instance import adjacency_masks, bits
 from lbcolor import treewidth
 from lbcolor.treewidth import (
-    _line_graph_instance,
     _vertex_tables,
     check_raw_decomposition,
-    conflict_closure,
     elimination_tree,
     min_fill_order,
     nice_from_tree,
@@ -34,6 +34,7 @@ from corpus import (
     conflict_closure_sets,
     isolated_vertices,
     join_row_mismatches,
+    line_graph_instance,
     min_fill_order_rescan,
     min_fill_width,
     order_to_raw,
@@ -45,6 +46,11 @@ from corpus import (
     validate_raw_decomposition,
     without_isolated,
 )
+
+
+def supplied(inst, raw):
+    """``inst`` carrying the decomposition ``raw``, as a document supplies one."""
+    return dataclasses.replace(inst, decomposition=raw)
 
 
 def full(k):
@@ -110,19 +116,11 @@ def test_min_fill_order_matches_rescan_reference():
         labels, sub = without_isolated(n, edges)
         m, new = len(labels), {v: i for i, v in enumerate(labels)}
         sub_inst = vertex_inst(m, sub, 1, 1, (1,) * m, (1,) * m, ((m,),))
-        expected, _ = build_nice_decomposition(sub_inst, order_to_raw(m, sub, [new[v] for v in reference if v in new]))
+        raw = order_to_raw(m, sub, [new[v] for v in reference if v in new])
+        expected, _ = build_nice_decomposition(supplied(sub_inst, raw))
         expected = relabelled(expected, labels)
         assert build_nice_decomposition(inst) == (expected, expected.width)
         assert uncovered(expected, n) == isolated_vertices(n, edges)
-
-
-def test_conflict_closure_matches_set_reference():
-    rng = random.Random(61)
-    for _ in range(1000):
-        n, edges = random_graph_for_orders(rng)
-        nbr = adjacency_masks(n, edges)
-        assert conflict_closure(nbr) == adjacency_masks(n, conflict_closure_sets(n, edges)), (n, edges)
-        assert nbr == adjacency_masks(n, edges)
 
 
 def edges_inside_reference(edges, bag):
@@ -130,15 +128,14 @@ def edges_inside_reference(edges, bag):
     return sum(1 << i for i, (u, v) in enumerate(edges) if bag >> u & 1 and bag >> v & 1)
 
 
-def test_edge_decomposition_is_min_fill_over_the_reference_closure():
+def test_edge_decomposition_is_min_fill_over_the_line_graph():
     rng = random.Random(67)
     for _ in range(300):
         inst = random_edge_instance(rng, n_max=rng.choice((6, 14)), m_max=rng.choice((7, 30)))
-        closure = conflict_closure_sets(inst.n, inst.edges)
-        nbr = adjacency_masks(inst.n, closure)
-        bags, children, root = elimination_tree(nbr, min_fill_order_rescan(inst.n, closure))
-        lifted = [edges_inside_reference(inst.edges, bag) for bag in bags]
-        expected = nice_from_tree(lifted, children, root)
+        m, pairs = len(inst.edges), inst.conflict_pairs
+        raw = computed_tree_reference(m, pairs, min_fill_order_rescan(m, pairs))
+        bags = [sum(1 << e for e in bag) for bag in raw.bags]
+        expected = nice_from_tree(bags, rooted_children(raw), raw.root)
         assert build_nice_decomposition(inst) == (expected, expected.width), (inst.n, inst.edges)
 
 
@@ -266,18 +263,18 @@ def test_joins_meet_on_kept_bags():
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
         computed, _ = build_nice_decomposition(inst)
         raw = reshuffled(rng, order_to_raw(n, edges, rng.sample(range(n), n)))
-        supplied, _ = build_nice_decomposition(inst, raw)
-        for dec, loose in ((computed, isolated_vertices(n, edges)), (supplied, set())):
+        given_dec, _ = build_nice_decomposition(supplied(inst, raw))
+        for dec, loose in ((computed, isolated_vertices(n, edges)), (given_dec, set())):
             nice_invariants(dec, n, edges, loose)
             joins_meet_on_kept_bags(dec)
             joins += dec.kinds.count("join")
     for _ in range(150):
         inst = random_edge_instance(rng, n_max=8, m_max=12)
-        line = _line_graph_instance(inst)
-        lifted, _ = build_nice_decomposition(inst)
-        nice_invariants(lifted, line.n, line.edges)
-        joins_meet_on_kept_bags(lifted)
-        joins += lifted.kinds.count("join")
+        line = line_graph_instance(inst)
+        dec, _ = build_nice_decomposition(inst)
+        nice_invariants(dec, line.n, line.edges, isolated_vertices(line.n, line.edges))
+        joins_meet_on_kept_bags(dec)
+        joins += dec.kinds.count("join")
     assert joins > 0
 
 
@@ -317,7 +314,10 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         dec, _ = build_nice_decomposition(inst)
         line = nx.line_graph(graph)
         line = nx.relabel_nodes(line, {e: inst.edges.index(tuple(sorted(e))) for e in line})
-        assert_nx_tree_decomposition(dec, line)
+        assert sorted(map(sorted, line.edges)) == sorted(map(list, line_graph_instance(inst).edges))
+        # an edge that no other edge touches is an isolated vertex of L(G), in no bag
+        assert uncovered(dec, len(inst.edges)) == set(nx.isolates(line))
+        assert_nx_tree_decomposition(dec, line.subgraph(e for e in line if line.degree(e)))
 
 
 def test_computed_decompositions_build_no_raw_decomposition(monkeypatch):
@@ -415,9 +415,10 @@ def test_check_raw_decomposition_matches_set_reference():
         expected = checked(validate_raw_decomposition, n, edges, raw)
         got = checked(check_raw_decomposition, n, edges, raw)
         if expected is None:
-            bags, children = got
+            bags, children, lifted = got
             assert bags == [sum(1 << v for v in bag) for bag in raw.bags]
             assert children == rooted_children(raw), (n, edges, raw)
+            assert lifted == [edges_inside_reference(edges, bag) for bag in bags]
             accepted += 1
         else:
             assert got == expected, (n, edges, raw)
@@ -442,10 +443,10 @@ def test_nice_from_tree_runs_once_per_decomposition(monkeypatch):
         # a decomposition of the conflict closure gathers adjacent edges
         graph = inst.edges if inst.mode == "vertex" else conflict_closure_sets(inst.n, inst.edges)
         raw = reshuffled(rng, order_to_raw(inst.n, graph, rng.sample(range(inst.n), inst.n)))
-        for supplied in (None, raw):
+        for given_raw in (None, raw):
             calls.clear()
-            dec, _ = build_nice_decomposition(inst, supplied)
-            assert len(calls) == 1, (inst.mode, supplied)
+            dec, _ = build_nice_decomposition(supplied(inst, given_raw))
+            assert len(calls) == 1, (inst.mode, given_raw)
             if inst.mode == "edge":
                 calls.clear()
                 dp_edge(inst, dec)
@@ -455,7 +456,7 @@ def test_nice_from_tree_runs_once_per_decomposition(monkeypatch):
 def test_supplied_decomposition_is_used():
     inst = vertex_inst(3, ((0, 1), (1, 2)), 2, 1, (1,) * 3, (1,) * 3, ((2, 1),))
     raw = RawDecomposition(bags=((0, 1), (1, 2)), tree_edges=((0, 1),), root=0)
-    dec, width = build_nice_decomposition(inst, raw)
+    dec, width = build_nice_decomposition(supplied(inst, raw))
     assert width == 1
     out = dp_vertex(inst, dec)
     assert out.feasible and out.witness.color_of == (1, 2, 1)
@@ -527,7 +528,7 @@ def test_decomposition_independence():
         dec_a, _ = build_nice_decomposition(inst)
         # alternative decomposition from the identity elimination order
         raw = order_to_raw(inst.n, inst.edges, list(range(inst.n)))
-        dec_b, _ = build_nice_decomposition(inst, raw)
+        dec_b, _ = build_nice_decomposition(supplied(inst, raw))
         assert dp_vertex(inst, dec_a).status == dp_vertex(inst, dec_b).status
         a = dp_vertex(inst, dec_a, "maximize")
         b = dp_vertex(inst, dec_b, "maximize")
@@ -601,7 +602,7 @@ def test_dp_edge_rejects_decomposition_splitting_conflicts():
                             allowed=(full(2),) * 2)
     raw = RawDecomposition(bags=((0, 1), (1, 2)), tree_edges=((0, 1),), root=0)
     with pytest.raises(UsageError, match="adjacent edges"):
-        build_nice_decomposition(inst, raw)
+        build_nice_decomposition(supplied(inst, raw))
 
 
 def test_supplied_edge_decompositions_must_gather_conflicts():
@@ -618,10 +619,10 @@ def test_supplied_edge_decompositions_must_gather_conflicts():
         if split:
             a, b = split[0]
             with pytest.raises(UsageError) as err:
-                build_nice_decomposition(inst, raw)
+                build_nice_decomposition(supplied(inst, raw))
             assert f"adjacent edges {inst.edges[a]} and {inst.edges[b]} into one bag" in str(err.value)
         else:
-            dec, _ = build_nice_decomposition(inst, raw)
+            dec, _ = build_nice_decomposition(supplied(inst, raw))
             assert_outcome(inst, dp_edge(inst, dec))
         outcomes.add(bool(split))
     assert outcomes == {False, True}
@@ -632,7 +633,7 @@ def test_dp_edge_accepts_supplied_single_bag_decomposition():
                             part_of=(1, 1), weight=(1, 1), bounds=((1, 1),),
                             allowed=(full(2),) * 2)
     raw = RawDecomposition(bags=((0, 1, 2),), tree_edges=(), root=0)
-    dec, width = build_nice_decomposition(inst, raw)
+    dec, width = build_nice_decomposition(supplied(inst, raw))
     assert width == 1  # one bag of L(G) holding both edges
     out = dp_edge(inst, dec)
     assert out.feasible
@@ -650,39 +651,59 @@ def test_dp_edge_matches_oracle():
 
 
 def test_lifted_decomposition_is_valid_for_the_line_graph():
+    # a computed one decomposes L(G) less its isolated vertices, the edges
+    # that no other edge touches; a supplied one of the conflict closure,
+    # lifted to the edges inside its bags, decomposes all of L(G)
     rng = random.Random(83)
     for _ in range(60):
         inst = random_edge_instance(rng)
-        lifted, _ = build_nice_decomposition(inst)
-        line = _line_graph_instance(inst)
-        tree_edges = [(node, c) for node in range(lifted.size) for c in lifted.children[node]]
-        raw = RawDecomposition(bags=lifted.bags, tree_edges=tree_edges, root=lifted.root)
-        validate_raw_decomposition(line.n, line.edges, raw)
-
-
-def test_line_graph_instance_passes_the_checks_it_skips():
-    rng = random.Random(89)
-    for _ in range(100):
-        inst = random_edge_instance(rng, profit=rng.random() < 0.5)
-        line = _line_graph_instance(inst)
-        assert dataclasses.replace(line) == line  # replace runs every check
-        assert (line.mode, line.n, line.edges, line.decomposition) == (
-            "vertex", len(inst.edges), inst.conflict_pairs, None
-        )
+        line = line_graph_instance(inst)
+        labels, sub = without_isolated(line.n, line.edges)
+        new = {e: i for i, e in enumerate(labels)}
+        closure = conflict_closure_sets(inst.n, inst.edges)
+        raw = reshuffled(rng, order_to_raw(inst.n, closure, rng.sample(range(inst.n), inst.n)))
+        for dec, graph, relabel in (
+            (build_nice_decomposition(inst)[0], (len(labels), sub), new),
+            (build_nice_decomposition(supplied(inst, raw))[0], (line.n, line.edges), None),
+        ):
+            bags = [tuple(relabel[e] for e in bag) if relabel else bag for bag in dec.bags]
+            tree_edges = [(node, c) for node in range(dec.size) for c in dec.children[node]]
+            validate_raw_decomposition(*graph, RawDecomposition(bags=bags, tree_edges=tree_edges, root=dec.root))
 
 
 def test_edge_join_conservation():
-    # the edge DP is the vertex DP on the line graph: check its join tables there
+    # the edge DP's join tables, checked against the vertex instance on L(G)
     rng = random.Random(79)
     total = drawn = 0
     while drawn < 30:
         inst = random_edge_instance(rng, n_max=8, m_max=10, planted=True)
-        lifted, _ = build_nice_decomposition(inst)
-        if all(kind != "join" or node == lifted.root for node, kind in enumerate(lifted.kinds)):
+        dec, _ = build_nice_decomposition(inst)
+        if all(kind != "join" or node == dec.root for node, kind in enumerate(dec.kinds)):
             continue  # no join but the root's, which is met at the target, not tabled
         drawn += 1
-        line = _line_graph_instance(inst)
-        checked, mismatches = join_row_mismatches(line, lifted, _vertex_tables(line, lifted, maximize=False))
+        checked, mismatches = join_row_mismatches(
+            line_graph_instance(inst), dec, _vertex_tables(inst, dec, maximize=False)
+        )
         assert mismatches == 0
         total += checked
     assert total > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), lone=st.integers(0, 4), profit=st.booleans())
+def test_the_edge_dp_is_the_vertex_dp_on_the_line_graph(seed, lone, profit):
+    # G plus ``lone`` edges on fresh vertices, which no other edge touches
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, rng.randint(0, min(9, len(pairs))))
+    edges += [(n + 2 * i, n + 2 * i + 1) for i in range(lone)]
+    inst = random_edge_instance(rng, edges=tuple(edges), n=n + 2 * lone, profit=profit, planted=rng.random() < 0.7)
+    line = line_graph_instance(inst)
+    dec = build_nice_decomposition(inst)
+    assert dec == build_nice_decomposition(line)
+    assert uncovered(dec[0], len(edges)) >= set(range(len(edges) - lone, len(edges)))  # packed steps
+    for objective in ("decide", "maximize") if profit else ("decide",):
+        got, want = dp_edge(inst, dec[0], objective), dp_vertex(line, dec[0], objective)
+        assert (got.status, got.witness, got.objective) == (want.status, want.witness, want.objective), objective
+        assert_outcome(inst, got)
