@@ -181,13 +181,14 @@ def build_cotree(inst: ColoringInstance) -> Cotree:
 def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") -> SolveOutcome:
     """Coloring DP over a cotree.
 
-    A node's table holds its subgraph's reachable packed weight vectors (see
-    ``packed``): a set to decide, a map to the best profit to maximize.  At
-    union nodes child states simply add; at join nodes they add under the
-    exclusivity rule that each color draws weight from at most one child,
-    which is what keeps the combined coloring proper across the join.  The
-    witness is recovered top-down: each state splits into a left state and
-    its complement in the right table.
+    A node's table maps its subgraph's reachable packed weight vectors (see
+    ``packed``) to the best profit each reaches; to decide, every profit is
+    0 (``ColoringInstance.color_profits``), so decide is maximize over zero
+    profits.  At union nodes child states simply add; at join nodes they add
+    under the exclusivity rule that each color draws weight from at most one
+    child, which is what keeps the combined coloring proper across the join.
+    The witness is recovered top-down: each state splits into a left state
+    and its complement in the right table with the same total profit.
     """
     if inst.mode != "vertex":
         raise UsageError("dp_cograph: requires a vertex-mode instance")
@@ -204,6 +205,7 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     tables: list = [None] * len(ct.kinds)
 
     units = inst.units
+    profits = inst.color_profits(maximize)
     # adding half - 1 to a field sets its guard bit iff the field is nonzero;
     # folding the parts' blocks onto the first leaves one guard bit per color
     nonzero = packing.guard - (packing.guard >> (packing.width - 1))
@@ -220,31 +222,26 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     def by_colors(table):
         """The table split by the colors its states use."""
         groups = {}
-        for state in table:
-            groups.setdefault(colors(state), {})[state] = table[state] if maximize else None
+        for state, q in table.items():
+            groups.setdefault(colors(state), {})[state] = q
         return groups
 
     for node in ct.post_order():
         kind = ct.kinds[node]
         if kind == "leaf":
             v = ct.vertex[node]
-            fitting = {c: u for c, u in units[v].items() if packing.fits(u)}
             # one field per color, so no two colors make the same state
-            table = {u: inst.profit_of(v, c) for c, u in fitting.items()} if maximize else set(fitting.values())
+            table = {u: profits[v][c] for c, u in units[v].items() if packing.fits(u)}
         elif kind == "union":
             lt, rt = (tables[child] for child in ct.children[node])
-            table = packing.best_sums(lt, rt) if maximize else packing.sums(lt, rt)
+            table = packing.best_sums(lt, rt)
         else:  # join: pair only states whose colors are disjoint
             lgroups, rgroups = (by_colors(tables[child]) for child in ct.children[node])
-            table = {} if maximize else set()
+            table = {}
             for lmask, lt in lgroups.items():
                 for rmask, rt in rgroups.items():
-                    if lmask & rmask:
-                        continue
-                    if maximize:
+                    if not lmask & rmask:
                         packing.best_sums(lt, rt, table)
-                    else:
-                        table |= packing.sums(lt, rt)
         tables[node] = table
 
     target = packing.target
@@ -259,17 +256,15 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
             v = ct.vertex[node]
             color_of[v] = first_predecessor((c for c, u in units[v].items() if u == state), "dp_cograph leaf")
             continue
-        profit = tables[node][state] if maximize else None
+        profit = tables[node][state]
         left, right = ct.children[node]
         lt, rt = tables[left], tables[right]
         joining = ct.kinds[node] == "join"
         a = first_predecessor(
             (
                 a
-                for a in lt
-                if (b := state - a) in rt
-                and not (joining and colors(a) & colors(b))
-                and (not maximize or lt[a] + rt[b] == profit)
+                for a, pa in lt.items()
+                if rt.get(b := state - a) == profit - pa and not (joining and colors(a) & colors(b))
             ),
             "dp_cograph",
         )

@@ -295,6 +295,15 @@ class ColoringInstance:
     def profit_of(self, element: int, color: int) -> int:
         return self.profit[element][color - 1] if self.profit is not None else 0
 
+    def color_profits(self, maximize: bool) -> tuple[dict[int, int], ...]:
+        """Per element, a map from each color to its profit: the profit
+        matrix's to maximize, 0 to decide.  The DPs keep the best profit per
+        state, so over zero profits they decide."""
+        colors = range(1, self.k + 1)
+        if maximize:
+            return tuple(dict(zip(colors, row)) for row in self.profit)
+        return (dict.fromkeys(colors, 0),) * self.num_elements
+
 
 @dataclass(frozen=True)
 class Coloring:

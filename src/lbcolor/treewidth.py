@@ -18,13 +18,13 @@ rest of a bag is introduced after the joins, so no element is introduced on
 both branches of a join.  A computed tree gives elements without a conflict
 no node, and hangs two or more connected components under one root with an
 empty bag.  The DP keeps sparse tables: per node, a map from bag coloring
-to a row of the reachable packed part-by-color weight vectors (see
-``packed``), a set to decide and a map to the best profit to maximize.  The
-elements in no bag are packed steps outside the tables, and the target is
-met by lookup between their row and the rows below the root join
-(``_conflict_dp``).  Rows store no predecessors: the witness is recovered
-top-down from the matched states, finding at each node a child state that
-rebuilds it.
+to a row that maps the reachable packed part-by-color weight vectors (see
+``packed``) to the best profit each reaches; to decide, every profit is 0,
+so decide is maximize over zero profits.  The elements in no bag are packed
+steps outside the tables, and the target is met by lookup between their row
+and the rows below the root join (``_conflict_dp``).  Rows store no
+predecessors: the witness is recovered top-down from the matched states,
+finding at each node a child state that rebuilds it with the same profit.
 """
 
 from __future__ import annotations
@@ -412,6 +412,7 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
     offset, guard = packing.offset, packing.guard
     nbr = inst.conflict_masks
     units = inst.units
+    profits = inst.color_profits(maximize)
     tables: list[dict] = [None] * dec.size
     order = dec.post_order()
     if dec.kinds[dec.root] == "join":
@@ -423,25 +424,21 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
         table: dict = {}
 
         if kind == "leaf":
-            table[()] = {0: 0} if maximize else {0}
+            table[()] = {0: 0}
 
         elif kind == "introduce":
             child = dec.children[node][0]
             v = dec.vertex[node]
             pos = bag.index(v)
             nbr_pos = [i for i, u in enumerate(dec.bags[child]) if nbr[v] >> u & 1]
-            options = units[v].items()
+            options = [(c, unit, profits[v][c]) for c, unit in units[v].items()]
             # adding one unit shifts a row injectively, so no two sums meet
             for ckey, crow in tables[child].items():
                 taken = {ckey[i] for i in nbr_pos}
-                for c, unit in options:
+                for c, unit, q in options:
                     if c in taken:
                         continue
-                    if maximize:
-                        profit = inst.profit_of(v, c)
-                        row = {x: q + profit for s, q in crow.items() if not ((x := s + unit) + offset) & guard}
-                    else:
-                        row = {x for s in crow if not ((x := s + unit) + offset) & guard}
+                    row = {x: p + q for s, p in crow.items() if not ((x := s + unit) + offset) & guard}
                     if row:
                         table[ckey[:pos] + (c,) + ckey[pos:]] = row
 
@@ -450,13 +447,13 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
             pos = dec.bags[child].index(dec.vertex[node])
             for ckey, crow in tables[child].items():
                 key = ckey[:pos] + ckey[pos + 1 :]
-                if maximize:
-                    row = table.setdefault(key, {})
-                    row.update({s: p for s, p in crow.items() if p > row.get(s, p - 1)})
+                row = table.get(key)
+                if row is None:
+                    table[key] = dict(crow)
                 else:
-                    table.setdefault(key, set()).update(crow)
+                    row.update({s: p for s, p in crow.items() if p > row.get(s, p - 1)})
 
-        else:  # join: child states each count the bag weight once, so subtract one copy
+        else:  # join: child states each count the bag weight and profit once, so subtract one copy
             left, right = dec.children[node]
             rt = tables[right]
             for key, arow in tables[left].items():
@@ -464,11 +461,8 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: boo
                 if brow is None:
                     continue
                 bag_w = sum(units[v][c] for v, c in zip(bag, key))
-                if maximize:
-                    bag_profit = sum(inst.profit_of(v, c) for v, c in zip(bag, key))
-                    row = packing.best_sums({a - bag_w: p - bag_profit for a, p in arow.items()}, brow)
-                else:
-                    row = packing.sums([a - bag_w for a in arow], brow)
+                bag_profit = sum(profits[v][c] for v, c in zip(bag, key))
+                row = packing.best_sums({a - bag_w: p - bag_profit for a, p in arow.items()}, brow)
                 if row:
                     table[key] = row
 
@@ -481,7 +475,7 @@ def dp_vertex(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "
     profit (``_conflict_dp``)."""
     if inst.mode != "vertex":
         raise UsageError("dp_vertex: requires a vertex-mode instance")
-    return _conflict_dp(inst, dec, objective)
+    return _conflict_dp(inst, dec, objective, "dp_vertex")
 
 
 def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "decide") -> SolveOutcome:
@@ -493,26 +487,29 @@ def dp_edge(inst: ColoringInstance, dec: NiceDecomposition, objective: str = "de
     """
     if inst.mode != "edge":
         raise UsageError("dp_edge: requires an edge-mode instance")
-    return _conflict_dp(inst, dec, objective)
+    return _conflict_dp(inst, dec, objective, "dp_edge")
 
 
-def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str) -> SolveOutcome:
+def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str, name: str) -> SolveOutcome:
     """The DP over a nice decomposition of the elements' conflict graph:
-    G in vertex mode, L(G) in edge mode.
+    G in vertex mode, L(G) in edge mode; ``name``, the caller, heads its
+    error messages.
 
-    An element in no bag must have no conflict (a computed decomposition
-    gives such elements no node); each one is a packed step, and the
-    steps are layered into one row S.  The target is met, not tabled: with
-    the root join's two child rows, or else the root row, S makes three or
-    two rows; the two smaller are summed, and each state x of the largest
-    looks up target - x in that sum (meet in the middle).  The root join's
-    own table is never built.
+    Every row maps states to their best profit; to decide, every profit
+    is 0 (``ColoringInstance.color_profits``).  An element in no bag must
+    have no conflict (a computed decomposition gives such elements no
+    node); each one is a packed step, and the steps are layered into one
+    row S.  The target is met, not tabled: with the root join's two child
+    rows, or else the root row, S makes three or two rows; the two smaller
+    are summed, and each state x of the largest looks up target - x in
+    that sum (meet in the middle).  The root join's own table is never
+    built.
     """
     if objective not in ("decide", "maximize"):
-        raise UsageError(f"dp_vertex: objective must be decide or maximize, got {objective!r}")
+        raise UsageError(f"{name}: objective must be decide or maximize, got {objective!r}")
     maximize = objective == "maximize"
     if maximize and inst.profit is None:
-        raise UsageError("dp_vertex: maximize requires a profit matrix")
+        raise UsageError(f"{name}: maximize requires a profit matrix")
     covered = 0  # every vertex in a bag is introduced, as leaf and root bags are empty
     for kind, v in zip(dec.kinds, dec.vertex):
         if kind == "introduce":
@@ -521,16 +518,14 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
     nbr = inst.conflict_masks
     for v in loose:
         if nbr[v]:
-            raise UsageError(f"dp_vertex: vertex {v} has neighbors but lies in no bag")
+            raise UsageError(f"{name}: vertex {v} has neighbors but lies in no bag")
 
     packing = inst.packing
     units = inst.units
-    layers = [{0: 0} if maximize else {0}]  # layer i: the sums of the first i steps
+    profits = inst.color_profits(maximize)
+    layers = [{0: 0}]  # layer i: the sums of the first i steps
     for v in loose:
-        if maximize:
-            layer = packing.best_sums(layers[-1], {unit: inst.profit_of(v, c) for c, unit in units[v].items()})
-        else:
-            layer = packing.sums(layers[-1], units[v].values())
+        layer = packing.best_sums(layers[-1], {unit: profits[v][c] for c, unit in units[v].items()})
         if not layer:
             return SolveOutcome.infeasible_outcome()
         layers.append(layer)
@@ -542,18 +537,15 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
     *small, big = sorted(range(len(sides)), key=lambda i: len(sides[i]))
     if len(small) == 2:
         a, b = sides[small[0]], sides[small[1]]
-        half = packing.best_sums(a, b) if maximize else packing.sums(a, b)
+        half = packing.best_sums(a, b)
     else:
         half = sides[small[0]]
     target = packing.target
     found = best = None
-    if maximize:
-        for x, q in sides[big].items():
-            r = half.get(target - x)
-            if r is not None and (found is None or q + r > best):
-                found, best = x, q + r
-    else:
-        found = next((x for x in sides[big] if target - x in half), None)
+    for x, q in sides[big].items():
+        r = half.get(target - x)
+        if r is not None and (found is None or q + r > best):
+            found, best = x, q + r
     if found is None:
         return SolveOutcome.infeasible_outcome()
 
@@ -566,8 +558,7 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
     rest = target - found
     if len(small) == 2:
         states[small[0]] = first_predecessor(
-            (x for x in a if (rest - x) in b and (not maximize or a[x] + b[rest - x] == half[rest])),
-            "dp_vertex meet",
+            (x for x, q in a.items() if b.get(rest - x) == half[rest] - q), f"{name} meet"
         )
         states[small[1]] = rest - states[small[0]]
     else:
@@ -575,14 +566,10 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
     color_of = [0] * inst.num_elements
     state = states[0]
     for v, layer, above in zip(reversed(loose), reversed(layers[:-1]), reversed(layers[1:])):
-        profit = above[state] if maximize else None
+        profit = above[state]
         c = first_predecessor(
-            (
-                c
-                for c, unit in units[v].items()
-                if state - unit in layer and (not maximize or layer[state - unit] + inst.profit_of(v, c) == profit)
-            ),
-            "dp_vertex step",
+            (c for c, unit in units[v].items() if layer.get(state - unit) == profit - profits[v][c]),
+            f"{name} step",
         )
         color_of[v] = c
         state -= units[v][c]
@@ -592,7 +579,6 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
         node, key, state = stack.pop()
         kind = dec.kinds[node]
         bag = dec.bags[node]
-        profit = tables[node][key][state] if maximize else None
         if kind == "introduce":
             pos = bag.index(dec.vertex[node])
             v, c = bag[pos], key[pos]
@@ -603,25 +589,19 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str)
             v = dec.vertex[node]
             pos = dec.bags[child].index(v)
             rows = tables[child]
+            profit = tables[node][key][state]
             ckeys = (key[:pos] + (c,) + key[pos:] for c in units[v])  # colors in sorted order
             ckey = first_predecessor(
-                (ck for ck in ckeys if state in rows.get(ck, ()) and (not maximize or rows[ck][state] == profit)),
-                "dp_vertex forget",
+                (ck for ck in ckeys if ck in rows and rows[ck].get(state) == profit), f"{name} forget"
             )
             stack.append((child, ckey, state))
         elif kind == "join":  # an empty leaf colors nothing
             left, right = dec.children[node]
             arow, brow = tables[left][key], tables[right][key]
             bag_w = sum(units[v][c] for v, c in zip(bag, key))
-            if maximize:
-                profit += sum(inst.profit_of(v, c) for v, c in zip(bag, key))
+            profit = tables[node][key][state] + sum(profits[v][c] for v, c in zip(bag, key))
             a = first_predecessor(
-                (
-                    a
-                    for a in arow
-                    if (b := state + bag_w - a) in brow and (not maximize or arow[a] + brow[b] == profit)
-                ),
-                "dp_vertex join",
+                (a for a, pa in arow.items() if brow.get(state + bag_w - a) == profit - pa), f"{name} join"
             )
             stack.append((left, key, a))
             stack.append((right, key, state + bag_w - a))

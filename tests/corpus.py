@@ -677,15 +677,16 @@ def root_meet_mismatch(inst, dec, tables) -> bool:
     return dp_vertex(inst, dec).feasible != (inst.bounds_flat in sums)
 
 
-def join_row_mismatches(inst, dec, tables):
+def join_row_mismatches(inst, dec, tables, maximize=False):
     """Recompute every join row of ``treewidth._vertex_tables`` from its
     children's rows, one unpacked field at a time.  A row must be exactly
     {a + b - bag weight : a in the left row, b in the right row, within the
-    bounds} (sound and complete), every child state must hold the bag weight
-    in every field, and a join key needs a row in both children.  The root
-    join's table is not built; that join is checked by ``root_meet_mismatch``
-    instead, and counts among the mismatches only.  Returns (bag colorings
-    checked, mismatches)."""
+    bounds} (sound and complete), each state carrying the best left profit
+    plus right profit less the bag's profit (0 unless ``maximize``), every
+    child state must hold the bag weight in every field, and a join key
+    needs a row in both children.  The root join's table is not built; that
+    join is checked by ``root_meet_mismatch`` instead, and counts among the
+    mismatches only.  Returns (bag colorings checked, mismatches)."""
     unpack = inst.packing.unpack
     bounds = inst.bounds_flat
     checked = mismatches = 0
@@ -703,16 +704,18 @@ def join_row_mismatches(inst, dec, tables):
             bag_w = [0] * len(bounds)
             for v, c in zip(dec.bags[node], key):
                 bag_w[inst.flat_index(inst.part_of[v], c)] += inst.weight[v]
-            lefts = [unpack(a) for a in lt[key]]
-            rights = [unpack(b) for b in rt[key]]
-            mismatches += sum(1 for q in lefts + rights if any(x < w for x, w in zip(q, bag_w)))
-            want = set()
-            for qa in lefts:
-                for qb in rights:
+            bag_profit = sum(inst.profit_of(v, c) for v, c in zip(dec.bags[node], key)) if maximize else 0
+            lefts = [(unpack(a), pa) for a, pa in lt[key].items()]
+            rights = [(unpack(b), pb) for b, pb in rt[key].items()]
+            mismatches += sum(1 for q, _ in lefts + rights if any(x < w for x, w in zip(q, bag_w)))
+            want = {}
+            for qa, pa in lefts:
+                for qb, pb in rights:
                     fields = tuple(x + y - w for x, y, w in zip(qa, qb, bag_w))
                     if all(f <= b for f, b in zip(fields, bounds)):
-                        want.add(fields)
-            mismatches += {unpack(s) for s in table.get(key, ())} != want
+                        want[fields] = max(want.get(fields, pa + pb), pa + pb)
+            got = {unpack(s): q for s, q in table.get(key, {}).items()}
+            mismatches += got != {fields: q - bag_profit for fields, q in want.items()}
             checked += 1
     return checked, mismatches
 

@@ -108,6 +108,12 @@ def test_vertex_tables_are_built_only_by_dp_vertex():
     assert _call_sites("_vertex_tables", "_conflict_dp", "treewidth.py") == (1, [])
 
 
+def test_dp_rows_map_states_to_profits():
+    # decide is maximize over zero profits, so no DP forms set rows: the only
+    # caller of PackedBounds.sums is PackedBounds.choose
+    assert _call_sites("sums", "choose", "packed.py") == (1, [])
+
+
 CLASS_TESTS = ("split_partition_masks", "complete_bipartite_masks", "_cotree_or_prime")
 
 

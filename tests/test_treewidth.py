@@ -503,10 +503,20 @@ def test_dp_vertex_matches_oracle_decide_and_maximize():
 def test_dp_vertex_usage_errors():
     inst = random_vertex_instance(random.Random(0), profit=False)
     dec, _ = build_nice_decomposition(inst)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^dp_vertex: maximize requires a profit matrix"):
         dp_vertex(inst, dec, "maximize")
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^dp_vertex: objective must be decide or maximize"):
         dp_vertex(inst, dec, "minimize")
+
+
+def test_dp_edge_usage_errors_name_dp_edge():
+    # dp_edge shares its body with dp_vertex, but its errors carry its own name
+    inst = random_edge_instance(random.Random(0), profit=False)
+    dec, _ = build_nice_decomposition(inst)
+    with pytest.raises(UsageError, match="^dp_edge: maximize requires a profit matrix"):
+        dp_edge(inst, dec, "maximize")
+    with pytest.raises(UsageError, match="^dp_edge: objective must be decide or maximize"):
+        dp_edge(inst, dec, "minimize")
 
 
 def test_a_vertex_with_neighbors_must_lie_in_a_bag():
@@ -535,12 +545,13 @@ def test_decomposition_independence():
         assert a.status == b.status and a.objective == b.objective
 
 
-def test_stored_tuples_stay_within_bounds():
+@pytest.mark.parametrize("maximize", [False, True])
+def test_stored_tuples_stay_within_bounds(maximize):
     rng = random.Random(67)
     for _ in range(20):
-        inst = random_vertex_instance(rng, n_max=6)
+        inst = random_vertex_instance(rng, n_max=6, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, maximize=False)
+        tables = _vertex_tables(inst, dec, maximize)
         for node, table in enumerate(tables):
             if table is None:  # only the root join's, met at the target instead
                 assert node == dec.root and dec.kinds[node] == "join"
@@ -553,16 +564,39 @@ def test_stored_tuples_stay_within_bounds():
                     assert all(x >= 0 for x in tup)
 
 
-def test_join_conservation_holds_on_traced_tables():
+@pytest.mark.parametrize("maximize", [False, True])
+def test_join_conservation_holds_on_traced_tables(maximize):
     rng = random.Random(71)
     total = 0
     for _ in range(40):
-        inst = random_vertex_instance(rng, n_max=7, edge_p=0.45)
+        inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize=False))
+        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize), maximize)
         assert mismatches == 0
         total += checked
     assert total > 0
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_profits_change_only_the_values_of_the_tables(mode):
+    # decide is maximize over zero profits: at every node both runs keep the
+    # same keys and the same states per key, and decide's profits all read 0
+    rng = random.Random(73)
+    for _ in range(40):
+        if mode == "vertex":
+            inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, profit=True)
+        else:
+            inst = random_edge_instance(rng, n_max=6, m_max=8, profit=True, planted=True)
+        dec, _ = build_nice_decomposition(inst)
+        decide, maximize = _vertex_tables(inst, dec, False), _vertex_tables(inst, dec, True)
+        for node in range(dec.size):
+            if decide[node] is None:  # the root join's, met at the target instead
+                assert maximize[node] is None
+                continue
+            assert decide[node].keys() == maximize[node].keys(), node
+            for key, row in decide[node].items():
+                assert row.keys() == maximize[node][key].keys(), (node, key)
+                assert set(row.values()) <= {0}, (node, key)
 
 
 # ---------------------------------------------------------------------------
