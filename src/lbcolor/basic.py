@@ -221,8 +221,9 @@ def forced_residual(inst: ColoringInstance):
     built again; in edge mode it is G less the fixed edges, on which a
     supplied decomposition stays valid.  The valid
     colorings of ``inst`` are exactly the fixed colors joined with a valid
-    coloring of ``residual``; with nothing kept, its bounds are all zero and
-    ``color_of`` is one.
+    coloring of ``residual``; with nothing kept, ``color_of`` is one, and
+    the residual has no elements, no edges and all-zero bounds, built
+    without a walk of the edges or a restricted cotree.
     """
     m, k = inst.num_elements, inst.k
     weight, part_of = inst.weight, inst.part_of
@@ -301,7 +302,10 @@ def forced_residual(inst: ColoringInstance):
     else:
         new = {v: i for i, v in enumerate(kept)}
         changes["n"] = len(kept)
-        changes["edges"] = tuple([(new[u], new[v]) for u, v in inst.edges if u in new and v in new])
+        # a fully fixed instance leaves nothing to solve: its edges are not walked
+        changes["edges"] = (
+            tuple([(new[u], new[v]) for u, v in inst.edges if u in new and v in new]) if kept else ()
+        )
         raw = inst.decomposition
         if raw is not None:
             # a decomposition of G restricts to one of the induced subgraph;
@@ -310,7 +314,8 @@ def forced_residual(inst: ColoringInstance):
             changes["decomposition"] = RawDecomposition(bags=bags, tree_edges=raw.tree_edges, root=raw.root)
     residual = inst._derived(**changes)
     found = inst.__dict__.get("cotree_or_prime")
-    if inst.mode == "vertex" and found is not None and not isinstance(found, list):
-        # a cached cotree (not a prime module) restricts to the induced subgraph's
+    if kept and inst.mode == "vertex" and found is not None and not isinstance(found, list):
+        # a cached cotree (not a prime module) restricts to the induced
+        # subgraph's; an empty residual is never solved, so it needs none
         residual.__dict__["cotree_or_prime"] = found.restricted(kept)
     return color_of, residual, kept

@@ -15,17 +15,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
+from operator import lt, ne
 
 from .errors import InstanceFormatError, UsageError
 from .packed import PackedBounds
 
 MODES = ("vertex", "edge")
 _LISTS = (list, tuple)
+_LIST_TYPES = set(_LISTS)
+_COLOR_LIST_TYPES = {list, tuple, set, frozenset}
 
 
 def _is_int(x) -> bool:
     """An int that is not a bool: JSON ``true`` loads as one."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _all_ints(seq) -> bool:
+    """Whether every entry of the sequence ``seq`` passes ``_is_int``, in one
+    pass over the entries' types; only when some type is not exactly int (a
+    bool, or an int subclass) does ``_is_int`` test each entry."""
+    return set(map(type, seq)) <= {int} or all(map(_is_int, seq))
+
+
+def _within(seq, low: int, high: int | None = None) -> bool:
+    """Whether every entry of ``seq``, a sequence of ints, lies in
+    low..high; None means no upper limit."""
+    return not seq or (min(seq) >= low and (high is None or max(seq) <= high))
+
+
+def _rows_of(seq, length: int) -> bool:
+    """Whether every entry of ``seq`` is a list or tuple of ``length``
+    entries; a subclass of either fails, and its field's scan accepts it."""
+    return set(map(type, seq)) <= _LIST_TYPES and set(map(len, seq)) <= {length}
 
 
 def adjacency_masks(n: int, edges) -> list[int]:
@@ -51,6 +74,67 @@ def _require_list(name: str, value):
     return value
 
 
+# The per-entry scans of ColoringInstance's fields: each makes its field's
+# checks entry by entry, in order, and raises the first that fails.  They run
+# only when a whole-field pass fails, and return only when nothing is wrong
+# (a row of a list subclass fails ``_rows_of``).
+
+
+def _scan_edges(n: int, edges) -> None:
+    seen = set()
+    for pos, pair in enumerate(edges):
+        if not isinstance(pair, _LISTS) or len(pair) != 2:
+            raise InstanceFormatError(f"edges[{pos}]: expected a pair of vertices")
+        u, v = pair
+        if not (_is_int(u) and _is_int(v)):
+            raise InstanceFormatError(f"edges[{pos}]: endpoints must be integers")
+        if u == v:
+            raise InstanceFormatError(f"edges[{pos}]: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceFormatError(f"edges[{pos}]: endpoint out of range 0..{n - 1}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise InstanceFormatError(f"edges[{pos}]: duplicate edge {e}")
+        seen.add(e)
+
+
+def _scan_parts(p: int, part_of, weight) -> None:
+    for e, (h, w) in enumerate(zip(part_of, weight)):
+        if not _is_int(h) or not 1 <= h <= p:
+            raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{p}, got {h!r}")
+        if not _is_int(w) or w < 1:
+            raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {w!r}")
+
+
+def _scan_colors(k: int, allowed) -> None:
+    for e, colors in enumerate(allowed):
+        # check the raw entries: frozenset({1, True}) would hide the bool
+        if not isinstance(colors, (list, tuple, set, frozenset)):
+            raise InstanceFormatError(f"allowed[{e}]: expected a list of colors")
+        if not colors:
+            raise InstanceFormatError(f"allowed[{e}]: color list is empty")
+        for c in colors:
+            if not _is_int(c) or not 1 <= c <= k:
+                raise InstanceFormatError(f"allowed[{e}]: color {c!r} outside 1..{k}")
+
+
+def _scan_bounds(k: int, bounds) -> None:
+    for h, row in enumerate(bounds, start=1):
+        if not isinstance(row, _LISTS):
+            raise InstanceFormatError(f"bounds[{h}]: expected a list")
+        if len(row) != k:
+            raise InstanceFormatError(f"bounds[{h}]: expected {k} entries, got {len(row)}")
+        for c, b in enumerate(row, start=1):
+            if not _is_int(b) or b < 0:
+                raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {b!r}")
+
+
+def _scan_profit(k: int, profit) -> None:
+    for e, row in enumerate(profit):
+        if not isinstance(row, _LISTS) or len(row) != k or not _all_ints(row):
+            raise InstanceFormatError(f"profit[{e}]: expected {k} integers")
+
+
 @dataclass(frozen=True)
 class RawDecomposition:
     """A tree decomposition as supplied in an instance document (not yet nice).
@@ -63,20 +147,21 @@ class RawDecomposition:
     root: int
 
     def __post_init__(self):
-        bags = []
-        for i, bag in enumerate(_require_list("decomposition.bags", self.bags)):
-            if not isinstance(bag, _LISTS) or not all(map(_is_int, bag)):
-                raise InstanceFormatError(f"decomposition.bags[{i}]: expected a list of integers")
-            bags.append(tuple(bag))
-        tree_edges = []
-        for i, pair in enumerate(_require_list("decomposition.tree_edges", self.tree_edges)):
-            if not isinstance(pair, _LISTS) or len(pair) != 2 or not all(map(_is_int, pair)):
-                raise InstanceFormatError(f"decomposition.tree_edges[{i}]: expected a pair of integers")
-            tree_edges.append(tuple(pair))
+        # whole-field passes first; a failed one scans for the first bad entry
+        bags = _require_list("decomposition.bags", self.bags)
+        if not (set(map(type, bags)) <= _LIST_TYPES and _all_ints(list(chain.from_iterable(bags)))):
+            for i, bag in enumerate(bags):
+                if not isinstance(bag, _LISTS) or not _all_ints(bag):
+                    raise InstanceFormatError(f"decomposition.bags[{i}]: expected a list of integers")
+        tree_edges = _require_list("decomposition.tree_edges", self.tree_edges)
+        if not (_rows_of(tree_edges, 2) and _all_ints(list(chain.from_iterable(tree_edges)))):
+            for i, pair in enumerate(tree_edges):
+                if not isinstance(pair, _LISTS) or len(pair) != 2 or not _all_ints(pair):
+                    raise InstanceFormatError(f"decomposition.tree_edges[{i}]: expected a pair of integers")
         if not _is_int(self.root):
             raise InstanceFormatError(f"decomposition.root: expected an integer, got {self.root!r}")
-        object.__setattr__(self, "bags", tuple(bags))
-        object.__setattr__(self, "tree_edges", tuple(tree_edges))
+        object.__setattr__(self, "bags", tuple(map(tuple, bags)))
+        object.__setattr__(self, "tree_edges", tuple(map(tuple, tree_edges)))
 
 
 @dataclass(frozen=True)
@@ -106,67 +191,58 @@ class ColoringInstance:
             raise InstanceFormatError(f"k: expected a positive integer, got {self.k!r}")
         if not _is_int(self.p) or self.p < 1:
             raise InstanceFormatError(f"p: expected a positive integer, got {self.p!r}")
+        n, k, p = self.n, self.k, self.p
 
-        edges = []
-        seen = set()
-        for pos, pair in enumerate(_require_list("edges", self.edges)):
-            if not isinstance(pair, _LISTS) or len(pair) != 2:
-                raise InstanceFormatError(f"edges[{pos}]: expected a pair of vertices")
-            u, v = pair
-            if not (_is_int(u) and _is_int(v)):
-                raise InstanceFormatError(f"edges[{pos}]: endpoints must be integers")
-            if u == v:
-                raise InstanceFormatError(f"edges[{pos}]: self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InstanceFormatError(f"edges[{pos}]: endpoint out of range 0..{self.n - 1}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise InstanceFormatError(f"edges[{pos}]: duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
-        object.__setattr__(self, "edges", tuple(edges))
+        # Each field is checked in a few passes over the whole field; when a
+        # pass fails, the field's per-entry scan raises the first error.
+        edges = _require_list("edges", self.edges)
+        if not _rows_of(edges, 2):
+            _scan_edges(n, edges)
+        flat = list(chain.from_iterable(edges))
+        us, vs = flat[0::2], flat[1::2]
+        if not (_all_ints(flat) and _within(flat, 0, n - 1)):
+            _scan_edges(n, edges)
+        if all(map(lt, us, vs)):  # sorted pairs, as documents store them: no self-loop either
+            pairs = tuple(zip(us, vs))
+        else:
+            if not all(map(ne, us, vs)):
+                _scan_edges(n, edges)
+            pairs = tuple(zip(map(min, us, vs), map(max, us, vs)))
+        if len(set(pairs)) < len(pairs):
+            _scan_edges(n, edges)
+        object.__setattr__(self, "edges", pairs)
 
-        m = self.n if self.mode == "vertex" else len(self.edges)
+        m = n if self.mode == "vertex" else len(pairs)
         for name in ("part_of", "weight", "allowed"):
             seq = _require_list(name, getattr(self, name))
             if len(seq) != m:
                 raise InstanceFormatError(f"{name}: expected {m} entries, got {len(seq)}")
-        object.__setattr__(self, "part_of", tuple(self.part_of))
-        object.__setattr__(self, "weight", tuple(self.weight))
-        carried = [0] * self.p  # total weight per part
-        for e, (h, w) in enumerate(zip(self.part_of, self.weight)):
-            if not _is_int(h) or not 1 <= h <= self.p:
-                raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{self.p}, got {h!r}")
-            if not _is_int(w) or w < 1:
-                raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {w!r}")
-            carried[h - 1] += w
-        allowed = []
-        for e, colors in enumerate(self.allowed):
-            # check the raw entries: frozenset({1, True}) would hide the bool
-            if not isinstance(colors, (list, tuple, set, frozenset)):
-                raise InstanceFormatError(f"allowed[{e}]: expected a list of colors")
-            if not colors:
-                raise InstanceFormatError(f"allowed[{e}]: color list is empty")
-            for c in colors:
-                if not _is_int(c) or not 1 <= c <= self.k:
-                    raise InstanceFormatError(f"allowed[{e}]: color {c!r} outside 1..{self.k}")
-            allowed.append(frozenset(colors))
-        object.__setattr__(self, "allowed", tuple(allowed))
+        part_of, weight = tuple(self.part_of), tuple(self.weight)
+        if not (_all_ints(part_of) and _within(part_of, 1, p) and _all_ints(weight) and _within(weight, 1)):
+            _scan_parts(p, part_of, weight)
+        object.__setattr__(self, "part_of", part_of)
+        object.__setattr__(self, "weight", weight)
 
-        if len(_require_list("bounds", self.bounds)) != self.p:
-            raise InstanceFormatError(f"bounds: expected {self.p} rows, got {len(self.bounds)}")
-        rows = []
-        for h, row in enumerate(self.bounds, start=1):
-            if not isinstance(row, _LISTS):
-                raise InstanceFormatError(f"bounds[{h}]: expected a list")
-            row = tuple(row)
-            if len(row) != self.k:
-                raise InstanceFormatError(f"bounds[{h}]: expected {self.k} entries, got {len(row)}")
-            for c, b in enumerate(row, start=1):
-                if not _is_int(b) or b < 0:
-                    raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {b!r}")
-            rows.append(row)
-        object.__setattr__(self, "bounds", tuple(rows))
+        allowed = self.allowed
+        if not (set(map(type, allowed)) <= _COLOR_LIST_TYPES and all(allowed)):
+            _scan_colors(k, allowed)
+        flat = list(chain.from_iterable(allowed))
+        if not (_all_ints(flat) and _within(flat, 1, k)):
+            _scan_colors(k, allowed)
+        object.__setattr__(self, "allowed", tuple(map(frozenset, allowed)))
+
+        bounds = _require_list("bounds", self.bounds)
+        if len(bounds) != p:
+            raise InstanceFormatError(f"bounds: expected {p} rows, got {len(bounds)}")
+        if not _rows_of(bounds, k):
+            _scan_bounds(k, bounds)
+        flat = list(chain.from_iterable(bounds))
+        if not (_all_ints(flat) and _within(flat, 0)):
+            _scan_bounds(k, bounds)
+        object.__setattr__(self, "bounds", tuple(map(tuple, bounds)))
+        carried = [0] * p  # total weight per part; p is now at most the rows given
+        for h, w in zip(part_of, weight):
+            carried[h - 1] += w
         for h, (row, part_weight) in enumerate(zip(self.bounds, carried), start=1):
             if part_weight != sum(row):
                 raise InstanceFormatError(
@@ -174,14 +250,12 @@ class ColoringInstance:
                 )
 
         if self.profit is not None:
-            if len(_require_list("profit", self.profit)) != m:
-                raise InstanceFormatError(f"profit: expected {m} rows, got {len(self.profit)}")
-            prof = []
-            for e, row in enumerate(self.profit):
-                if not isinstance(row, _LISTS) or len(row) != self.k or not all(map(_is_int, row)):
-                    raise InstanceFormatError(f"profit[{e}]: expected {self.k} integers")
-                prof.append(tuple(row))
-            object.__setattr__(self, "profit", tuple(prof))
+            profit = _require_list("profit", self.profit)
+            if len(profit) != m:
+                raise InstanceFormatError(f"profit: expected {m} rows, got {len(profit)}")
+            if not (_rows_of(profit, k) and _all_ints(list(chain.from_iterable(profit)))):
+                _scan_profit(k, profit)
+            object.__setattr__(self, "profit", tuple(map(tuple, profit)))
 
     @property
     def num_elements(self) -> int:
@@ -341,7 +415,7 @@ class SolveOutcome:
         col = Coloring(tuple(color_of))
         objective = None
         if inst.profit is not None:
-            objective = sum(inst.profit_of(e, col.color_of[e]) for e in range(inst.num_elements))
+            objective = sum([row[c - 1] for row, c in zip(inst.profit, col.color_of)])
         return SolveOutcome(status="feasible", witness=col, objective=objective)
 
 
@@ -354,9 +428,9 @@ def validate_coloring(inst: ColoringInstance, col: Coloring) -> ValidationReport
     UsageError instead, since that is a structural mismatch rather than an
     invalid coloring.
     """
-    for e, c in enumerate(col.color_of):
-        if not _is_int(c):
-            raise UsageError(f"color_of[{e}]: expected an integer color, got {c!r}")
+    if not _all_ints(col.color_of):
+        e, c = next((e, c) for e, c in enumerate(col.color_of) if not _is_int(c))
+        raise UsageError(f"color_of[{e}]: expected an integer color, got {c!r}")
     m = inst.num_elements
     if len(col.color_of) != m:
         raise UsageError(f"coloring assigns {len(col.color_of)} elements, instance has {m}")

@@ -407,12 +407,13 @@ def build_nice_decomposition(inst: ColoringInstance) -> tuple[NiceDecomposition,
 # the DP, on the conflict graph of the elements
 
 
-def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, maximize: bool):
+def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, profits):
+    """The rows of every node below the root join, or of every node when
+    the root is no join; ``profits`` is ``inst.color_profits(maximize)``."""
     packing = inst.packing
     offset, guard = packing.offset, packing.guard
     nbr = inst.conflict_masks
     units = inst.units
-    profits = inst.color_profits(maximize)
     tables: list[dict] = [None] * dec.size
     order = dec.post_order()
     if dec.kinds[dec.root] == "join":
@@ -530,7 +531,7 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
             return SolveOutcome.infeasible_outcome()
         layers.append(layer)
 
-    tables = _vertex_tables(inst, dec, maximize)
+    tables = _vertex_tables(inst, dec, profits)
     root = dec.root
     starts = dec.children[root] if dec.kinds[root] == "join" else (root,)
     sides = [layers[-1], *(tables[node].get((), {}) for node in starts)]

@@ -289,7 +289,8 @@ def run_criterion_7(seed):
     for i in range(40):
         inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, tw_cap=3)
         dec, _ = build_nice_decomposition(inst)
-        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize=False))
+        tables = _vertex_tables(inst, dec, inst.color_profits(False))
+        checked, mismatches = join_row_mismatches(inst, dec, tables)
         violations += mismatches
         joins_checked += checked
         out = dp_vertex(inst, dec)

@@ -366,7 +366,7 @@ def largest_meet_side(inst, dec):
     join; S is recomputed one unpacked field at a time."""
     if dec.kinds[dec.root] != "join":
         return None
-    tables = _vertex_tables(inst, dec, maximize=False)
+    tables = _vertex_tables(inst, dec, inst.color_profits(False))
     sizes = [len(loose_sums(inst, dec)), *(len(tables[child].get((), ())) for child in dec.children[dec.root])]
     top = max(sizes)
     return ("S", "left", "right")[sizes.index(top)] if sizes.count(top) == 1 else None

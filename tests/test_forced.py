@@ -243,3 +243,31 @@ def test_a_restricted_decomposition_drops_and_relabels_the_fixed_vertices():
                                decomposition=RawDecomposition(bags=((0, 1, 2), (1, 2, 3), (2, 3, 4)),
                                                               tree_edges=((0, 1), (1, 2)), root=0))
     assert forced_residual(edge)[1].decomposition is edge.decomposition
+
+
+@pytest.mark.parametrize("objective", ["decide", "maximize", "minimize"])
+@pytest.mark.parametrize("name", ["cograph", "treewidth"])
+def test_a_fully_fixed_instance_restricts_no_cotree(monkeypatch, name, objective):
+    # vertex 0's one color fixes the triangle whole, so the residual is empty
+    triangle = ((0, 1), (0, 2), (1, 2))
+
+    def build():
+        return vertex(3, triangle, 3, ((1, 1, 1),), ({1}, {1, 2}, {1, 2, 3}), profit=((1, 2, 3),) * 3)
+
+    want = solve_with(name, build(), objective)
+
+    def refuse(self, kept):
+        raise RuntimeError("restricted the cotree")
+
+    monkeypatch.setattr(cographs.Cotree, "restricted", refuse)
+    inst = build()
+    assert ClassReport(inst).cograph  # caches the cotree that a residual would restrict
+    assert forced_residual(inst)[2] == []
+    got = solve_with(name, inst, objective)
+    assert (got.status, got.witness, got.objective) == (want.status, want.witness, want.objective)
+    assert got.witness.color_of == (1, 2, 3)
+    # a residual that keeps elements does restrict the cached cotree
+    partly = vertex(3, triangle, 3, ((1, 1, 1),), ({1}, {2, 3}, {2, 3}))
+    assert ClassReport(partly).cograph
+    with pytest.raises(RuntimeError, match="restricted the cotree"):
+        forced_residual(partly)

@@ -1,11 +1,15 @@
 import ast
+import copy
 import dataclasses
+import enum
 import inspect
 import re
 import textwrap
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbcolor import (
     Coloring,
@@ -172,3 +176,354 @@ def test_negated_equals_the_checked_replacement():
     twin = inst.negated()
     assert twin == dataclasses.replace(inst, profit=((-1, 2), (0, -3), (-4, -4)))
     assert twin.negated() == inst
+
+
+# ---------------------------------------------------------------------------
+# the whole-field checks against a per-element reference
+
+
+def _int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _listish(name, value):
+    if not isinstance(value, (list, tuple)):
+        raise InstanceFormatError(f"{name}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def reference_decomposition(bags, tree_edges, root):
+    """Construction of RawDecomposition checked one entry at a time, as it
+    was before its whole-field passes: the normalised fields, or the error."""
+    checked = []
+    for i, bag in enumerate(_listish("decomposition.bags", bags)):
+        if not isinstance(bag, (list, tuple)) or not all(map(_int, bag)):
+            raise InstanceFormatError(f"decomposition.bags[{i}]: expected a list of integers")
+        checked.append(tuple(bag))
+    pairs = []
+    for i, pair in enumerate(_listish("decomposition.tree_edges", tree_edges)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_int, pair)):
+            raise InstanceFormatError(f"decomposition.tree_edges[{i}]: expected a pair of integers")
+        pairs.append(tuple(pair))
+    if not _int(root):
+        raise InstanceFormatError(f"decomposition.root: expected an integer, got {root!r}")
+    return {"bags": tuple(checked), "tree_edges": tuple(pairs), "root": root}
+
+
+def reference_instance(mode, n, edges, k, p, part_of, weight, bounds, allowed, profit=None):
+    """Construction of ColoringInstance checked one entry at a time, as it
+    was before its whole-field passes: the normalised fields, or the error.
+    The weight per part is totalled once the bounds are known to have p
+    rows, so a huge p is an error, not a huge list."""
+    if mode not in ("vertex", "edge"):
+        raise InstanceFormatError(f"mode: expected one of ('vertex', 'edge'), got {mode!r}")
+    if not _int(n) or n < 0:
+        raise InstanceFormatError(f"n: expected a non-negative integer, got {n!r}")
+    if not _int(k) or k < 1:
+        raise InstanceFormatError(f"k: expected a positive integer, got {k!r}")
+    if not _int(p) or p < 1:
+        raise InstanceFormatError(f"p: expected a positive integer, got {p!r}")
+    pairs, seen = [], set()
+    for pos, pair in enumerate(_listish("edges", edges)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InstanceFormatError(f"edges[{pos}]: expected a pair of vertices")
+        u, v = pair
+        if not (_int(u) and _int(v)):
+            raise InstanceFormatError(f"edges[{pos}]: endpoints must be integers")
+        if u == v:
+            raise InstanceFormatError(f"edges[{pos}]: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceFormatError(f"edges[{pos}]: endpoint out of range 0..{n - 1}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise InstanceFormatError(f"edges[{pos}]: duplicate edge {e}")
+        seen.add(e)
+        pairs.append(e)
+    m = n if mode == "vertex" else len(pairs)
+    for name, seq in (("part_of", part_of), ("weight", weight), ("allowed", allowed)):
+        if len(_listish(name, seq)) != m:
+            raise InstanceFormatError(f"{name}: expected {m} entries, got {len(seq)}")
+    for e, (h, w) in enumerate(zip(part_of, weight)):
+        if not _int(h) or not 1 <= h <= p:
+            raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{p}, got {h!r}")
+        if not _int(w) or w < 1:
+            raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {w!r}")
+    lists = []
+    for e, colors in enumerate(allowed):
+        if not isinstance(colors, (list, tuple, set, frozenset)):
+            raise InstanceFormatError(f"allowed[{e}]: expected a list of colors")
+        if not colors:
+            raise InstanceFormatError(f"allowed[{e}]: color list is empty")
+        for c in colors:
+            if not _int(c) or not 1 <= c <= k:
+                raise InstanceFormatError(f"allowed[{e}]: color {c!r} outside 1..{k}")
+        lists.append(frozenset(colors))
+    if len(_listish("bounds", bounds)) != p:
+        raise InstanceFormatError(f"bounds: expected {p} rows, got {len(bounds)}")
+    rows = []
+    for h, row in enumerate(bounds, start=1):
+        if not isinstance(row, (list, tuple)):
+            raise InstanceFormatError(f"bounds[{h}]: expected a list")
+        row = tuple(row)
+        if len(row) != k:
+            raise InstanceFormatError(f"bounds[{h}]: expected {k} entries, got {len(row)}")
+        for c, b in enumerate(row, start=1):
+            if not _int(b) or b < 0:
+                raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {b!r}")
+        rows.append(row)
+    carried = [0] * p
+    for h, w in zip(part_of, weight):
+        carried[h - 1] += w
+    for h, (row, part_weight) in enumerate(zip(rows, carried), start=1):
+        if part_weight != sum(row):
+            raise InstanceFormatError(
+                f"bounds[{h}]: row sums to {sum(row)} but part {h} carries total weight {part_weight}"
+            )
+    if profit is not None:
+        if len(_listish("profit", profit)) != m:
+            raise InstanceFormatError(f"profit: expected {m} rows, got {len(profit)}")
+        checked = []
+        for e, row in enumerate(profit):
+            if not isinstance(row, (list, tuple)) or len(row) != k or not all(map(_int, row)):
+                raise InstanceFormatError(f"profit[{e}]: expected {k} integers")
+            checked.append(tuple(row))
+        profit = tuple(checked)
+    return {
+        "mode": mode, "n": n, "edges": tuple(pairs), "k": k, "p": p, "part_of": tuple(part_of),
+        "weight": tuple(weight), "bounds": tuple(rows), "allowed": tuple(lists), "profit": profit,
+    }
+
+
+def reference_from_doc(doc):
+    fields = {key: doc[key] for key in ("mode", "n", "edges", "k", "p", "part_of", "weight", "bounds", "allowed")}
+    decomposition = doc.get("decomposition")
+    if decomposition is not None:
+        decomposition = reference_decomposition(**decomposition)
+    return {**reference_instance(**fields, profit=doc.get("profit")), "decomposition": decomposition}
+
+
+def test_a_huge_part_count_is_a_format_error():
+    # the per-part weights are totalled only once the bounds have p rows
+    with pytest.raises(InstanceFormatError, match=r"^bounds: expected 1000000000000 rows, got 1$"):
+        make(n=1, k=1, p=10**12, bounds=((1,),))
+
+
+Small = enum.IntEnum("Small", ["ZERO", "ONE", "TWO", "THREE", "FOUR"], start=0)
+ODD_VALUES = [True, False, 1.0, 2.5, "1", None, Small.ONE, Small.TWO, -1, 0, 1, 2, 3, 7, 10**20]
+
+
+@st.composite
+def valid_docs(draw):
+    """A document that passes every check: bounds from a random coloring."""
+    mode = draw(st.sampled_from(["vertex", "edge"]))
+    n = draw(st.integers(0 if mode == "vertex" else 2, 6))
+    possible = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique_by=tuple, max_size=8) if possible else st.just([]))
+    k, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = n if mode == "vertex" else len(edges)
+    part_of = draw(st.lists(st.integers(1, p), min_size=m, max_size=m))
+    weight = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    color_of = draw(st.lists(st.integers(1, k), min_size=m, max_size=m))
+    bounds = [[0] * k for _ in range(p)]
+    for h, w, c in zip(part_of, weight, color_of):
+        bounds[h - 1][c - 1] += w
+    allowed = [sorted({c, *draw(st.lists(st.integers(1, k), max_size=k))}) for c in color_of]
+    doc = {"mode": mode, "n": n, "edges": edges, "k": k, "p": p, "part_of": part_of, "weight": weight,
+           "bounds": bounds, "allowed": allowed}
+    if draw(st.booleans()):
+        doc["profit"] = draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        doc["decomposition"] = {"bags": [list(range(n))], "tree_edges": [], "root": 0}
+        if n > 1 and draw(st.booleans()):
+            doc["decomposition"] = {"bags": [[v] for v in range(n)], "tree_edges": [[v, v + 1] for v in range(n - 1)],
+                                    "root": 0}
+    return doc
+
+
+FIELDS = ("edges", "part_of", "weight", "allowed", "bounds", "profit", "bags", "tree_edges")
+CONTAINERS = (set, frozenset, tuple, str, dict.fromkeys, lambda row: 5)
+
+
+class Subclassed(int):
+    pass
+
+
+def _pick_list(data, doc):
+    """A field of ``doc`` that is still a list, or one of its rows; None if
+    the drawn field is gone or no longer a list."""
+    name = data.draw(st.sampled_from(FIELDS))
+    holder = doc.get("decomposition") if name in ("bags", "tree_edges") else doc
+    seq = holder.get(name) if isinstance(holder, dict) else None
+    if not isinstance(seq, list):
+        return None
+    rows = [row for row in seq if isinstance(row, list)]
+    return data.draw(st.sampled_from(rows)) if rows and data.draw(st.booleans()) else seq
+
+
+def mutate(data, doc):
+    """One mutation of ``doc``, which may already be mutated."""
+    draw = data.draw
+    kind = draw(st.sampled_from(["entry", "subclass", "length", "empty", "container", "edge", "row sum", "scalar"]))
+    seq = _pick_list(data, doc)
+    if kind == "scalar":
+        key = draw(st.sampled_from(["n", "k", "p", "root"]))
+        target = doc.get("decomposition") if key == "root" else doc
+        if target is not None:
+            target[key] = draw(st.sampled_from(ODD_VALUES))
+    elif kind in ("entry", "subclass") and seq:
+        i = draw(st.integers(0, len(seq) - 1))
+        if kind == "entry":
+            seq[i] = draw(st.sampled_from(ODD_VALUES))
+        elif _int(seq[i]):  # the same value, as a type that is not exactly int
+            seq[i] = Small(seq[i]) if 0 <= seq[i] <= 4 and draw(st.booleans()) else Subclassed(seq[i])
+    elif kind == "length" and seq is not None:
+        if seq and draw(st.booleans()):
+            seq.pop()
+        else:
+            seq.append(seq[0] if seq else draw(st.integers(0, 3)))
+    elif kind == "empty" and seq:
+        seq[draw(st.integers(0, len(seq) - 1))] = []
+    elif kind == "container" and seq:
+        i = draw(st.integers(0, len(seq) - 1))
+        if isinstance(seq[i], list):
+            seq[i] = draw(st.sampled_from(CONTAINERS))(seq[i])
+    elif kind == "edge":
+        edges = doc["edges"]
+        pairs = [e for e in edges if isinstance(e, list) and len(e) == 2]
+        how = draw(st.sampled_from(["reversed", "reversed duplicate", "self-loop"]))
+        if how == "self-loop":
+            v = draw(st.integers(0, 6))
+            edges.insert(draw(st.integers(0, len(edges))), [v, v])
+        elif pairs:
+            pair = draw(st.sampled_from(pairs))
+            if how == "reversed":
+                pair.reverse()
+            else:
+                edges.insert(draw(st.integers(0, len(edges))), pair[::-1])
+    elif kind == "row sum":
+        rows = [row for row in doc["bounds"] if isinstance(row, list) and row]
+        if rows:
+            row = draw(st.sampled_from(rows))
+            c = draw(st.integers(0, len(row) - 1))
+            if _int(row[c]):
+                row[c] += draw(st.sampled_from([-1, 1]))
+
+
+def _outcome(build, doc):
+    try:
+        return "accepted", build(doc)
+    except Exception as exc:  # the error's type and message are compared
+        return "rejected", (type(exc), str(exc))
+
+
+def _leaf_types(value):
+    """The types of the values inside normalised fields, in order (a
+    frozenset's sorted by repr): an int subclass must be kept as it is."""
+    if isinstance(value, dict):
+        items = [value[key] for key in sorted(value)]
+    elif isinstance(value, frozenset):
+        items = sorted(value, key=repr)
+    elif isinstance(value, tuple):
+        items = value
+    else:
+        return [type(value)]
+    return [t for x in items for t in _leaf_types(x)]
+
+
+def _fields(inst):
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    if inst.decomposition is not None:
+        fields["decomposition"] = {f.name: getattr(inst.decomposition, f.name)
+                                   for f in dataclasses.fields(inst.decomposition)}
+    return fields
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(valid_docs(), st.data())
+def test_whole_field_checks_match_the_per_element_reference(doc, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data, doc)
+    want = _outcome(reference_from_doc, copy.deepcopy(doc))
+    got = _outcome(lambda d: _fields(instance_from_doc(d)), copy.deepcopy(doc))
+    assert got[0] == want[0], (doc, got, want)
+    assert got[1] == want[1], doc
+    if got[0] == "accepted":
+        assert _leaf_types(got[1]) == _leaf_types(want[1]), doc
+
+
+def _base_doc():
+    return {
+        "mode": "vertex", "n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "k": 2, "p": 2,
+        "part_of": [1, 1, 2, 2], "weight": [1, 2, 1, 1], "bounds": [[1, 2], [1, 1]],
+        "allowed": [[1, 2], [2], [1, 2], [1]], "profit": [[0, 1], [1, 0], [2, 2], [3, 1]],
+        "decomposition": {"bags": [[0, 1], [1, 2], [2, 3]], "tree_edges": [[0, 1], [1, 2]], "root": 0},
+    }
+
+
+INTEGER_PATHS = [
+    ("n",), ("k",), ("p",), ("edges", 1, 0), ("part_of", 2), ("weight", 1), ("allowed", 0, 1), ("bounds", 1, 0),
+    ("profit", 3, 1), ("decomposition", "bags", 1, 0), ("decomposition", "tree_edges", 0, 1),
+    ("decomposition", "root"),
+]
+
+
+def _apply(path, change):
+    """A mutation: ``change`` maps the entry at ``path`` to its new value."""
+    def mutation(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = change(doc[last])
+    return mutation
+
+
+def _set(path, value):
+    return _apply(path, lambda old: value)
+
+
+def _reject(change, name):
+    return pytest.param(change, False, id=name)
+
+
+def _accept(change, name):
+    return pytest.param(change, True, id=name)
+
+
+MUTATIONS = [
+    *(_reject(_set(path, value), f"{'.'.join(map(str, path))}={value!r}")
+      for path in INTEGER_PATHS for value in (True, 1.0, "1", None)),
+    *(_accept(_apply(path, Small), f"{'.'.join(map(str, path))}-intenum") for path in INTEGER_PATHS),
+    _reject(_set(("edges", 1), [1, 2, 3]), "edge-triple"),
+    _reject(_set(("edges", 1), [1]), "edge-single"),
+    _reject(_set(("decomposition", "tree_edges", 0), [0]), "tree-edge-single"),
+    _reject(_set(("bounds", 0), [1, 2, 0]), "bounds-row-long"),
+    _reject(_set(("profit", 2), [0]), "profit-row-short"),
+    _reject(_apply(("edges",), lambda edges: [*edges, [1, 0]]), "reversed-duplicate-edge"),
+    _accept(_set(("edges", 2), [3, 2]), "reversed-edge"),
+    _reject(_apply(("edges",), lambda edges: [*edges, [2, 2]]), "self-loop"),
+    _reject(_set(("edges", 0), [0, 4]), "endpoint-above-range"),
+    _reject(_set(("edges", 0), [-1, 1]), "endpoint-below-range"),
+    _reject(_set(("part_of", 0), 3), "part-above-range"),
+    _reject(_set(("part_of", 0), 0), "part-below-range"),
+    _reject(_set(("allowed", 1), [3]), "color-above-range"),
+    _reject(_set(("allowed", 1), [0, 2]), "color-below-range"),
+    _reject(_set(("bounds", 0, 0), -1), "negative-bound"),
+    _reject(_set(("allowed", 2), []), "empty-color-list"),
+    _reject(_set(("profit",), []), "no-profit-rows"),
+    _accept(_set(("edges",), []), "no-edges"),
+    _accept(_set(("decomposition", "bags", 0), []), "empty-bag"),
+    *(_accept(_apply(("allowed", 0), kind), f"{kind.__name__}-colors") for kind in (set, frozenset, tuple)),
+    _reject(_set(("bounds", 1, 0), 2), "row-sum-off"),
+]
+
+
+@pytest.mark.parametrize("change, accepted", MUTATIONS)
+def test_each_listed_mutation_matches_the_reference(change, accepted):
+    doc = _base_doc()
+    change(doc)
+    want = _outcome(reference_from_doc, copy.deepcopy(doc))
+    got = _outcome(lambda d: _fields(instance_from_doc(d)), copy.deepcopy(doc))
+    assert got == want
+    assert got[0] == ("accepted" if accepted else "rejected"), got
+    if accepted:
+        assert _leaf_types(got[1]) == _leaf_types(want[1])

@@ -21,31 +21,49 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _names_int(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
 def _is_int_type_check(node) -> bool:
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
-        return False
-    kinds = node.args[1] if len(node.args) == 2 else None
-    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-    return any(isinstance(k, ast.Name) and k.id == "int" for k in names)
+    """``isinstance(x, int)``, a set of types holding int (as in
+    ``set(map(type, seq)) <= {int}``), or a comparison with int (as in
+    ``type(x) is int``)."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+        kinds = node.args[1] if len(node.args) == 2 else None
+        names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(_names_int(k) for k in names)
+    if isinstance(node, ast.Set):
+        return any(_names_int(k) for k in node.elts)
+    if isinstance(node, ast.Compare):
+        return any(_names_int(k) for k in (node.left, *node.comparators))
+    return False
+
+
+INTEGER_HELPERS = ("_is_int", "_all_ints")
 
 
 def test_integer_checks_go_through_one_helper():
     # isinstance(x, int) accepts JSON booleans; instance._is_int is the one
-    # integer check, shared by the model types and the generator sources
-    found, helpers = [], 0
+    # integer check of a value, shared by the model types and the generator
+    # sources, and instance._all_ints the one whole-field check, which tests
+    # the entries' types at once and falls back to _is_int
+    found, helpers, inside = [], [], 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         exempt = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_is_int":
-                helpers += 1
+            if isinstance(node, ast.FunctionDef) and node.name in INTEGER_HELPERS:
+                helpers.append(node.name)
                 exempt.update(id(sub) for sub in ast.walk(node))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if _is_int_type_check(node) and id(node) not in exempt
-        ]
-    assert helpers == 1
+        for node in ast.walk(tree):
+            if _is_int_type_check(node):
+                if id(node) in exempt:
+                    inside += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert sorted(helpers) == sorted(INTEGER_HELPERS)
+    assert inside == 2  # isinstance in _is_int, {int} in _all_ints
     assert found == []
 
 

@@ -551,7 +551,7 @@ def test_stored_tuples_stay_within_bounds(maximize):
     for _ in range(20):
         inst = random_vertex_instance(rng, n_max=6, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, maximize)
+        tables = _vertex_tables(inst, dec, inst.color_profits(maximize))
         for node, table in enumerate(tables):
             if table is None:  # only the root join's, met at the target instead
                 assert node == dec.root and dec.kinds[node] == "join"
@@ -571,7 +571,8 @@ def test_join_conservation_holds_on_traced_tables(maximize):
     for _ in range(40):
         inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        checked, mismatches = join_row_mismatches(inst, dec, _vertex_tables(inst, dec, maximize), maximize)
+        tables = _vertex_tables(inst, dec, inst.color_profits(maximize))
+        checked, mismatches = join_row_mismatches(inst, dec, tables, maximize)
         assert mismatches == 0
         total += checked
     assert total > 0
@@ -588,7 +589,8 @@ def test_profits_change_only_the_values_of_the_tables(mode):
         else:
             inst = random_edge_instance(rng, n_max=6, m_max=8, profit=True, planted=True)
         dec, _ = build_nice_decomposition(inst)
-        decide, maximize = _vertex_tables(inst, dec, False), _vertex_tables(inst, dec, True)
+        decide = _vertex_tables(inst, dec, inst.color_profits(False))
+        maximize = _vertex_tables(inst, dec, inst.color_profits(True))
         for node in range(dec.size):
             if decide[node] is None:  # the root join's, met at the target instead
                 assert maximize[node] is None
@@ -716,7 +718,7 @@ def test_edge_join_conservation():
             continue  # no join but the root's, which is met at the target, not tabled
         drawn += 1
         checked, mismatches = join_row_mismatches(
-            line_graph_instance(inst), dec, _vertex_tables(inst, dec, maximize=False)
+            line_graph_instance(inst), dec, _vertex_tables(inst, dec, inst.color_profits(False))
         )
         assert mismatches == 0
         total += checked
