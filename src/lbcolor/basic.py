@@ -13,16 +13,40 @@ from .packed import PackedBounds
 def part_weight_assignment(weights, choices, bound_row):
     """Assign one color per item so color c gathers exactly bound_row[c-1] weight.
 
-    ``choices[i]`` lists the colors item i may take.  Items are independent
-    (no adjacency), so this is a reachability DP over packed partial weight
-    vectors, one layer of reachable states per item.  The colors are
-    recovered backwards from the target: item i takes the first color whose
-    step leads back into layer i.  Returns the chosen colors or None.
+    ``choices[i]`` holds the distinct colors item i may take.  An item with
+    one color takes it before any DP: its weight leaves that color's entry
+    of a plain-int copy of the row, and an entry below zero answers None.
+    The other items are independent (no adjacency), so they are a
+    reachability DP over packed partial weight vectors within the reduced
+    row, one layer of reachable states per item.  Their colors are recovered
+    backwards from the target: item i takes the first color whose step leads
+    back into layer i.  Every prefix of a path to the target is reachable in
+    any item order, so taking the fixed items out changes no choice.
+    Returns the chosen colors, in item order, or None.
     """
-    packing = PackedBounds(bound_row, max(weights, default=0))
+    row = list(bound_row)
+    chosen = []
+    free = []  # (position, weight, colors) of the items left to the DP
+    for i, (w, colors) in enumerate(zip(weights, choices)):
+        if len(colors) == 1:
+            (c,) = colors
+            # plain ints: a packed sum of many fixed units could carry past a guard bit
+            row[c - 1] -= w
+            if row[c - 1] < 0:
+                return None
+            chosen.append(c)
+        else:
+            free.append((i, w, colors))
+            chosen.append(0)
+    packing = PackedBounds(row, max((w for _, w, _ in free), default=0))
     # weights are positive, so an item's colors give distinct steps
-    steps = [{packing.unit(c - 1, w): c for c in sorted(choices[i])} for i, w in enumerate(weights)]
-    return packing.choose(steps, "part_weight_assignment")
+    steps = [{packing.unit(c - 1, w): c for c in sorted(colors)} for _, w, colors in free]
+    picked = packing.choose(steps, "part_weight_assignment")
+    if picked is None:
+        return None
+    for (i, _, _), c in zip(free, picked):
+        chosen[i] = c
+    return chosen
 
 
 def _require_edgeless_vertex(inst: ColoringInstance, op: str) -> None:

@@ -95,7 +95,10 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
     explicit stack, so deep cotrees (threshold graphs) never recurse.  Off
     cographs it returns the sorted vertices of the first module that is
     neither a union nor a join (it contains an induced P4).  Modules are
-    vertex bitmasks, and each level costs one mask step per vertex."""
+    vertex bitmasks, and each level costs one mask step per vertex.  A
+    union's parts are connected and a join's co-connected, so below the
+    root each module needs one pass: a part of a union splits only in the
+    complement, a part of a join only in G, and one part means prime."""
     kinds, children, vertex = [], [], []
 
     def add(kind, kids=(), v=None):
@@ -110,7 +113,7 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
         out = []
         while left:
             seen = frontier = left & -left
-            while frontier:
+            while frontier and seen != left:
                 low = frontier & -frontier
                 frontier ^= low
                 reach = nbr[low.bit_length() - 1]
@@ -121,10 +124,15 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
             left &= ~seen
         return out
 
-    def split_module(vset):
-        parts = comps(vset, False)
-        if len(parts) > 1:
-            return "union", parts
+    def split_module(vset, parent):
+        """How the module ``vset``, a part of a ``parent`` node (None at the
+        root), splits."""
+        if parent != "union":
+            parts = comps(vset, False)
+            if len(parts) > 1:
+                return "union", parts
+            if parent == "join":
+                return "prime", None
         parts = comps(vset, True)
         if len(parts) == 1:
             return "prime", None
@@ -137,7 +145,7 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
     vset = (1 << n) - 1
     while True:
         while vset & (vset - 1):
-            kind, parts = split_module(vset)
+            kind, parts = split_module(vset, frames[-1][0] if frames else None)
             if kind == "prime":
                 return list(bits(vset))
             frames.append([kind, parts, 1, None])
@@ -363,7 +371,9 @@ def solve_complete_bipartite(inst: ColoringInstance) -> SolveOutcome:
     At a leaf each (part, side) is checked with ``part_weight_assignment``,
     memoized on the side's colors with a positive bound in the part: the
     other colors fit no state, so they change neither the answer nor the
-    witness.
+    witness.  Most members then have one usable color; the check takes it
+    for them before its layered DP, so only the members with two or more
+    colors cost a layer.
     """
     if inst.mode != "vertex":
         raise UsageError("solve_complete_bipartite: requires a vertex-mode instance")

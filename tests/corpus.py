@@ -5,11 +5,11 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from lbcolor import ColoringInstance, DecompositionError, RawDecomposition, SolveOutcome, validate_coloring
-from lbcolor.basic import part_weight_assignment
 from lbcolor.cographs import Cotree
+from lbcolor.instance import adjacency_masks, bits
 from lbcolor.matching import AssignmentResult
+from lbcolor.packed import PackedBounds
 from lbcolor.split import SplitPartition
-from lbcolor.instance import adjacency_masks
 from lbcolor.treewidth import dp_vertex, min_fill_order
 
 
@@ -290,6 +290,71 @@ def cotree_or_prime_sets(n, edges):
             if nxt < len(parts):
                 frame[2:] = [nxt + 1, node]
                 vertices = parts[nxt]
+                break
+            frames.pop()
+        else:
+            return Cotree(kinds=tuple(kinds), children=tuple(children), vertex=tuple(vertex), root=node)
+
+
+def cotree_or_prime_two_pass(n, nbr):
+    """``cographs._cotree_or_prime`` as it was before each module got one
+    pass: every module of two or more vertices first splits into the
+    components of G, and only when G is connected into those of the
+    complement; every breadth-first search runs until its frontier is
+    empty.  The bitmask reference for the one-pass build."""
+    kinds, children, vertex = [], [], []
+
+    def add(kind, kids=(), v=None):
+        kinds.append(kind)
+        children.append(tuple(kids))
+        vertex.append(v)
+        return len(kinds) - 1
+
+    def comps(vset, complement):
+        left = vset
+        out = []
+        while left:
+            seen = frontier = left & -left
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach = nbr[low.bit_length() - 1]
+                new = (~reach if complement else reach) & left & ~seen
+                seen |= new
+                frontier |= new
+            out.append(seen)
+            left &= ~seen
+        return out
+
+    def split_module(vset):
+        parts = comps(vset, False)
+        if len(parts) > 1:
+            return "union", parts
+        parts = comps(vset, True)
+        if len(parts) == 1:
+            return "prime", None
+        return "join", parts
+
+    if n == 0:
+        return Cotree(kinds=(), children=(), vertex=(), root=-1)
+    frames = []
+    vset = (1 << n) - 1
+    while True:
+        while vset & (vset - 1):
+            kind, parts = split_module(vset)
+            if kind == "prime":
+                return list(bits(vset))
+            frames.append([kind, parts, 1, None])
+            vset = parts[0]
+        node = add("leaf", v=vset.bit_length() - 1)
+        while frames:
+            frame = frames[-1]
+            kind, parts, nxt, top = frame
+            if top is not None:
+                node = add(kind, (top, node))
+            if nxt < len(parts):
+                frame[2:] = [nxt + 1, node]
+                vset = parts[nxt]
                 break
             frames.pop()
         else:
@@ -779,10 +844,20 @@ def exhaustive_assignment(ap):
 # reference complete-bipartite solver (every commitment of colors to sides)
 
 
+def part_weight_assignment_unfolded(weights, choices, bound_row):
+    """``basic.part_weight_assignment`` with every item, single-color ones
+    included, a layer of the packed DP over the whole row: the reference
+    for the fold that settles single-color items before the DP."""
+    packing = PackedBounds(bound_row, max(weights, default=0))
+    steps = [{packing.unit(c - 1, w): c for c in sorted(choices[i])} for i, w in enumerate(weights)]
+    return packing.choose(steps, "part_weight_assignment")
+
+
 def complete_bipartite_by_masks(inst):
     """``cographs.solve_complete_bipartite`` by trying all 2^k commitments of
     colors to sides in ascending mask order (bit c-1 set: color c on side B),
-    checking each (part, side) by its weight sum and ``part_weight_assignment``."""
+    checking each (part, side) by its weight sum and
+    ``part_weight_assignment_unfolded``."""
     side_a, side_b = inst.complete_bipartite_sides
     k = inst.k
     part_members = {
@@ -807,7 +882,7 @@ def complete_bipartite_by_masks(inst):
                 if sum(masked_row) != sum(inst.weight[v] for v in members):
                     ok = False
                     break
-                colors = part_weight_assignment(
+                colors = part_weight_assignment_unfolded(
                     [inst.weight[v] for v in members],
                     [inst.allowed[v] & side_colors[s] for v in members],
                     masked_row,

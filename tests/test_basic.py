@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lbcolor import (
     ColoringInstance,
@@ -11,9 +13,11 @@ from lbcolor import (
     solve_isolated_unit,
     validate_coloring,
 )
+from lbcolor.basic import part_weight_assignment
 
 from corpus import (
     assert_outcome,
+    part_weight_assignment_unfolded,
     random_bipartite_k2_instance,
     random_edgeless_instance,
     random_vertex_instance,
@@ -102,6 +106,60 @@ def test_k_fixed_matches_oracle_on_random_instances():
         out = solve_isolated_k_fixed(inst)
         assert out.status == brute_force_solve(inst).status
         assert_outcome(inst, out)
+
+
+@st.composite
+def fold_inputs(draw):
+    """(weights, choices, bound row) for one part: mostly single-color
+    items, now and then an empty list, zero-bound colors; the row is
+    mostly planted from a drawn coloring (so often exactly met), else drawn
+    freely (so single items are often too heavy for their color)."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 9))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    color = st.integers(1, k)
+    single = color.map(lambda c: frozenset({c}))
+    several = st.frozensets(color, min_size=2, max_size=k) if k > 1 else single
+    choices = draw(st.lists(st.one_of(single, single, several), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 7)) == 7:
+        choices[draw(st.integers(0, n - 1))] = frozenset()
+    if draw(st.integers(0, 2)) < 2:
+        row = [0] * k
+        for w, cs in zip(weights, choices):
+            if cs:
+                row[draw(st.sampled_from(sorted(cs))) - 1] += w
+        # now and then one entry is off by one, or a single item too heavy for its color
+        i = draw(st.integers(0, 3 * k))
+        if i < k:
+            row[i] = max(0, row[i] + draw(st.sampled_from((-1, 1))))
+    else:
+        row = draw(st.lists(st.one_of(st.just(0), st.integers(0, 12)), min_size=k, max_size=k))
+    return weights, choices, tuple(row)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(fold_inputs())
+@example(([1, 1], [frozenset({1}), frozenset({1})], (1, 1)))
+@example(([1, 1], [frozenset({1, 2}), frozenset({1, 2})], (0, 0, 2)))
+@example(([5], [frozenset({2})], (9, 4)))
+@example(([2, 3], [frozenset({1}), frozenset({1})], (5,)))
+@example(([], [], (0, 0)))
+def test_fold_returns_the_unfolded_answer(case):
+    # settling the single-color items before the DP changes no answer and
+    # no chosen color
+    weights, choices, row = case
+    assert part_weight_assignment(weights, choices, row) == part_weight_assignment_unfolded(weights, choices, row)
+
+
+def test_fold_handles_many_fixed_units():
+    # 40 fixed unit items: exact in plain ints, while as packed units over
+    # the row (3, 1), whose 4-bit fields hold at most 7, their sum would
+    # carry past a guard bit
+    weights = [1] * 41
+    choices = [frozenset({1})] * 40 + [frozenset({1, 2})]
+    assert part_weight_assignment(weights, choices, (40, 1)) == [1] * 40 + [2]
+    for row in ((40, 1), (39, 2), (3, 1), (41, 0)):
+        assert part_weight_assignment(weights, choices, row) == part_weight_assignment_unfolded(weights, choices, row)
 
 
 def test_part_relabeling_keeps_feasibility():

@@ -10,6 +10,7 @@ from corpus import (
     assert_outcome,
     complete_bipartite_sides_sets,
     cotree_or_prime_sets,
+    cotree_or_prime_two_pass,
     graph_instance,
     random_cograph_edges,
     min_fill_width,
@@ -211,6 +212,25 @@ def test_bitmask_class_tests_match_the_set_based_ones():
         split_seen += sp is not None
         bipartite_seen += sides is not None
     assert min(cographs_seen, primes_seen, split_seen, bipartite_seen) >= 150
+
+
+def test_one_pass_cotree_matches_the_two_pass_build():
+    # below the root each module gets one breadth-first pass, and a search
+    # stops once its component holds every vertex left; the build must not
+    # change, on random graphs of every shape and on deep threshold graphs
+    rng = random.Random(149)
+    graphs = list(_recognition_corpus(rng))
+    graphs += [(n, _gnp(rng, n)) for n in (rng.randint(1, 14) for _ in range(1000))]
+    graphs += [(n, threshold_edges(rng, n)) for n in (150, 300)]
+    graphs += [(n, tuple((u, v) for v in range(1, n, 2) for u in range(v))) for n in (300, 601)]
+    cographs_seen = primes_seen = 0
+    for n, edges in graphs:
+        inst = graph_instance(n, edges)
+        found = inst.cotree_or_prime
+        assert found == cotree_or_prime_two_pass(n, inst.neighbor_masks), (n, edges)
+        cographs_seen += isinstance(found, cographs.Cotree)
+        primes_seen += not isinstance(found, cographs.Cotree)
+    assert min(cographs_seen, primes_seen) >= 500
 
 
 # the README's dispatch order for vertex-mode decide: each class with the

@@ -329,8 +329,8 @@ def test_state_without_predecessor_exits_two(tmp_path, capsys, monkeypatch):
     sums = PackedBounds.sums
     monkeypatch.setattr(PackedBounds, "sums", lambda self, lefts, rights: sums(self, lefts, rights) | {self.target})
     doc = {
-        "mode": "vertex", "n": 2, "edges": [], "k": 2, "p": 1, "part_of": [1, 1],
-        "weight": [1, 1], "bounds": [[1, 1]], "allowed": [[1], [1]],
+        "mode": "vertex", "n": 2, "edges": [], "k": 3, "p": 1, "part_of": [1, 1],
+        "weight": [1, 1], "bounds": [[0, 0, 2]], "allowed": [[1, 2], [1, 2]],
     }
     path = write_doc(tmp_path, "lost.json", doc)
     code, out, err = run(capsys, ["solve", "--input", path, "--solver", "isolated-kfixed"])

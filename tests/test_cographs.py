@@ -23,6 +23,7 @@ from lbcolor import (
 )
 from lbcolor import cographs
 from lbcolor.instance import adjacency_masks
+from lbcolor.packed import PackedBounds
 
 from corpus import (
     assert_outcome,
@@ -350,6 +351,29 @@ def test_complete_bipartite_search_prunes(monkeypatch):
     assert inst.k == 17
     assert not solve_complete_bipartite(inst).feasible
     assert 0 < calls <= 500
+
+
+def test_complete_bipartite_leaf_checks_layer_only_free_members(monkeypatch):
+    """A one-in-three instance at 10 variables (k = 21): most members of a
+    (part, side) have one usable color at a leaf, and they are settled
+    before the layered DP; with every member a layer this solve forms
+    11,621 ``PackedBounds.sums`` layers."""
+    calls = 0
+    sums = PackedBounds.sums
+
+    def counted(self, lefts, rights):
+        nonlocal calls
+        calls += 1
+        return sums(self, lefts, rights)
+
+    monkeypatch.setattr(PackedBounds, "sums", counted)
+    clauses = ((10, 1, 7), (8, 1, 4), (8, 10, 5), (3, 1, 8), (6, 2, 4), (6, 1, 7), (3, 6, 7), (7, 5, 9), (8, 3, 5), (6, 3, 8))
+    inst = gen_from_one_in_three_sat(OneInThreeSatSource(10, clauses), "complete_bipartite").instance
+    assert inst.k == 21
+    out = solve_complete_bipartite(inst)
+    assert out.feasible == one_in_three_answer(10, clauses)
+    assert_outcome(inst, out)
+    assert calls <= 100
 
 
 def test_complete_bipartite_requires_class():
