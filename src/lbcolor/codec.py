@@ -111,13 +111,13 @@ def _load(source) -> dict:
 
 
 def _dump(doc: dict, target) -> None:
+    # one write of the whole text: json.dump hands a file hundreds of chunks
+    text = json.dumps(doc, indent=2) + "\n"
     if isinstance(target, (str, bytes)):
         with open(target, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+            f.write(text)
     else:
-        json.dump(doc, target, indent=2)
-        target.write("\n")
+        target.write(text)
 
 
 def read_instance(source) -> ColoringInstance:

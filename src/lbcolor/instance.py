@@ -281,11 +281,13 @@ class ColoringInstance:
     @cached_property
     def units(self) -> tuple[dict[int, int], ...]:
         """Per element, the packed weight vector each allowed color adds, colors
-        in increasing order."""
-        packing = self.packing
+        in increasing order: its weight shifted to the field of its (part,
+        color) slot, ``PackedBounds.unit(flat_index(h, c), w)``."""
+        width, k = self.packing.width, self.k
+        shift = [slot * width for slot in range(self.p * k)]  # per flat_index(h, c)
         return tuple(
-            {c: packing.unit(self.flat_index(h, c), w) for c in sorted(colors)}
-            for h, w, colors in zip(self.part_of, self.weight, self.allowed)
+            {c: w << shift[base + c] for c in sorted(colors)}  # base + c is flat_index(h, c)
+            for base, w, colors in zip([(h - 1) * k - 1 for h in self.part_of], self.weight, self.allowed)
         )
 
     @cached_property

@@ -6,31 +6,40 @@ every element gets its color where it is introduced.
 ``build_nice_decomposition`` makes every one with a single ``nice_from_tree``
 call on a rooted tree of bitmask bags over the instance's elements: a
 computed tree is the clique tree of the min-fill elimination order, played
-on the conflict bitmasks; a supplied one is checked and rooted in one
-bitmask pass (``check_raw_decomposition``).  In edge mode two edges
-conflict when they share an end, so a computed tree decomposes the line
-graph L(G) over edge ids, a supplied tree of G is lifted to the edges
-inside its bags, and the edge DP is the vertex DP on L(G): ``dp_vertex``
-and ``dp_edge`` share one body.  The DPs run on any decomposition, so
-min-fill's upper bound on the tree-width is all they need.  Elements are
-forgotten early, children join on the union of the bags they keep, and the
-rest of a bag is introduced after the joins, so no element is introduced on
-both branches of a join.  A computed tree gives elements without a conflict
-no node, and hangs two or more connected components under one root with an
-empty bag.  The DP keeps sparse tables: per node, a map from bag coloring
-to a row that maps the reachable packed part-by-color weight vectors (see
-``packed``) to the best profit each reaches; to decide, every profit is 0,
-so decide is maximize over zero profits.  The elements in no bag are packed
-steps outside the tables, and the target is met by lookup between their row
-and the rows below the root join (``_conflict_dp``).  Rows store no
-predecessors: the witness is recovered top-down from the matched states,
-finding at each node a child state that rebuilds it with the same profit.
+on the bitmasks of the 2-core of the conflict graph; a supplied one is
+checked and rooted in one bitmask pass (``check_raw_decomposition``).  In
+edge mode two edges conflict when they share an end, so a computed tree
+decomposes the line graph L(G) over edge ids, a supplied tree of G is
+lifted to the edges inside its bags, and the edge DP is the vertex DP on
+L(G): ``dp_vertex`` and ``dp_edge`` share one body.  The DPs run on any
+decomposition, so min-fill's upper bound on the tree-width is all they
+need.  Elements are forgotten early, children join on the union of the bags
+they keep, and the rest of a bag is introduced after the joins, so no
+element is introduced on both branches of a join.
+
+Before a computed tree is built, ``peel`` removes, again and again, every
+element with at most one conflict left (the degree-0 and degree-1 rules of
+Bodlaender, Koster and van den Eijkhof's pre-processing for triangulation);
+what is left is the 2-core, and only the core gets nodes, its connected
+components hung under one root with an empty bag when there are two or
+more.  The peeled elements form pendant trees, which the DP folds bottom-up
+into rows per color of the element they hang from (``_pendant_fold``): the
+trees hanging from a bagged element are summed, once, onto rows that hold
+it, where the joins on its bag begin, and the trees that hang from nothing
+meet the rows below the root at the target by lookup (``_conflict_dp``).  The DP keeps sparse
+tables: per node, a map from bag coloring to a row that maps the reachable
+packed part-by-color weight vectors (see ``packed``) to the best profit
+each reaches; to decide, every profit is 0, so decide is maximize over zero
+profits.  Rows store no predecessors: the witness is recovered top-down
+from the matched states, finding at each node, and at each element of a
+pendant tree, a child state that rebuilds it with the same profit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DecompositionError, UsageError
 from .instance import ColoringInstance, RawDecomposition, SolveOutcome, bits
@@ -94,10 +103,11 @@ def min_fill_order(nbr) -> list[int]:
     edge get new keys.
     """
     adj = list(nbr)
-    key = [_fill_key(adj, v) for v in range(len(adj))]
-    heap = key[:]
+    # a vertex without neighbors has the least keys, (0, 0, v), so it goes first
+    order = [v for v, nbrs in enumerate(adj) if not nbrs]
+    key = [_fill_key(adj, v) if nbrs else None for v, nbrs in enumerate(adj)]
+    heap = [entry for entry in key if entry is not None]
     heapq.heapify(heap)
-    order = []
     while heap:
         entry = heapq.heappop(heap)
         v = entry[2]
@@ -144,7 +154,9 @@ def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
     v with the neighbors that remain after the fill of the earlier steps, and
     whose parent is the node of the earliest eliminated of those neighbors.
     A vertex with no neighbor gets no node: the DPs color such vertices apart
-    from the tree.  A vertex left with no neighbor closes a connected
+    from the tree.  ``decomposition_tree`` hands over the masks of the
+    2-core, in which every peeled vertex has none, so the peeled vertices
+    get no node.  A vertex left with no neighbor closes a connected
     component; when two or more components have nodes, their roots hang, in
     elimination order, under one last node with an empty bag, the root.
     Children are listed in elimination order.  With no node at all, the tree
@@ -181,6 +193,39 @@ def elimination_tree(nbr, order) -> tuple[list[int], list[list[int]], int]:
     bags.append(0)
     children.append(roots)
     return bags, children, len(bags) - 1
+
+
+def peel(nbr, keep: int = 0) -> tuple[list[int], list[int], int]:
+    """Peel the graph with neighbor bitmasks ``nbr``: repeatedly remove a
+    vertex outside the mask ``keep`` that has at most one neighbor left
+    (the islet and twig rules of Bodlaender, Koster and van den Eijkhof,
+    Comput. Intell. 2005).  Returns (order, parent, left): the peeled
+    vertices in the order removed, so a vertex comes after every neighbor
+    peeled before it; per vertex, the one neighbor it still had when peeled,
+    -1 for none and for the vertices not peeled; and the mask of the
+    vertices left.  With ``keep`` empty, what is left is the 2-core, and
+    the peeled vertices form trees, each hanging from its parent or from
+    nothing.  A vertex that a removal leaves with one neighbor goes next;
+    otherwise the lowest label does.
+    """
+    n = len(nbr)
+    degree = [mask.bit_count() for mask in nbr]
+    left = (1 << n) - 1
+    stack = [v for v in range(n - 1, -1, -1) if degree[v] < 2 and not keep >> v & 1]
+    order = []
+    parent = [-1] * n
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        left ^= 1 << v
+        rest = nbr[v] & left
+        if rest:
+            u = rest.bit_length() - 1
+            parent[v] = u
+            degree[u] -= 1
+            if degree[u] == 1 and not keep >> u & 1:
+                stack.append(u)
+    return order, parent, left
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +413,13 @@ def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int
     ``build_nice_decomposition`` makes nice, as (bags, children, root).
 
     Without a supplied decomposition, it is the clique tree of the min-fill
-    elimination order of the conflict bitmasks, straight from the
-    elimination game (``elimination_tree``); in edge mode that decomposes
-    the line graph L(G) over edge ids, and an edge that no other edge
-    touches gets no node, as an isolated vertex does.  A supplied one
+    elimination order of the 2-core of the conflict graph, straight from
+    the elimination game (``elimination_tree``) on the core's bitmasks; in
+    edge mode that decomposes the line graph L(G) over edge ids.  The
+    elements that ``peel`` removes, an isolated one or an edge that no
+    other edge touches among them, get no node: they form pendant trees,
+    which the DP folds into per-color rows (``_pendant_fold``), so a forest
+    decomposes to one empty bag.  A supplied one
     (``inst.decomposition``, always one of G) is checked and rooted by
     ``check_raw_decomposition``; in edge mode its bags are replaced by their
     lift, the edges inside them, which must gather every two adjacent
@@ -379,7 +427,8 @@ def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int
     """
     raw = inst.decomposition
     if raw is None:
-        nbr = inst.conflict_masks
+        _, _, core = peel(inst.conflict_masks)
+        nbr = [mask & core if core >> v & 1 else 0 for v, mask in enumerate(inst.conflict_masks)]
         return elimination_tree(nbr, min_fill_order(nbr))
     bags, children, lifted = check_raw_decomposition(inst.n, inst.edges, raw)
     if inst.mode == "edge":
@@ -398,8 +447,12 @@ def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int
 def build_nice_decomposition(inst: ColoringInstance) -> tuple[NiceDecomposition, int]:
     """Build (or check and root) a tree decomposition of the instance
     (``decomposition_tree``) and return its nice form with its width;
-    ``nice_from_tree`` runs once."""
+    ``nice_from_tree`` runs once.  The width is that of the whole
+    decomposition the DP works over: a conflict between two elements in no
+    bag, an edge of a pendant tree, stands for a bag of two."""
     nice = nice_from_tree(*decomposition_tree(inst))
+    if nice.width < 1 and any(inst.conflict_masks):
+        return nice, 1
     return nice, nice.width
 
 
@@ -407,9 +460,130 @@ def build_nice_decomposition(inst: ColoringInstance) -> tuple[NiceDecomposition,
 # the DP, on the conflict graph of the elements
 
 
-def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, profits):
+def _best_of(rows) -> dict:
+    """Per state of any of ``rows``, the best profit it has in them; one row
+    is returned as it is, since no row changes once built."""
+    first, *rest = rows or ({},)
+    if not rest:
+        return first
+    best = dict(first)
+    get = best.get
+    for row in rest:
+        best.update({s: p for s, p in row.items() if p > get(s, p - 1)})
+    return best
+
+
+def _layers(best_sums, start: dict | None, steps) -> list[dict]:
+    """[start, start + steps[0], ...]: each layer sums one more step's row
+    onto the last (``PackedBounds.best_sums``).  With ``start`` None the
+    sums start at the zero state, {0: 0}, and the first layer is the first
+    step itself: every row holds only states within the bounds."""
+    steps = iter(steps)
+    layers = [{0: 0}, *islice(steps, 1)] if start is None else [start]
+    for step in steps:
+        layers.append(best_sums(layers[-1], step))
+    return layers
+
+
+def _split(layers, steps, state: int, where: str):
+    """Walk ``_layers`` back from ``state`` in its last layer: per step, from
+    the last, the state it adds, found as the first that leads into the
+    layer below with the same profit."""
+    for step, below, above in zip(reversed(steps), reversed(layers[:-1]), reversed(layers[1:])):
+        profit = above[state]
+        found = first_predecessor((s for s, p in step.items() if below.get(state - s) == profit - p), where)
+        yield found
+        state -= found
+
+
+def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name: str):
+    """Fold the elements in no bag of ``dec`` into per-color rows, bottom
+    up, and return (hang, rows, sums, hung).
+
+    ``peel``, with every bagged element kept, must remove all of them, or
+    UsageError is raised: they then form pendant trees, each element hanging
+    from the one element it still conflicts with when peeled, or from
+    nothing (-1).  ``hang`` maps an element, or -1, to the peeled elements
+    hanging from it, in peel order.  ``rows[v]`` maps each color c of the
+    element v hangs from (0 for nothing) to the best-profit sums of the
+    colorings of v's tree that avoid c at v.  ``sums[v][c]`` layers the rows
+    hanging from v, for color c of v, onto v's unit and profit at c
+    (``_layers``), so its last layer is v's tree with v colored c.
+
+    A bagged u's pendant trees are summed in at one node, ``hung[node] =
+    (u, layers)``, where ``layers[c]`` sums the rows hanging from u for
+    color c of u from the zero state: its last layer is what the trees add
+    when u has color c.  The node is found from u's forget, the one node
+    where u occurs once, down through introduces and the left branch of
+    each join: it is the first forget below, whose child rows all hold u
+    (the head of the first branch that enters the joins of u's bag), or
+    u's own introduce when no join lies between.  A decomposition of the
+    whole graph joins the trees there too, as the first children of u's
+    bag, since min-fill eliminates peeled vertices first; summing them at
+    u's forget instead, onto rows that all of u's joins have grown, took
+    1.7 times the pairs on a 120-vertex tree-like graph.  The trees that
+    hang from nothing (isolated elements among them) are left to
+    ``_conflict_dp``, as their rows ``rows[r][0]``.  The witness splits a
+    state back over the same layers.
+    """
+    covered = 0  # every vertex in a bag is introduced, as leaf and root bags are empty
+    forget = {}  # per bagged element, its forget node
+    for node, (kind, v) in enumerate(zip(dec.kinds, dec.vertex)):
+        if kind == "introduce":
+            covered |= 1 << v
+        elif kind == "forget":
+            forget[v] = node
+    order, parent, left = peel(inst.conflict_masks, covered)
+    if stray := left & ~covered:
+        v = (stray & -stray).bit_length() - 1
+        raise UsageError(f"{name}: vertex {v} lies in no bag and on no pendant tree")
+    packing = inst.packing
+    best_sums, offset, guard = packing.best_sums, packing.offset, packing.guard
+    units = inst.units
+    hang: dict[int, list[int]] = {}
+    for v in order:
+        hang.setdefault(parent[v], []).append(v)
+    rows, sums = {}, {}
+    for v in order:  # the elements hanging from v are peeled before it
+        u = parent[v]
+        colors = units[u] if u >= 0 else (0,)
+        own, gain = units[v], profits[v]
+        kids = hang.get(v)
+        if kids is None:  # a leaf: distinct colors are distinct states
+            own = {d: unit for d, unit in own.items() if not (unit + offset) & guard}
+            sums[v] = {d: [{unit: gain[d]}] for d, unit in own.items()}
+            rows[v] = {c: {unit: gain[d] for d, unit in own.items() if d != c} for c in colors}
+            continue
+        sums[v] = layered = {}
+        tops = {}
+        for d, unit in own.items():
+            layers = [{unit: gain[d]}]  # _layers, inline: most trees are small
+            for w in kids:
+                layers.append(best_sums(layers[-1], rows[w][d]))
+            if layers[-1]:
+                layered[d] = layers
+                tops[d] = layers[-1]
+        anyhow = _best_of(list(tops.values()))
+        rows[v] = {c: _best_of([top for d, top in tops.items() if d != c]) if c in tops else anyhow for c in colors}
+    hung = {}
+    for u, kids in hang.items():
+        if u in forget:
+            node = forget[u]
+            while True:  # down to the first branch that enters u's joins
+                node = dec.children[node][0]
+                if dec.kinds[node] == "forget" or dec.kinds[node] == "introduce" and dec.vertex[node] == u:
+                    break
+            hung[node] = u, {c: _layers(best_sums, None, [rows[w][c] for w in kids]) for c in units[u]}
+    return hang, rows, sums, hung
+
+
+def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, profits, hung):
     """The rows of every node below the root join, or of every node when
-    the root is no join; ``profits`` is ``inst.color_profits(maximize)``."""
+    the root is no join; ``profits`` is ``inst.color_profits(maximize)``,
+    and ``hung`` is ``_pendant_fold``'s: at each of its nodes, the pendant
+    trees of its element u, their last layer for u's color, are summed onto
+    every child row before a forget, and onto every row u is introduced to
+    at u's introduce."""
     packing = inst.packing
     offset, guard = packing.offset, packing.guard
     nbr = inst.conflict_masks
@@ -433,23 +607,37 @@ def _vertex_tables(inst: ColoringInstance, dec: NiceDecomposition, profits):
             pos = bag.index(v)
             nbr_pos = [i for i, u in enumerate(dec.bags[child]) if nbr[v] >> u & 1]
             options = [(c, unit, profits[v][c]) for c, unit in units[v].items()]
-            # adding one unit shifts a row injectively, so no two sums meet
+            extra = None
+            if node in hung:  # v's unit and pendant trees, per color, summed onto each row
+                extra = {c: {h + unit: p + q for h, p in hung[node][1][c][-1].items()} for c, unit, q in options}
             for ckey, crow in tables[child].items():
                 taken = {ckey[i] for i in nbr_pos}
                 for c, unit, q in options:
                     if c in taken:
                         continue
-                    row = {x: p + q for s, p in crow.items() if not ((x := s + unit) + offset) & guard}
+                    if extra is not None:
+                        row = packing.best_sums(extra[c], crow)  # the small row outside
+                    else:  # adding one unit shifts a row injectively, so no two sums meet
+                        row = {x: p + q for s, p in crow.items() if not ((x := s + unit) + offset) & guard}
                     if row:
                         table[ckey[:pos] + (c,) + ckey[pos:]] = row
 
         elif kind == "forget":
             child = dec.children[node][0]
             pos = dec.bags[child].index(dec.vertex[node])
+            if node in hung:
+                u, hanging = hung[node]
+                upos = dec.bags[child].index(u)
+            else:
+                hanging = None
             for ckey, crow in tables[child].items():
                 key = ckey[:pos] + ckey[pos + 1 :]
                 row = table.get(key)
-                if row is None:
+                if hanging is not None:  # u's pendant trees, summed once, onto a row holding u
+                    row = packing.best_sums(hanging[ckey[upos]][-1], crow, row)  # the small row outside
+                    if row:
+                        table[key] = row
+                elif row is None:
                     table[key] = dict(crow)
                 else:
                     row.update({s: p for s, p in crow.items() if p > row.get(s, p - 1)})
@@ -497,85 +685,77 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
     error messages.
 
     Every row maps states to their best profit; to decide, every profit
-    is 0 (``ColoringInstance.color_profits``).  An element in no bag must
-    have no conflict (a computed decomposition gives such elements no
-    node); each one is a packed step, and the steps are layered into one
-    row S.  The target is met, not tabled: with the root join's two child
-    rows, or else the root row, S makes three or two rows; the two smaller
-    are summed, and each state x of the largest looks up target - x in
-    that sum (meet in the middle).  The root join's own table is never
-    built.
+    is 0 (``ColoringInstance.color_profits``).  The elements in no bag must
+    form pendant trees (a computed decomposition gives every element outside
+    the 2-core no node); ``_pendant_fold`` folds them bottom-up into
+    per-color rows, summed once onto rows that hold the bagged element a
+    tree hangs from.  The target is met, not tabled: the rows of the trees that
+    hang from nothing (isolated elements among them) and the root join's two
+    child rows, or else the root row, are dealt, largest first, to the half
+    whose product of row sizes is smaller; each half is summed smallest row
+    first (``_layers``), and each state x of the larger sum looks up
+    target - x in the smaller (meet in the middle); of three rows, the two
+    smaller are summed.  The root join's own table is never built.
     """
     if objective not in ("decide", "maximize"):
         raise UsageError(f"{name}: objective must be decide or maximize, got {objective!r}")
     maximize = objective == "maximize"
     if maximize and inst.profit is None:
         raise UsageError(f"{name}: maximize requires a profit matrix")
-    covered = 0  # every vertex in a bag is introduced, as leaf and root bags are empty
-    for kind, v in zip(dec.kinds, dec.vertex):
-        if kind == "introduce":
-            covered |= 1 << v
-    loose = [v for v in range(inst.num_elements) if not covered >> v & 1]
-    nbr = inst.conflict_masks
-    for v in loose:
-        if nbr[v]:
-            raise UsageError(f"{name}: vertex {v} has neighbors but lies in no bag")
-
-    packing = inst.packing
-    units = inst.units
     profits = inst.color_profits(maximize)
-    layers = [{0: 0}]  # layer i: the sums of the first i steps
-    for v in loose:
-        layer = packing.best_sums(layers[-1], {unit: profits[v][c] for c, unit in units[v].items()})
-        if not layer:
-            return SolveOutcome.infeasible_outcome()
-        layers.append(layer)
-
-    tables = _vertex_tables(inst, dec, profits)
+    hang, rows, sums, hung = _pendant_fold(inst, dec, profits, name)
+    # the rows that meet at the target: the trees that hang from nothing,
+    # and the root join's two child rows, or else the root row
+    sides = [(rows[r][0], r, None) for r in hang.get(-1, ())]
+    if not all(row for row, _, _ in sides):
+        return SolveOutcome.infeasible_outcome()
+    tables = _vertex_tables(inst, dec, profits, hung)
     root = dec.root
     starts = dec.children[root] if dec.kinds[root] == "join" else (root,)
-    sides = [layers[-1], *(tables[node].get((), {}) for node in starts)]
-    *small, big = sorted(range(len(sides)), key=lambda i: len(sides[i]))
-    if len(small) == 2:
-        a, b = sides[small[0]], sides[small[1]]
-        half = packing.best_sums(a, b)
-    else:
-        half = sides[small[0]]
-    target = packing.target
+    sides += [(tables[node].get((), {}), None, node) for node in starts]
+    # two halves of about equal size product, each summed smallest row first
+    halves, sizes = ([], []), [1, 1]
+    for side in sorted(sides, key=lambda side: -len(side[0])):
+        half = sizes[1] < sizes[0]
+        halves[half].append(side)
+        sizes[half] *= len(side[0])
+    best_sums = inst.packing.best_sums
+    layers = [_layers(best_sums, None, [row for row, _, _ in reversed(half)]) for half in halves]
+    big, small = sorted((0, 1), key=lambda i: -len(layers[i][-1]))
+    target = inst.packing.target
+    lookup = layers[small][-1]
     found = best = None
-    for x, q in sides[big].items():
-        r = half.get(target - x)
+    for x, q in layers[big][-1].items():
+        r = lookup.get(target - x)
         if r is not None and (found is None or q + r > best):
             found, best = x, q + r
     if found is None:
         return SolveOutcome.infeasible_outcome()
 
-    # witness: split the matched state back into its rows, walk S's layers
-    # back to color the loose vertices, then from each tree row's state down
-    # find at each node the child state (and child key) that rebuilds it
-    # with the same profit; every vertex gets its color where it is introduced
-    states = [0] * len(sides)
-    states[big] = found
-    rest = target - found
-    if len(small) == 2:
-        states[small[0]] = first_predecessor(
-            (x for x, q in a.items() if b.get(rest - x) == half[rest] - q), f"{name} meet"
-        )
-        states[small[1]] = rest - states[small[0]]
-    else:
-        states[small[0]] = rest
+    # witness: split the matched state over the rows that met; from each
+    # tree row's state down, find at each node the child state (and child
+    # key) that rebuilds it with the same profit, every vertex getting its
+    # color where it is introduced; split a tree's state, and where a bag
+    # element's pendant trees were summed in (a forget, or the element's
+    # introduce) the part they add, over the trees that hang there, and walk
+    # each tree down the same way
+    units = inst.units
     color_of = [0] * inst.num_elements
-    state = states[0]
-    for v, layer, above in zip(reversed(loose), reversed(layers[:-1]), reversed(layers[1:])):
-        profit = above[state]
-        c = first_predecessor(
-            (c for c, unit in units[v].items() if layer.get(state - unit) == profit - profits[v][c]),
-            f"{name} step",
-        )
-        color_of[v] = c
-        state -= units[v][c]
+    pendant = []  # (peeled element, color it must avoid, its tree's state)
+    stack = []
+    for i, state in ((big, found), (small, target - found)):
+        steps = [row for row, _, _ in reversed(halves[i])]  # as layered, smallest first
+        for (_, r, node), s in zip(halves[i], _split(layers[i], steps, state, f"{name} meet")):
+            if node is None:
+                pendant.append((r, 0, s))
+            else:
+                stack.append((node, (), s))
 
-    stack = [(node, (), state) for node, state in zip(starts, states[1:])]
+    def split_hanging(kids, layers, c, state):
+        # the states of the trees ``kids`` at color c that sum to state
+        steps = [rows[w][c] for w in kids]
+        pendant.extend((w, c, s) for w, s in zip(reversed(kids), _split(layers, steps, state, f"{name} fold")))
+
     while stack:
         node, key, state = stack.pop()
         kind = dec.kinds[node]
@@ -584,18 +764,38 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
             pos = bag.index(dec.vertex[node])
             v, c = bag[pos], key[pos]
             color_of[v] = c
-            stack.append((dec.children[node][0], key[:pos] + key[pos + 1 :], state - units[v][c]))
+            child, ckey, state = dec.children[node][0], key[:pos] + key[pos + 1 :], state - units[v][c]
+            if node in hung:  # split off what v's pendant trees add
+                crow, layers = tables[child][ckey], hung[node][1][c]
+                profit = tables[node][key][state + units[v][c]] - profits[v][c]
+                h = first_predecessor(
+                    (h for h, p in layers[-1].items() if crow.get(state - h) == profit - p), f"{name} introduce"
+                )
+                split_hanging(hang[v], layers, c, h)
+                state -= h
+            stack.append((child, ckey, state))
         elif kind == "forget":
             child = dec.children[node][0]
             v = dec.vertex[node]
             pos = dec.bags[child].index(v)
-            rows = tables[child]
+            crows = tables[child]
             profit = tables[node][key][state]
+            u, hanging = hung.get(node, (v, None))
+            upos = dec.bags[child].index(u)
             ckeys = (key[:pos] + (c,) + key[pos:] for c in units[v])  # colors in sorted order
-            ckey = first_predecessor(
-                (ck for ck in ckeys if ck in rows and rows[ck].get(state) == profit), f"{name} forget"
+            ckey, h = first_predecessor(
+                (
+                    (ck, h)
+                    for ck in ckeys
+                    if ck in crows
+                    for h, ph in (hanging[ck[upos]][-1] if hanging else {0: 0}).items()
+                    if crows[ck].get(state - h) == profit - ph
+                ),
+                f"{name} forget",
             )
-            stack.append((child, ckey, state))
+            if hanging:
+                split_hanging(hang[u], hanging[ckey[upos]], ckey[upos], h)
+            stack.append((child, ckey, state - h))
         elif kind == "join":  # an empty leaf colors nothing
             left, right = dec.children[node]
             arow, brow = tables[left][key], tables[right][key]
@@ -606,4 +806,13 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
             )
             stack.append((left, key, a))
             stack.append((right, key, state + bag_w - a))
+    while pendant:
+        v, c, state = pendant.pop()
+        profit = rows[v][c][state]
+        d = first_predecessor(
+            (d for d, layers in sums[v].items() if d != c and layers[-1].get(state) == profit), f"{name} fold"
+        )
+        color_of[v] = d
+        if v in hang:
+            split_hanging(hang[v], sums[v][d], d, state)
     return SolveOutcome.feasible_from(inst, color_of)

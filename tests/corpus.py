@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 from lbcolor import ColoringInstance, DecompositionError, RawDecomposition, SolveOutcome, validate_coloring
@@ -10,7 +11,7 @@ from lbcolor.instance import adjacency_masks, bits
 from lbcolor.matching import AssignmentResult
 from lbcolor.packed import PackedBounds
 from lbcolor.split import SplitPartition
-from lbcolor.treewidth import dp_vertex, min_fill_order
+from lbcolor.treewidth import _pendant_fold, _vertex_tables, dp_vertex, min_fill_order
 
 
 def assert_outcome(inst, outcome):
@@ -90,6 +91,26 @@ def without_isolated(n, edges):
     labels = sorted({v for edge in edges for v in edge})
     new = {v: i for i, v in enumerate(labels)}
     return labels, tuple((new[u], new[v]) for u, v in edges)
+
+
+def two_core_edges(n, edges):
+    """The edges of the graph's 2-core, over Python sets: what is left after
+    repeatedly removing a vertex with at most one neighbor left.  A computed
+    decomposition gives the vertices outside it, which no core edge touches,
+    no bag."""
+    adj = _adjacency_sets(n, edges)
+    gone = set()
+    queue = [v for v in range(n) if len(adj[v]) < 2]
+    while queue:
+        v = queue.pop()
+        if v in gone:
+            continue
+        gone.add(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) < 2:
+                queue.append(u)
+    return tuple((u, v) for u, v in edges if u not in gone and v not in gone)
 
 
 def computed_tree_reference(n, edges, order):
@@ -466,6 +487,50 @@ def random_graph_for_orders(rng, n_max=40):
     return n, tuple(edges)
 
 
+def cycles_with_pendant_trees(rng, cycles_max=3, trees_max=8, isolated_max=3):
+    """(n, edges): 0 to ``cycles_max`` cycles of 3 to 5 vertices, a chord in
+    about a third of those of 4 or more, each after the first sharing a
+    vertex with an earlier one, or joined to one by an edge, or apart; then
+    up to ``trees_max`` vertices, each hung from an earlier vertex (a pendant
+    tree, or a free tree grown) or starting a free tree; then up to
+    ``isolated_max`` isolated vertices; labels shuffled.  The cycles make the
+    2-core, and sharing a vertex makes joins inside it."""
+    edges, n = set(), 0
+    for i in range(rng.randint(0, cycles_max)):
+        size = rng.randint(3, 5)
+        link = rng.choice(("share", "edge", "apart")) if i else "apart"
+        ring = [rng.randrange(n)] if link == "share" else []
+        ring += range(n, n + size - len(ring))
+        if link == "edge":
+            edges.add((rng.randrange(n), n))
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+        if size >= 4 and rng.random() < 1 / 3:
+            edges.add((min(ring[0], ring[2]), max(ring[0], ring[2])))
+        n = ring[-1] + 1
+    for _ in range(rng.randint(0, trees_max)):
+        if n and rng.random() < 0.8:
+            edges.add((rng.randrange(n), n))
+        n += 1
+    n += rng.randint(0, isolated_max)
+    return n, relabel(rng, n, edges)
+
+
+def tree_plus_chords_corpus(count=60, seed=2026):
+    """A fixed, seeded corpus of graphs (n, edges) shaped like the tree-like
+    benchmark's: a random tree on 24 to 48 vertices plus n // 8 chords,
+    labels shuffled."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(24, 48)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < n - 1 + n // 8:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        graphs.append((n, relabel(rng, n, edges)))
+    return graphs
+
+
 def random_allowed(rng, k):
     return frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
 
@@ -715,20 +780,46 @@ def fieldwise_sums(inst, lefts, rights):
 
 
 def loose_sums(inst, dec):
-    """S: the weight vectors, unpacked, of the vertices in no bag of ``dec``
-    colored one color each from their lists, within the bounds."""
+    """S: the weight vectors, unpacked, of the whole trees that the elements
+    in no bag of ``dec`` form and that conflict with no bagged element, each
+    colored properly from its lists in every way (by enumeration), summed
+    within the bounds."""
     dim = len(inst.bounds_flat)
     covered = {v for bag in dec.bags for v in bag}
+    adj = _adjacency_sets(inst.num_elements, inst.conflict_pairs)
     sums = {(0,) * dim}
-    for v in range(inst.n):
-        if v not in covered:
-            steps = []
-            for c in sorted(inst.allowed[v]):
-                step = [0] * dim
-                step[inst.flat_index(inst.part_of[v], c)] = inst.weight[v]
-                steps.append(tuple(step))
-            sums = fieldwise_sums(inst, sums, steps)
+    seen = set(covered)
+    for start in range(inst.num_elements):
+        if start in seen:
+            continue
+        seen.add(start)
+        tree = [start]
+        for v in tree:
+            for u in sorted(adj[v] - seen):
+                seen.add(u)
+                tree.append(u)
+        if any(adj[v] & covered for v in tree):
+            continue  # it hangs from a bagged element
+        vectors = set()
+        for colors in product(*(sorted(inst.allowed[v]) for v in tree)):
+            color_of = dict(zip(tree, colors))
+            if any(color_of[v] == color_of[u] for v in tree for u in adj[v]):
+                continue
+            vector = [0] * dim
+            for v, c in color_of.items():
+                vector[inst.flat_index(inst.part_of[v], c)] += inst.weight[v]
+            vectors.add(tuple(vector))
+        sums = fieldwise_sums(inst, sums, vectors)
     return sums
+
+
+def dp_tables(inst, dec, maximize=False):
+    """``treewidth._vertex_tables`` as the DP builds them: with the pendant
+    trees of the elements in no bag folded in where their element is first
+    introduced."""
+    profits = inst.color_profits(maximize)
+    hung = _pendant_fold(inst, dec, profits, "dp_tables")[3]
+    return _vertex_tables(inst, dec, profits, hung)
 
 
 def root_meet_mismatch(inst, dec, tables) -> bool:

@@ -31,6 +31,7 @@ from lbcolor.generators import ThreePartitionSource
 
 from corpus import (
     bipartition,
+    dp_tables,
     join_row_mismatches,
     one_in_three_answer,
     partition_answer,
@@ -283,13 +284,12 @@ def run_criterion_7(seed):
     rng = random.Random(seed)
     rec = Recorder()
     violations = 0
-    from lbcolor.treewidth import _vertex_tables
-
     joins_checked = 0
     for i in range(40):
-        inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, tw_cap=3)
+        # pendant trees are folded, not joined: the joins lie in the 2-core
+        inst = random_vertex_instance(rng, n_max=12, edge_p=0.4, tw_cap=3)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, inst.color_profits(False))
+        tables = dp_tables(inst, dec)
         checked, mismatches = join_row_mismatches(inst, dec, tables)
         violations += mismatches
         joins_checked += checked

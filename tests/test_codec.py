@@ -15,6 +15,7 @@ from lbcolor import (
     write_coloring,
     write_instance,
 )
+from lbcolor import codec
 from lbcolor.instance import Coloring
 
 from corpus import random_edge_instance, random_vertex_instance
@@ -106,3 +107,30 @@ def test_coloring_docs(tmp_path):
     assert read_coloring(str(path)) == col
     with pytest.raises(InstanceFormatError):
         read_coloring(io.StringIO(json.dumps({"colors": [1]})))
+
+
+def dumped_in_chunks(doc):
+    """The text that ``json.dump`` streams to a file, chunk by chunk, with
+    the final newline: what the codec wrote before it dumped in one call."""
+    out = io.StringIO()
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+    return out.getvalue()
+
+
+def test_dump_writes_the_same_bytes_in_one_call(tmp_path):
+    rng = random.Random(17)
+    docs = [instance_to_doc(random_vertex_instance(rng, profit=rng.random() < 0.5)) for _ in range(20)]
+    docs += [instance_to_doc(random_edge_instance(rng, profit=rng.random() < 0.5)) for _ in range(20)]
+    generated = gen_from_partition(PartitionSource(values=(3, 1, 1, 2, 2, 1), target=5), "vertex")
+    docs.append(dict(instance_to_doc(generated.instance), metadata=generated.metadata))
+    docs.append({"color_of": [1, 2, 3]})
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        want = dumped_in_chunks(doc)
+        stream = io.StringIO()
+        codec._dump(doc, stream)
+        assert stream.getvalue() == want
+        codec._dump(doc, str(path))
+        assert path.read_bytes() == want.encode("utf-8")
+    assert docs[-2]["metadata"]

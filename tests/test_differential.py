@@ -12,10 +12,13 @@ and against the tree-decomposition DP where its width min(a, b) is at most
 2.  Two-colour instances on trees plus chords, even cycles mostly and an
 odd cycle in about a quarter of the draws, check ``components-k2`` on graphs
 with cycles; an odd cycle must make every solver answer infeasible.
-Forests plus up to twelve isolated vertices, in both modes, check the
-meet at the target (isolated vertices as packed steps, components under one
-empty root): against the oracle inside its cap, and past it against the DP
-over a supplied decomposition that covers every vertex.
+Forests plus up to twelve isolated vertices, and small cores (cycles with
+chords, sharing a vertex or an edge) with pendant and free trees hung off
+them, in both modes, check the pendant fold and the meet at the target
+(every element outside the 2-core folded into per-colour rows, the trees
+that hang from nothing as steps of one row, components under one empty
+root): against the oracle inside its cap, and past it against the DP over a
+supplied decomposition that covers every vertex, which folds nothing.
 Three-dimensional matching sources of three elements per set and four or
 five triples, a perfect matching planted in about half, become split graphs
 on 13 or 14 vertices with k = 4 or 5 colors (``gen_from_three_dim_matching``),
@@ -26,7 +29,11 @@ be valid.
 """
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -49,12 +56,14 @@ from lbcolor import (
 )
 from lbcolor import treewidth
 from lbcolor.instance import adjacency_masks
-from lbcolor.treewidth import _vertex_tables, min_fill_order
+from lbcolor.treewidth import min_fill_order, peel
 
 from corpus import (
     assert_outcome,
     bounds_from_assignment,
     conflict_closure_sets,
+    cycles_with_pendant_trees,
+    dp_tables,
     isolated_vertices,
     loose_sums,
     order_to_raw,
@@ -63,6 +72,7 @@ from corpus import (
     random_edge_instance,
     random_vertex_instance,
     three_dim_matching_answer,
+    two_core_edges,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -280,12 +290,25 @@ def test_runners_agree_with_the_unreduced_dps(shape, seed):
 def forest_plus_isolated(rng, mode, forest_max):
     """A random forest on 2 to ``forest_max`` vertices (each vertex after the
     first joins an earlier one with probability 3/4, else starts a tree)
-    plus 0 to 12 isolated vertices, relabelled; k 2-4, p 1-2,
-    lists of 1 to 3 colors, weights 1-2, profits, and in about 80 % bounds
-    planted around a greedy coloring.  Edge mode colors the forest's edges."""
+    plus 0 to 12 isolated vertices, relabelled, drawn by
+    ``colored_instance``."""
     size = rng.randint(2, forest_max)
     n = size + rng.randint(0, 12)
     edges = relabel(rng, n, [(rng.randrange(v), v) for v in range(1, size) if rng.random() < 0.75])
+    return colored_instance(rng, mode, n, edges)
+
+
+def cores_with_pendant_trees(rng, mode, trees_max):
+    """``corpus.cycles_with_pendant_trees`` with up to ``trees_max`` tree
+    vertices, drawn as ``forest_plus_isolated`` draws its instances."""
+    n, edges = cycles_with_pendant_trees(rng, trees_max=trees_max)
+    return colored_instance(rng, mode, n, edges)
+
+
+def colored_instance(rng, mode, n, edges):
+    """An instance on the graph (n, edges): k 2-4, p 1-2, lists of 1 to 3
+    colors, weights 1-2, profits, and in about 80 % bounds planted around a
+    greedy coloring.  Edge mode colors the edges."""
     k, p = rng.randint(2, 4), rng.randint(1, 2)
     m = n if mode == "vertex" else len(edges)
     weight = tuple(rng.randint(1, 2) for _ in range(m))
@@ -360,26 +383,94 @@ def test_the_meet_agrees_with_a_covering_decomposition_past_the_oracle_cap(mode,
         assert status_and_objective(got, objective) == status_and_objective(want, objective), objective
 
 
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+@EXAMPLES
+@given(seed=SEEDS)
+def test_pendant_trees_on_small_cores_meet_the_oracle(mode, seed):
+    # every element outside the 2-core is folded into the rows of the
+    # element it hangs from, or into S
+    inst = cores_with_pendant_trees(random.Random(seed), mode, trees_max=10)
+    dp = dp_vertex if mode == "vertex" else dp_edge
+    computed = build_nice_decomposition(inst)[0]
+    for objective in ("decide", "maximize", "minimize"):
+        if inst.k ** inst.num_elements <= ORACLE_CAP:
+            want = brute_force_solve(inst, objective)
+        else:
+            want = covering_reference(inst, objective)
+        assert_outcome(inst, want)
+        twin = inst.negated() if objective == "minimize" else inst
+        got = dp(twin, computed, "decide" if objective == "decide" else "maximize")
+        if objective == "minimize" and got.feasible:
+            got = dataclasses.replace(got, objective=-got.objective)
+        outs = [got, solve_with("treewidth" if mode == "vertex" else "treewidth-edge", inst, objective)]
+        for out in outs:
+            assert_outcome(inst, out)
+            assert status_and_objective(out, objective) == status_and_objective(want, objective), objective
+
+
+WITNESSES = """
+import json, random, sys
+sys.path[:0] = sys.argv[1:]
+from lbcolor import solve_with
+from test_differential import cores_with_pendant_trees
+out = []
+for seed in range(40):
+    for mode, name in (("vertex", "treewidth"), ("edge", "treewidth-edge")):
+        inst = cores_with_pendant_trees(random.Random(seed), mode, trees_max=12)
+        w = solve_with(name, inst, "maximize").witness
+        out.append(None if w is None else list(w.color_of))
+print(json.dumps(out))
+"""
+
+
+def test_a_fold_witness_is_the_same_across_runs():
+    # the fold reads dicts and lists in insertion order only, so neither
+    # a second run nor another hash seed changes a witness
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", WITNESSES, src, here], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        runs.append(done.stdout)
+    assert runs[0] == runs[1]
+    witnesses = json.loads(runs[0])
+    assert sum(w is not None for w in witnesses) >= 20
+    folded = 0
+    for seed in range(40):
+        for mode, name in (("vertex", "treewidth"), ("edge", "treewidth-edge")):
+            inst = cores_with_pendant_trees(random.Random(seed), mode, trees_max=12)
+            dec = build_nice_decomposition(inst)[0]
+            dp = dp_vertex if mode == "vertex" else dp_edge
+            first, second = dp(inst, dec, "maximize"), dp(inst, dec, "maximize")
+            assert first == second
+            order, parent, _ = peel(inst.conflict_masks)
+            folded += first.feasible and any(parent[v] >= 0 for v in order)
+    assert folded >= 10
+
+
 def largest_meet_side(inst, dec):
-    """Which of S (the vertices in no bag), the root join's left row and its
-    right row holds the most states, or None on a tie or without a root
-    join; S is recomputed one unpacked field at a time."""
+    """Which of S (the whole trees in no bag that hang from nothing), the
+    root join's left row and its right row holds the most states, or None on
+    a tie or without a root join; S is recomputed one unpacked field at a
+    time."""
     if dec.kinds[dec.root] != "join":
         return None
-    tables = _vertex_tables(inst, dec, inst.color_profits(False))
+    tables = dp_tables(inst, dec)
     sizes = [len(loose_sums(inst, dec)), *(len(tables[child].get((), ())) for child in dec.children[dec.root])]
     top = max(sizes)
     return ("S", "left", "right")[sizes.index(top)] if sizes.count(top) == 1 else None
 
 
 def test_each_side_of_the_meet_can_be_the_largest():
-    # the two smaller rows are summed and the largest is scanned, whichever it is
+    # the rows are dealt into halves by size, and the larger half's sum is
+    # scanned, whichever of S and the root join's child rows is the largest
     rng = random.Random(131)
     found = {"S": 0, "left": 0, "right": 0}
     for _ in range(3000):
-        inst = forest_plus_isolated(rng, "vertex", forest_max=7)
-        if inst.k ** inst.n > ORACLE_CAP:
-            continue
+        # cycles apart make the root join; free trees make S
+        inst = cores_with_pendant_trees(rng, "vertex", trees_max=7)
         dec, _ = build_nice_decomposition(inst)
         side = largest_meet_side(inst, dec)
         if side is None or found[side] == 10:
@@ -387,7 +478,10 @@ def test_each_side_of_the_meet_can_be_the_largest():
         for objective in ("decide", "maximize"):
             out = dp_vertex(inst, dec, objective)
             assert_outcome(inst, out)
-            want = brute_force_solve(inst, objective)
+            if inst.k ** inst.n <= ORACLE_CAP:
+                want = brute_force_solve(inst, objective)
+            else:
+                want = covering_reference(inst, objective)
             assert status_and_objective(out, objective) == status_and_objective(want, objective), (side, objective)
         found[side] += 1
         if min(found.values()) == 10:
@@ -399,18 +493,19 @@ def test_no_nice_node_is_built_for_an_isolated_vertex(monkeypatch):
     seen = []
     original = treewidth.dp_vertex
 
+    # nor for any vertex outside the 2-core: isolated, or on a pendant tree
     def spy(inst, dec, objective="decide"):
         introduced = {v for kind, v in zip(dec.kinds, dec.vertex) if kind == "introduce"}
-        loose = isolated_vertices(inst.n, inst.edges)
+        loose = isolated_vertices(inst.n, two_core_edges(inst.n, inst.edges))
         assert not introduced & loose
         assert introduced | loose == set(range(inst.n))
-        seen.append(len(loose))
+        seen.append((len(loose - isolated_vertices(inst.n, inst.edges)), len(introduced)))
         return original(inst, dec, objective)
 
     monkeypatch.setattr(treewidth, "dp_vertex", spy)
     rng = random.Random(137)
     for _ in range(100):
-        inst = forest_plus_isolated(rng, "vertex", forest_max=8)
+        inst = cores_with_pendant_trees(rng, "vertex", trees_max=8)
         for objective in ("decide", "maximize"):
             assert_outcome(inst, solve_with("treewidth", inst, objective))
-    assert sum(seen) > 0
+    assert min(map(sum, zip(*seen))) > 0  # some on pendant trees, some in bags

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import enum
 import inspect
+import random
 import re
 import textwrap
 from functools import cached_property
@@ -20,6 +21,8 @@ from lbcolor import (
     validate_coloring,
 )
 from lbcolor.instance import RawDecomposition
+
+from corpus import random_edge_instance, random_vertex_instance
 
 
 def make(mode="vertex", n=1, edges=(), k=1, p=1, part_of=None, weight=None,
@@ -527,3 +530,21 @@ def test_each_listed_mutation_matches_the_reference(change, accepted):
     assert got[0] == ("accepted" if accepted else "rejected"), got
     if accepted:
         assert _leaf_types(got[1]) == _leaf_types(want[1])
+
+
+def test_units_are_the_packed_unit_of_each_slot():
+    # one shift table per instance gives what PackedBounds.unit gives per slot
+    rng = random.Random(29)
+    for _ in range(200):
+        mode = rng.choice(("vertex", "edge"))
+        k, p = rng.randint(1, 5), rng.randint(1, 3)
+        inst = random_vertex_instance(rng, k_max=k, p_max=p, w_max=9) if mode == "vertex" else (
+            random_edge_instance(rng, k_max=k, p_max=p, w_max=9)
+        )
+        packing = inst.packing
+        want = tuple(
+            {c: packing.unit(inst.flat_index(h, c), w) for c in sorted(colors)}
+            for h, w, colors in zip(inst.part_of, inst.weight, inst.allowed)
+        )
+        assert inst.units == want
+        assert [list(row) for row in inst.units] == [sorted(colors) for colors in inst.allowed]

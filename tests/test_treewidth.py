@@ -21,7 +21,6 @@ from lbcolor import (
 from lbcolor.instance import adjacency_masks, bits
 from lbcolor import treewidth
 from lbcolor.treewidth import (
-    _vertex_tables,
     check_raw_decomposition,
     elimination_tree,
     min_fill_order,
@@ -32,6 +31,8 @@ from corpus import (
     assert_outcome,
     computed_tree_reference,
     conflict_closure_sets,
+    cycles_with_pendant_trees,
+    dp_tables,
     isolated_vertices,
     join_row_mismatches,
     line_graph_instance,
@@ -42,7 +43,9 @@ from corpus import (
     random_graph_for_orders,
     random_vertex_instance,
     root_meet_mismatch,
+    tree_plus_chords_corpus,
     treewidth_by_elimination_orders,
+    two_core_edges,
     validate_raw_decomposition,
     without_isolated,
 )
@@ -111,16 +114,73 @@ def test_min_fill_order_matches_rescan_reference():
         reference = min_fill_order_rescan(n, edges)
         assert order == reference, (n, edges)
         assert nbr == adjacency_masks(n, edges)  # the caller's masks are not eliminated
-        # computed trees give isolated vertices no node: compare on the rest
+        # computed trees are min-fill on the 2-core and give the rest no
+        # node: compare on the core, where a pendant tree's edge counts as a
+        # bag of two in the width.  Min-fill eliminates every peeled vertex
+        # (fill 0, degree at most 1) before any vertex of the core, adding no
+        # fill, so its order on the core is the whole graph's, restricted
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
-        labels, sub = without_isolated(n, edges)
+        core = two_core_edges(n, edges)
+        labels, sub = without_isolated(n, core)
         m, new = len(labels), {v: i for i, v in enumerate(labels)}
         sub_inst = vertex_inst(m, sub, 1, 1, (1,) * m, (1,) * m, ((m,),))
         raw = order_to_raw(m, sub, [new[v] for v in reference if v in new])
         expected, _ = build_nice_decomposition(supplied(sub_inst, raw))
         expected = relabelled(expected, labels)
-        assert build_nice_decomposition(inst) == (expected, expected.width)
-        assert uncovered(expected, n) == isolated_vertices(n, edges)
+        width = expected.width if expected.width > 0 or not edges else 1
+        assert build_nice_decomposition(inst) == (expected, width)
+        assert uncovered(expected, n) == isolated_vertices(n, core)
+
+
+def test_peel_leaves_the_2_core_and_hangs_each_peeled_vertex_once():
+    rng = random.Random(57)
+    for _ in range(1000):
+        n, edges = random_graph_for_orders(rng, n_max=30)
+        nbr = adjacency_masks(n, edges)
+        order, parent, left = treewidth.peel(nbr)
+        core = two_core_edges(n, edges)
+        assert set(bits(left)) == set(range(n)) - isolated_vertices(n, core)
+        assert sorted(order) == sorted(set(range(n)) - set(bits(left)))
+        place = {v: i for i, v in enumerate(order)}
+        for v in range(n):
+            u = parent[v]
+            if v not in place:
+                assert u == -1
+                continue
+            # its parent is a neighbor peeled later or left, and every other
+            # neighbor was peeled before it and hangs from it
+            assert u == -1 or (nbr[v] >> u & 1 and place.get(u, n) > place[v])
+            for w in bits(nbr[v]):
+                assert w == u or (place[w] < place[v] and parent[w] == v)
+        kept = rng.getrandbits(n) if n else 0
+        order, parent, left = treewidth.peel(nbr, kept)
+        assert left & kept == kept and not set(order) & set(bits(kept))
+
+
+def test_a_forest_decomposes_to_the_empty_root():
+    # every vertex of a forest, and every edge of a linear forest in edge
+    # mode, is folded: no nice node but the empty root, width 1 with an edge
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        dec, width = build_nice_decomposition(vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),)))
+        assert (dec.kinds, dec.bags, dec.root) == (("leaf",), ((),), 0)
+        assert width == (1 if edges else -1)
+        paths = [(v - 1, v) for v in range(1, n) if rng.random() < 0.8]
+        inst = random_edge_instance(rng, edges=tuple(paths), n=n) if paths else None
+        if inst is not None:
+            assert build_nice_decomposition(inst) == (dec, 1 if inst.conflict_pairs else -1)
+
+
+def test_tree_plus_chords_corpus_builds_few_nice_nodes():
+    # pendant trees get no node: on this corpus the nice trees of the whole
+    # graphs had 7,727 nodes; those of the 2-cores have 2,889
+    nodes = 0
+    for n, edges in tree_plus_chords_corpus():
+        dec, _ = build_nice_decomposition(vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),)))
+        nodes += dec.size
+    assert nodes <= 2889
 
 
 def edges_inside_reference(edges, bag):
@@ -133,10 +193,12 @@ def test_edge_decomposition_is_min_fill_over_the_line_graph():
     for _ in range(300):
         inst = random_edge_instance(rng, n_max=rng.choice((6, 14)), m_max=rng.choice((7, 30)))
         m, pairs = len(inst.edges), inst.conflict_pairs
-        raw = computed_tree_reference(m, pairs, min_fill_order_rescan(m, pairs))
+        core = two_core_edges(m, pairs)  # of L(G)
+        raw = computed_tree_reference(m, core, min_fill_order_rescan(m, core))
         bags = [sum(1 << e for e in bag) for bag in raw.bags]
         expected = nice_from_tree(bags, rooted_children(raw), raw.root)
-        assert build_nice_decomposition(inst) == (expected, expected.width), (inst.n, inst.edges)
+        width = expected.width if expected.width > 0 or not pairs else 1
+        assert build_nice_decomposition(inst) == (expected, width), (inst.n, inst.edges)
 
 
 def test_min_fill_order_on_a_large_tree():
@@ -186,7 +248,8 @@ def test_elimination_tree_matches_order_to_raw():
 
 def nice_invariants(dec, n, edges, uncovered=frozenset()):
     """``dec`` is a nice decomposition of the graph less ``uncovered``, a set
-    of isolated vertices that lie in no bag (computed trees give them none)."""
+    of vertices that no edge touches and that lie in no bag (computed trees
+    give every vertex outside the 2-core none: ``edges`` is then the core's)."""
     seen = set()
     for bag in dec.bags:
         seen.update(bag)
@@ -242,7 +305,8 @@ def test_nice_form_invariants_on_random_graphs():
     for _ in range(30):
         inst = random_vertex_instance(rng, n_max=8)
         dec, width = build_nice_decomposition(inst)
-        nice_invariants(dec, inst.n, inst.edges, isolated_vertices(inst.n, inst.edges))
+        core = two_core_edges(inst.n, inst.edges)
+        nice_invariants(dec, inst.n, core, isolated_vertices(inst.n, core))
         joins_meet_on_kept_bags(dec)
         assert dec.size <= 4 * (inst.n + 1) * (width + 2)
 
@@ -264,15 +328,17 @@ def test_joins_meet_on_kept_bags():
         computed, _ = build_nice_decomposition(inst)
         raw = reshuffled(rng, order_to_raw(n, edges, rng.sample(range(n), n)))
         given_dec, _ = build_nice_decomposition(supplied(inst, raw))
-        for dec, loose in ((computed, isolated_vertices(n, edges)), (given_dec, set())):
-            nice_invariants(dec, n, edges, loose)
+        core = two_core_edges(n, edges)
+        for dec, graph, loose in ((computed, core, isolated_vertices(n, core)), (given_dec, edges, set())):
+            nice_invariants(dec, n, graph, loose)
             joins_meet_on_kept_bags(dec)
             joins += dec.kinds.count("join")
     for _ in range(150):
         inst = random_edge_instance(rng, n_max=8, m_max=12)
         line = line_graph_instance(inst)
         dec, _ = build_nice_decomposition(inst)
-        nice_invariants(dec, line.n, line.edges, isolated_vertices(line.n, line.edges))
+        core = two_core_edges(line.n, line.edges)
+        nice_invariants(dec, line.n, core, isolated_vertices(line.n, core))
         joins_meet_on_kept_bags(dec)
         joins += dec.kinds.count("join")
     assert joins > 0
@@ -300,10 +366,13 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         graph.add_edges_from(edges)
         inst = vertex_inst(n, edges, 1, 1, (1,) * n, (1,) * n, ((n,),))
         dec, width = build_nice_decomposition(inst)
-        assert width == dec.width
-        # computed trees give isolated vertices no node: they alone lie in no bag
-        assert uncovered(dec, n) == set(nx.isolates(graph))
-        assert_nx_tree_decomposition(dec, graph.subgraph(v for v in graph if graph.degree(v)))
+        # a pendant tree's edge counts as a bag of two
+        assert width == (dec.width if dec.width > 0 or not edges else 1)
+        # computed trees give the vertices outside the 2-core no node: they
+        # alone lie in no bag, and the bags decompose the core
+        core = nx.k_core(graph, 2)
+        assert uncovered(dec, n) == set(graph) - set(core)
+        assert_nx_tree_decomposition(dec, core)
         if n <= 10:
             assert width <= treewidth_min_fill_in(graph)[0]
             assert width <= treewidth_min_degree(graph)[0]
@@ -315,9 +384,11 @@ def test_nice_bags_form_a_tree_decomposition_by_networkx():
         line = nx.line_graph(graph)
         line = nx.relabel_nodes(line, {e: inst.edges.index(tuple(sorted(e))) for e in line})
         assert sorted(map(sorted, line.edges)) == sorted(map(list, line_graph_instance(inst).edges))
-        # an edge that no other edge touches is an isolated vertex of L(G), in no bag
-        assert uncovered(dec, len(inst.edges)) == set(nx.isolates(line))
-        assert_nx_tree_decomposition(dec, line.subgraph(e for e in line if line.degree(e)))
+        # the edges outside the 2-core of L(G), among them an edge that no
+        # other edge touches, lie in no bag
+        core = nx.k_core(line, 2)
+        assert uncovered(dec, len(inst.edges)) == set(line) - set(core)
+        assert_nx_tree_decomposition(dec, core)
 
 
 def test_computed_decompositions_build_no_raw_decomposition(monkeypatch):
@@ -520,15 +591,23 @@ def test_dp_edge_usage_errors_name_dp_edge():
 
 
 def test_a_vertex_with_neighbors_must_lie_in_a_bag():
-    # a computed decomposition leaves isolated vertices out; one with an
-    # edge cannot be colored apart from the tree
-    edge = vertex_inst(3, [(0, 1)], 2, 1, (1, 1, 1), (1, 1, 1), ((2, 1),))
-    path = vertex_inst(3, [(0, 1), (1, 2)], 2, 1, (1, 1, 1), (1, 1, 1), ((2, 1),))
-    dec, _ = build_nice_decomposition(edge)
-    assert uncovered(dec, 3) == {2}
-    assert dp_vertex(edge, dec).feasible
-    with pytest.raises(UsageError, match="vertex 2 has neighbors but lies in no bag"):
-        dp_vertex(path, dec)
+    # a computed decomposition leaves out the vertices outside the 2-core;
+    # one in no bag is folded only on a pendant tree, so one with two bagged
+    # neighbors, or one on a cycle of vertices in no bag, is an error
+    def inst(edges):
+        return vertex_inst(5, edges, 3, 1, (1,) * 5, (1,) * 5, ((2, 2, 1),))
+
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    dec, _ = build_nice_decomposition(inst(triangle))
+    assert uncovered(dec, 5) == {3, 4}
+    assert dp_vertex(inst(triangle), dec).feasible
+    assert dp_vertex(inst(triangle + [(2, 3), (3, 4)]), dec).feasible  # a pendant path
+    with pytest.raises(UsageError, match="dp_vertex: vertex 3 lies in no bag and on no pendant tree"):
+        dp_vertex(inst(triangle + [(0, 3), (2, 3)]), dec)
+    empty, _ = build_nice_decomposition(inst([]))
+    assert uncovered(empty, 5) == set(range(5))
+    with pytest.raises(UsageError, match="dp_vertex: vertex 2 lies in no bag and on no pendant tree"):
+        dp_vertex(inst([(0, 1), (2, 3), (2, 4), (3, 4)]), empty)
 
 
 def test_decomposition_independence():
@@ -551,7 +630,7 @@ def test_stored_tuples_stay_within_bounds(maximize):
     for _ in range(20):
         inst = random_vertex_instance(rng, n_max=6, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, inst.color_profits(maximize))
+        tables = dp_tables(inst, dec, maximize)
         for node, table in enumerate(tables):
             if table is None:  # only the root join's, met at the target instead
                 assert node == dec.root and dec.kinds[node] == "join"
@@ -569,9 +648,11 @@ def test_join_conservation_holds_on_traced_tables(maximize):
     rng = random.Random(71)
     total = 0
     for _ in range(40):
-        inst = random_vertex_instance(rng, n_max=7, edge_p=0.45, profit=maximize)
+        # pendant trees are folded, not joined: the joins lie in the 2-core
+        n, edges = cycles_with_pendant_trees(rng, trees_max=4)
+        inst = random_vertex_instance(rng, n=n, edges=edges, profit=maximize)
         dec, _ = build_nice_decomposition(inst)
-        tables = _vertex_tables(inst, dec, inst.color_profits(maximize))
+        tables = dp_tables(inst, dec, maximize)
         checked, mismatches = join_row_mismatches(inst, dec, tables, maximize)
         assert mismatches == 0
         total += checked
@@ -589,8 +670,8 @@ def test_profits_change_only_the_values_of_the_tables(mode):
         else:
             inst = random_edge_instance(rng, n_max=6, m_max=8, profit=True, planted=True)
         dec, _ = build_nice_decomposition(inst)
-        decide = _vertex_tables(inst, dec, inst.color_profits(False))
-        maximize = _vertex_tables(inst, dec, inst.color_profits(True))
+        decide = dp_tables(inst, dec)
+        maximize = dp_tables(inst, dec, True)
         for node in range(dec.size):
             if decide[node] is None:  # the root join's, met at the target instead
                 assert maximize[node] is None
@@ -687,14 +768,14 @@ def test_dp_edge_matches_oracle():
 
 
 def test_lifted_decomposition_is_valid_for_the_line_graph():
-    # a computed one decomposes L(G) less its isolated vertices, the edges
-    # that no other edge touches; a supplied one of the conflict closure,
+    # a computed one decomposes the 2-core of L(G), which leaves out the
+    # edges that no other edge touches; a supplied one of the conflict closure,
     # lifted to the edges inside its bags, decomposes all of L(G)
     rng = random.Random(83)
     for _ in range(60):
         inst = random_edge_instance(rng)
         line = line_graph_instance(inst)
-        labels, sub = without_isolated(line.n, line.edges)
+        labels, sub = without_isolated(line.n, two_core_edges(line.n, line.edges))
         new = {e: i for i, e in enumerate(labels)}
         closure = conflict_closure_sets(inst.n, inst.edges)
         raw = reshuffled(rng, order_to_raw(inst.n, closure, rng.sample(range(inst.n), inst.n)))
@@ -718,7 +799,7 @@ def test_edge_join_conservation():
             continue  # no join but the root's, which is met at the target, not tabled
         drawn += 1
         checked, mismatches = join_row_mismatches(
-            line_graph_instance(inst), dec, _vertex_tables(inst, dec, inst.color_profits(False))
+            line_graph_instance(inst), dec, dp_tables(inst, dec)
         )
         assert mismatches == 0
         total += checked
