@@ -22,7 +22,7 @@ import time
 import traceback
 
 from .classify import SOLVERS, auto_solver_name, solve_with
-from .codec import instance_to_doc, read_coloring, read_instance
+from .codec import _load, instance_to_doc, read_coloring, read_instance
 from .errors import (
     DecompositionError,
     InstanceFormatError,
@@ -66,12 +66,7 @@ def solve_document(outcome, solver_used: str, elapsed_ms: int) -> str:
 
 
 def cmd_generate(ns) -> int:
-    with open(ns.source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"malformed JSON: {exc}") from exc
-    result = generate(source_from_doc(doc), ns.variant)
+    result = generate(source_from_doc(_load(ns.source)), ns.variant)
     out = instance_to_doc(result.instance)
     out["metadata"] = result.metadata
     print(json.dumps(out, indent=2))

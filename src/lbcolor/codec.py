@@ -106,7 +106,9 @@ def _load(source) -> dict:
             with open(source, "r", encoding="utf-8") as f:
                 return json.load(f)
         return json.load(source)
-    except json.JSONDecodeError as exc:
+    # ValueError covers a syntax error, bytes that are not UTF-8 and an int
+    # literal past the digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"malformed JSON: {exc}") from exc
 
 

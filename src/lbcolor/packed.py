@@ -8,6 +8,12 @@ state within the bounds plus one weight, or plus another such state), so no
 field ever carries into the next.  For the same reason a sum of such states
 determines its fields, so a DP that stores only reachable states finds a
 state's predecessor by subtraction and lookup (``first_predecessor``).
+
+``layers`` and ``split`` are the package's one layered kernel: ``layers``
+sums a sequence of profit rows onto a start row, one layer per row, and
+``split`` walks a state of the last layer back into one state per row.
+``choose``, the pendant trees of the tree DP and its meet at the target
+all run on them.
 """
 
 from __future__ import annotations
@@ -45,11 +51,6 @@ class PackedBounds:
     def fits(self, x: int) -> bool:
         return not (x + self.offset) & self.guard
 
-    def sums(self, lefts, rights) -> set[int]:
-        """The sums a + b, a in ``lefts`` and b in ``rights``, that fit."""
-        offset, guard = self.offset, self.guard
-        return {x for a in lefts for b in rights if not ((x := a + b) + offset) & guard}
-
     def best_sums(self, lefts: dict, rights: dict, row: dict | None = None) -> dict:
         """``lefts`` and ``rights`` map states to profits: map each fitting
         a + b to its best lefts[a] + rights[b], merged into ``row`` if given."""
@@ -67,35 +68,57 @@ class PackedBounds:
                         row[x] = q
         return row
 
+    def layers(self, start: dict, steps) -> list[dict]:
+        """[start, start + steps[0], ...]: each layer maps the fitting sums
+        of the layer below and one more step's row to their best profit
+        (``best_sums``).  ``steps`` is read lazily: an empty layer ends the
+        list, before a later row is built."""
+        layers = [start]
+        for step in steps:
+            layers.append(layer := self.best_sums(layers[-1], step))
+            if not layer:
+                break
+        return layers
+
+    @staticmethod
+    def split(layers, steps, state: int, where: str) -> list[int]:
+        """Walk ``layers`` back from ``state`` in its last layer into one
+        state per step, in step order: from the last step down, the first
+        state in the step's order that leads into the layer below with the
+        same profit.  ``where`` names the caller in the error raised when
+        none does (see ``first_predecessor``)."""
+        found = []
+        for step, below, above in zip(reversed(steps), reversed(layers[:-1]), reversed(layers[1:])):
+            profit = above[state]
+            s = first_predecessor((s for s, p in step.items() if below.get(state - s) == profit - p), where)
+            found.append(s)
+            state -= s
+        found.reverse()
+        return found
+
     def choose(self, steps, where: str):
         """Pick one payload per step so that the picked states sum to
         ``target``, or return None when no choice does.
 
-        ``steps`` yields {packed state: payload} maps, read lazily: a step
-        that leaves no fitting sum ends the search before later maps are
-        built.  Layer i holds the fitting sums of the first i steps; the walk
-        back from the target takes, in each step's map order, the first state
-        that leads into the layer below.  ``where`` names the caller in the
-        error raised when none does (see ``first_predecessor``).
+        ``steps`` yields {packed state: payload} maps, read lazily by
+        ``layers``: a step that leaves no fitting sum ends the search before
+        later maps are built.  Each map is a row of zero profits, layered
+        from the zero state and split back from the target, so each step
+        picks the first of its states, in map order, that leads into the
+        layer below.
         """
-        layers = [{0}]
-        read = []
-        for options in steps:
-            nxt = self.sums(layers[-1], options)
-            if not nxt:
-                return None
-            layers.append(nxt)
-            read.append(options)
-        state = self.target
-        if state not in layers[-1]:
+        maps, rows = [], []  # per step read, its payload map and zero-profit row
+
+        def zero_rows():
+            for options in steps:
+                maps.append(options)
+                rows.append(dict.fromkeys(options, 0))
+                yield rows[-1]
+
+        layers = self.layers({0: 0}, zero_rows())
+        if self.target not in layers[-1]:
             return None
-        chosen = []
-        for layer, options in zip(reversed(layers[:-1]), reversed(read)):
-            step = first_predecessor((d for d in options if state - d in layer), where)
-            state -= step
-            chosen.append(options[step])
-        chosen.reverse()
-        return chosen
+        return [options[s] for options, s in zip(maps, self.split(layers, rows, self.target, where))]
 
 
 def first_predecessor(candidates, where: str):

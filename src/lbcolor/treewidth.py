@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import DecompositionError, UsageError
 from .instance import ColoringInstance, RawDecomposition, SolveOutcome, bits
@@ -473,29 +472,6 @@ def _best_of(rows) -> dict:
     return best
 
 
-def _layers(best_sums, start: dict | None, steps) -> list[dict]:
-    """[start, start + steps[0], ...]: each layer sums one more step's row
-    onto the last (``PackedBounds.best_sums``).  With ``start`` None the
-    sums start at the zero state, {0: 0}, and the first layer is the first
-    step itself: every row holds only states within the bounds."""
-    steps = iter(steps)
-    layers = [{0: 0}, *islice(steps, 1)] if start is None else [start]
-    for step in steps:
-        layers.append(best_sums(layers[-1], step))
-    return layers
-
-
-def _split(layers, steps, state: int, where: str):
-    """Walk ``_layers`` back from ``state`` in its last layer: per step, from
-    the last, the state it adds, found as the first that leads into the
-    layer below with the same profit."""
-    for step, below, above in zip(reversed(steps), reversed(layers[:-1]), reversed(layers[1:])):
-        profit = above[state]
-        found = first_predecessor((s for s, p in step.items() if below.get(state - s) == profit - p), where)
-        yield found
-        state -= found
-
-
 def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name: str):
     """Fold the elements in no bag of ``dec`` into per-color rows, bottom
     up, and return (hang, rows, sums, hung).
@@ -508,7 +484,8 @@ def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name:
     element v hangs from (0 for nothing) to the best-profit sums of the
     colorings of v's tree that avoid c at v.  ``sums[v][c]`` layers the rows
     hanging from v, for color c of v, onto v's unit and profit at c
-    (``_layers``), so its last layer is v's tree with v colored c.
+    (``PackedBounds.layers``), so its last layer is v's tree with v colored
+    c.
 
     A bagged u's pendant trees are summed in at one node, ``hung[node] =
     (u, layers)``, where ``layers[c]`` sums the rows hanging from u for
@@ -524,7 +501,7 @@ def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name:
     1.7 times the pairs on a 120-vertex tree-like graph.  The trees that
     hang from nothing (isolated elements among them) are left to
     ``_conflict_dp``, as their rows ``rows[r][0]``.  The witness splits a
-    state back over the same layers.
+    state back over the same layers (``PackedBounds.split``).
     """
     covered = 0  # every vertex in a bag is introduced, as leaf and root bags are empty
     forget = {}  # per bagged element, its forget node
@@ -538,7 +515,7 @@ def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name:
         v = (stray & -stray).bit_length() - 1
         raise UsageError(f"{name}: vertex {v} lies in no bag and on no pendant tree")
     packing = inst.packing
-    best_sums, offset, guard = packing.best_sums, packing.offset, packing.guard
+    offset, guard = packing.offset, packing.guard
     units = inst.units
     hang: dict[int, list[int]] = {}
     for v in order:
@@ -557,9 +534,7 @@ def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name:
         sums[v] = layered = {}
         tops = {}
         for d, unit in own.items():
-            layers = [{unit: gain[d]}]  # _layers, inline: most trees are small
-            for w in kids:
-                layers.append(best_sums(layers[-1], rows[w][d]))
+            layers = packing.layers({unit: gain[d]}, (rows[w][d] for w in kids))
             if layers[-1]:
                 layered[d] = layers
                 tops[d] = layers[-1]
@@ -573,7 +548,7 @@ def _pendant_fold(inst: ColoringInstance, dec: NiceDecomposition, profits, name:
                 node = dec.children[node][0]
                 if dec.kinds[node] == "forget" or dec.kinds[node] == "introduce" and dec.vertex[node] == u:
                     break
-            hung[node] = u, {c: _layers(best_sums, None, [rows[w][c] for w in kids]) for c in units[u]}
+            hung[node] = u, {c: packing.layers({0: 0}, (rows[w][c] for w in kids)) for c in units[u]}
     return hang, rows, sums, hung
 
 
@@ -693,7 +668,7 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
     hang from nothing (isolated elements among them) and the root join's two
     child rows, or else the root row, are dealt, largest first, to the half
     whose product of row sizes is smaller; each half is summed smallest row
-    first (``_layers``), and each state x of the larger sum looks up
+    first (``PackedBounds.layers``), and each state x of the larger sum looks up
     target - x in the smaller (meet in the middle); of three rows, the two
     smaller are summed.  The root join's own table is never built.
     """
@@ -719,10 +694,11 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
         half = sizes[1] < sizes[0]
         halves[half].append(side)
         sizes[half] *= len(side[0])
-    best_sums = inst.packing.best_sums
-    layers = [_layers(best_sums, None, [row for row, _, _ in reversed(half)]) for half in halves]
+    packing = inst.packing
+    steps = [[row for row, _, _ in reversed(half)] for half in halves]  # smallest row first
+    layers = [packing.layers({0: 0}, half) for half in steps]
     big, small = sorted((0, 1), key=lambda i: -len(layers[i][-1]))
-    target = inst.packing.target
+    target = packing.target
     lookup = layers[small][-1]
     found = best = None
     for x, q in layers[big][-1].items():
@@ -744,8 +720,7 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
     pendant = []  # (peeled element, color it must avoid, its tree's state)
     stack = []
     for i, state in ((big, found), (small, target - found)):
-        steps = [row for row, _, _ in reversed(halves[i])]  # as layered, smallest first
-        for (_, r, node), s in zip(halves[i], _split(layers[i], steps, state, f"{name} meet")):
+        for (_, r, node), s in zip(reversed(halves[i]), packing.split(layers[i], steps[i], state, f"{name} meet")):
             if node is None:
                 pendant.append((r, 0, s))
             else:
@@ -754,7 +729,7 @@ def _conflict_dp(inst: ColoringInstance, dec: NiceDecomposition, objective: str,
     def split_hanging(kids, layers, c, state):
         # the states of the trees ``kids`` at color c that sum to state
         steps = [rows[w][c] for w in kids]
-        pendant.extend((w, c, s) for w, s in zip(reversed(kids), _split(layers, steps, state, f"{name} fold")))
+        pendant.extend((w, c, s) for w, s in zip(kids, packing.split(layers, steps, state, f"{name} fold")))
 
     while stack:
         node, key, state = stack.pop()

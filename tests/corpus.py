@@ -9,7 +9,7 @@ from lbcolor import ColoringInstance, DecompositionError, RawDecomposition, Solv
 from lbcolor.cographs import Cotree
 from lbcolor.instance import adjacency_masks, bits
 from lbcolor.matching import AssignmentResult
-from lbcolor.packed import PackedBounds
+from lbcolor.packed import PackedBounds, first_predecessor
 from lbcolor.split import SplitPartition
 from lbcolor.treewidth import _pendant_fold, _vertex_tables, dp_vertex, min_fill_order
 
@@ -942,6 +942,32 @@ def part_weight_assignment_unfolded(weights, choices, bound_row):
     packing = PackedBounds(bound_row, max(weights, default=0))
     steps = [{packing.unit(c - 1, w): c for c in sorted(choices[i])} for i, w in enumerate(weights)]
     return packing.choose(steps, "part_weight_assignment")
+
+
+def choose_by_sets(packing, steps, where):
+    """``PackedBounds.choose`` on set-valued layers: layer i holds the
+    fitting sums of the first i steps, a step that leaves none ends the
+    search, and the walk back from the target takes, in each step's map
+    order, the first state that leads into the layer below.  The reference
+    for ``choose`` on zero-profit rows of ``layers`` and ``split``."""
+    layers = [{0}]
+    read = []
+    for options in steps:
+        nxt = {x for a in layers[-1] for b in options if packing.fits(x := a + b)}
+        if not nxt:
+            return None
+        layers.append(nxt)
+        read.append(options)
+    state = packing.target
+    if state not in layers[-1]:
+        return None
+    chosen = []
+    for layer, options in zip(reversed(layers[:-1]), reversed(read)):
+        step = first_predecessor((d for d in options if state - d in layer), where)
+        state -= step
+        chosen.append(options[step])
+    chosen.reverse()
+    return chosen
 
 
 def complete_bipartite_by_masks(inst):

@@ -13,6 +13,7 @@ from lbcolor import (
     solve_isolated_unit,
     validate_coloring,
 )
+from lbcolor import basic
 from lbcolor.basic import part_weight_assignment
 
 from corpus import (
@@ -225,6 +226,25 @@ def test_components_k2_one_component_of_thousands():
     assert out.feasible
     assert validate_coloring(path, out.witness).ok
     assert not solve_components_k2(long_k2_instance(rng, 3001, closed=True)).feasible
+
+
+def test_components_after_an_empty_layer_are_never_enumerated(monkeypatch):
+    # component {0, 1} has no coloring within the bounds: both of its
+    # colorings put weight 3 on a color bounded by 2, so the layers end
+    # there and the two components after it are never listed
+    listed = []
+    fitting = basic._fitting_colorings
+
+    def counted(order, *args):
+        listed.append(order)
+        return fitting(order, *args)
+
+    monkeypatch.setattr(basic, "_fitting_colorings", counted)
+    inst = ColoringInstance(mode="vertex", n=6, edges=((0, 1), (2, 3), (4, 5)), k=2, p=2,
+                            part_of=(1, 1, 2, 2, 2, 2), weight=(1, 3, 1, 1, 1, 1),
+                            bounds=((2, 2), (2, 2)), allowed=(full(2),) * 6)
+    assert not solve_components_k2(inst).feasible
+    assert listed == [[0, 1]]
 
 
 def test_components_k2_requires_two_colors():

@@ -124,6 +124,32 @@ def test_malformed_instance_exit_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+MALFORMED = {
+    "not-utf8": b'{"mode": "vertex", "n": "\xff"}',
+    "long-int": b'{"n": ' + b"9" * 4301 + b"}",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED)
+@pytest.mark.parametrize("which", ["solve", "check-input", "check-coloring", "generate"])
+def test_malformed_file_exits_two_without_a_traceback(tmp_path, capsys, which, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good = write_doc(tmp_path, "p3.json", p3_doc())
+    coloring = write_doc(tmp_path, "col.json", {"color_of": [1, 2, 1]})
+    argv = {
+        "solve": ["solve", "--input", str(bad)],
+        "check-input": ["check", "--input", str(bad), "--coloring", coloring],
+        "check-coloring": ["check", "--input", good, "--coloring", str(bad)],
+        "generate": ["generate", "--source", str(bad), "--variant", "vertex"],
+    }[which]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: malformed JSON:")
+    assert "Traceback" not in err
+
+
 def test_generate_matches_library_call(tmp_path, capsys):
     src = {"type": "partition", "values": [1, 1, 2], "target": 2}
     path = write_doc(tmp_path, "part.json", src)
@@ -326,8 +352,11 @@ def test_crash_exits_two_not_infeasible(tmp_path, capsys, monkeypatch):
 
 def test_state_without_predecessor_exits_two(tmp_path, capsys, monkeypatch):
     # every layer of the edgeless DP also gets the target, which no step reaches
-    sums = PackedBounds.sums
-    monkeypatch.setattr(PackedBounds, "sums", lambda self, lefts, rights: sums(self, lefts, rights) | {self.target})
+    layers = PackedBounds.layers
+    monkeypatch.setattr(
+        PackedBounds, "layers",
+        lambda self, start, steps: [{self.target: 0, **layer} for layer in layers(self, start, steps)],
+    )
     doc = {
         "mode": "vertex", "n": 2, "edges": [], "k": 3, "p": 1, "part_of": [1, 1],
         "weight": [1, 1], "bounds": [[0, 0, 2]], "allowed": [[1, 2], [1, 2]],

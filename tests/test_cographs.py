@@ -357,16 +357,17 @@ def test_complete_bipartite_leaf_checks_layer_only_free_members(monkeypatch):
     """A one-in-three instance at 10 variables (k = 21): most members of a
     (part, side) have one usable color at a leaf, and they are settled
     before the layered DP; with every member a layer this solve forms
-    11,621 ``PackedBounds.sums`` layers."""
+    11,621 ``PackedBounds.layers`` layers past the start."""
     calls = 0
-    sums = PackedBounds.sums
+    layers = PackedBounds.layers
 
-    def counted(self, lefts, rights):
+    def counted(self, start, steps):
         nonlocal calls
-        calls += 1
-        return sums(self, lefts, rights)
+        formed = layers(self, start, steps)
+        calls += len(formed) - 1
+        return formed
 
-    monkeypatch.setattr(PackedBounds, "sums", counted)
+    monkeypatch.setattr(PackedBounds, "layers", counted)
     clauses = ((10, 1, 7), (8, 1, 4), (8, 10, 5), (3, 1, 8), (6, 2, 4), (6, 1, 7), (3, 6, 7), (7, 5, 9), (8, 3, 5), (6, 3, 8))
     inst = gen_from_one_in_three_sat(OneInThreeSatSource(10, clauses), "complete_bipartite").instance
     assert inst.k == 21

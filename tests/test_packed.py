@@ -1,13 +1,15 @@
 import random
+from itertools import product
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbcolor import ColoringInstance, brute_force_solve, build_cotree, build_nice_decomposition, dp_cograph, dp_vertex
 from lbcolor.basic import solve_isolated_k_fixed
 from lbcolor.packed import PackedBounds
 
-from corpus import assert_outcome, random_allowed, random_cograph_edges
+from corpus import assert_outcome, choose_by_sets, random_allowed, random_cograph_edges
 
 # zero columns, and values on either side of a power of two, where a field
 # one bit too narrow would carry
@@ -67,8 +69,108 @@ def test_state_plus_state(case, data):
     a, b = within(data.draw, bounds), within(data.draw, bounds)
     fields = [x + y for x, y in zip(a, b)]
     assert_check_agrees(packing, bounds, packing.pack(a) + packing.pack(b), fields)
-    sums = packing.sums([packing.pack(a)], [packing.pack(b)])
-    assert sums == ({packing.pack(fields)} if packing.fits(packing.pack(fields)) else set())
+    sums = packing.layers({packing.pack(a): 0}, [{packing.pack(b): 0}])[-1]
+    assert sums == ({packing.pack(fields): 0} if packing.fits(packing.pack(fields)) else {})
+
+
+# ---------------------------------------------------------------------------
+# the layered kernel: layers, split and choose
+
+KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def profit_rows(draw):
+    """(bounds, start, rows): small bounds, a start row within them, and up
+    to four rows of up to four states each; a state's fields reach past the
+    bounds, so some states do not fit, and a row may be empty."""
+    dim = draw(st.integers(1, 3))
+    bounds = draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+    top = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
+    row = st.dictionaries(vec, st.integers(-3, 5), max_size=4)
+    within_bounds = st.tuples(*(st.integers(0, b) for b in bounds))
+    start = draw(st.dictionaries(within_bounds, st.integers(-3, 5), min_size=1, max_size=2))
+    return bounds, top, start, draw(st.lists(row, max_size=4))
+
+
+@KERNEL
+@given(profit_rows())
+def test_split_of_layers_matches_the_brute_force_product(case):
+    bounds, top, start, rows = case
+    packing = PackedBounds(bounds, top)
+    fitting = {}  # per fitting sum of one state of start and of each row, its best profit
+    for picks in product(start.items(), *(row.items() for row in rows)):
+        total = tuple(map(sum, zip(*(vec for vec, _ in picks))))
+        if all(x <= b for x, b in zip(total, bounds)):
+            profit = sum(p for _, p in picks)
+            fitting[total] = max(profit, fitting.get(total, profit))
+    steps = [{packing.pack(vec): p for vec, p in row.items()} for row in rows]
+    layers = packing.layers({packing.pack(vec): p for vec, p in start.items()}, steps)
+    assert {packing.unpack(x): p for x, p in layers[-1].items()} == (fitting if rows else start)
+    if not layers[-1]:
+        return
+    assert len(layers) == len(rows) + 1
+    for state, profit in layers[-1].items():
+        picked = packing.split(layers, steps, state, "test")
+        assert len(picked) == len(steps)
+        assert all(s in step for s, step in zip(picked, steps))
+        rest = state - sum(picked)
+        assert layers[0][rest] + sum(step[s] for s, step in zip(picked, steps)) == profit
+
+
+@st.composite
+def planted_steps(draw):
+    """(bounds, steps): one state per step sums to the bounds, placed among
+    up to three other states at a drawn position; every state maps to a
+    payload naming its step and position."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    planted = draw(st.lists(vec, max_size=5))
+    bounds = [sum(col) for col in zip(*planted)] if planted else [0] * dim
+    if draw(st.booleans()):  # often, a bound the plant misses
+        bounds[0] += draw(st.integers(-1, 1))
+    steps = []
+    for i, plant in enumerate(planted):
+        others = draw(st.lists(vec, max_size=3))
+        others.insert(draw(st.integers(0, len(others))), plant)
+        steps.append(others)
+    return [max(b, 0) for b in bounds], steps
+
+
+@KERNEL
+@given(planted_steps())
+def test_choose_picks_what_the_set_walk_picks(case):
+    bounds, vecs = case
+    top = max((x for step in vecs for v in step for x in v), default=0)
+    packing = PackedBounds(bounds, top)
+    steps = [{packing.pack(v): (i, j) for j, v in enumerate(step)} for i, step in enumerate(vecs)]
+    assert packing.choose(iter(steps), "test") == choose_by_sets(packing, iter(steps), "test")
+
+
+def counted_steps(steps, read):
+    """Yield ``steps``, counting each in ``read``; advancing past the last
+    fails the test."""
+    for step in steps:
+        read.append(step)
+        yield step
+    pytest.fail("read past the last step")
+
+
+def test_layers_and_choose_stop_at_the_first_empty_layer():
+    packing = PackedBounds([2, 1], 3)
+    one, two = packing.unit(0, 1), packing.unit(1, 1)
+    # the third step fits nothing onto the second layer, so no fourth is read
+    rows = [{one: 0, two: 1}, {one: 2}, {packing.unit(0, 2): 0, packing.unit(0, 3): 0}]
+    read = []
+    layers = packing.layers({0: 0}, counted_steps(rows, read))
+    assert len(read) == 3 and layers[2] and layers[-1] == {} and len(layers) == 4
+    read = []
+    assert packing.choose(counted_steps([dict.fromkeys(row, "x") for row in rows], read), "test") is None
+    assert len(read) == 3
+    # an empty step ends the layers at once
+    read = []
+    assert packing.layers({0: 0}, counted_steps([{}], read)) == [{0: 0}, {}] and len(read) == 1
 
 
 @given(packings(), st.data())

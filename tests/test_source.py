@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import lbcolor
+from lbcolor.packed import PackedBounds
 
 SOURCES = sorted(Path(lbcolor.__file__).parent.glob("*.py"))
 
@@ -126,10 +127,44 @@ def test_vertex_tables_are_built_only_by_dp_vertex():
     assert _call_sites("_vertex_tables", "_conflict_dp", "treewidth.py") == (1, [])
 
 
-def test_dp_rows_map_states_to_profits():
-    # decide is maximize over zero profits, so no DP forms set rows: the only
-    # caller of PackedBounds.sums is PackedBounds.choose
-    assert _call_sites("sums", "choose", "packed.py") == (1, [])
+def _called(node, name: str) -> bool:
+    callee = node.func if isinstance(node, ast.Call) else None
+    return name in (getattr(callee, "id", None), getattr(callee, "attr", None))
+
+
+def _layers_a_sum(node) -> bool:
+    """``x.append(best_sums(...))``: one step of a layered sum."""
+    if not _called(node, "append"):
+        return False
+    args = [arg.value if isinstance(arg, ast.NamedExpr) else arg for arg in node.args]
+    return any(_called(arg, "best_sums") for arg in args)
+
+
+def _walks_layers_back(node) -> bool:
+    """A loop over ``zip(reversed(...), ...)`` that calls first_predecessor:
+    a walk back down a list of layers."""
+    return (
+        isinstance(node, ast.For)
+        and _called(node.iter, "zip")
+        and any(_called(arg, "reversed") for arg in node.iter.args)
+        and any(_called(sub, "first_predecessor") for sub in ast.walk(node))
+    )
+
+
+def test_one_layered_kernel():
+    # decide is maximize over zero profits and choose layers zero-profit
+    # rows, so no set-valued sum is left; PackedBounds.layers and
+    # PackedBounds.split are the only layered sum and the only walk back,
+    # and no module outside packed.py defines or inlines another
+    assert not hasattr(PackedBounds, "sums")
+    sums, walks = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if _layers_a_sum(node):
+                sums.append(path.name)
+            if _walks_layers_back(node):
+                walks.append(path.name)
+    assert sums == ["packed.py"] and walks == ["packed.py"]
 
 
 CLASS_TESTS = ("split_partition_masks", "complete_bipartite_masks", "_cotree_or_prime")
