@@ -120,21 +120,31 @@ def _fitting_colorings(order, earlier, units, packing) -> dict:
     """The proper list colorings of one component that fit the bounds, as
     {packed state: colors of ``order``}, the first found kept per state.
 
-    ``earlier[e]`` lists the positions in ``order`` of the elements before e
-    that conflict with e.  Depth-first with an explicit stack of candidate
-    lists, one per colored position, colors tried in increasing order.
+    ``earlier[i]`` lists the positions in ``order`` before i whose elements
+    conflict with ``order[i]``.  Depth-first with an explicit stack of
+    candidate lists, one per colored position, colors tried in increasing
+    order.  A component of one element needs no stack: its fitting units,
+    colors ascending, are its colorings, listed up to the target as the
+    search would list them.
     """
-    offset, guard = packing.offset, packing.guard
+    offset, guard, target = packing.offset, packing.guard, packing.target
+    if len(order) == 1:
+        found = {}
+        for c, unit in units[order[0]].items():
+            if not (unit + offset) & guard:
+                found[unit] = (c,)
+                if unit == target:
+                    break
+        return found
     last = len(order) - 1
     color = [0] * len(order)
 
     def candidates(i, state):
         # largest color first: pop() takes them in increasing order
-        e = order[i]
-        taken = {color[j] for j in earlier[e]}
+        taken = {color[j] for j in earlier[i]}
         return [
             (c, x)
-            for c, unit in reversed(units[e].items())
+            for c, unit in reversed(units[order[i]].items())
             if c not in taken and not ((x := state + unit) + offset) & guard
         ]
 
@@ -150,7 +160,7 @@ def _fitting_colorings(order, earlier, units, packing) -> dict:
         color[i] = c
         if i == last:
             found.setdefault(state, tuple(color))
-            if state == packing.target:
+            if state == target:
                 # it carries all the weight, so it is the only component
                 break
         else:
@@ -166,38 +176,40 @@ def solve_by_components(inst: ColoringInstance, where: str) -> SolveOutcome:
     Components have few colorings where the callers use this: at most two at
     k = 2, and few in edge mode once no vertex has more than k edges (more is
     infeasible at once).  Each component is walked breadth-first from its
-    lowest element, neighbors in increasing order, so every later element
-    conflicts with an earlier one and at k = 2 has at most one color left.
+    lowest element over ``conflict_masks``, neighbors in increasing order,
+    so every later element conflicts with an earlier one and at k = 2 has at
+    most one color left.  The walk of a component, and the positions of each
+    element's earlier conflicts, are made inside the steps that ``choose``
+    reads, so no component after an empty layer is walked or listed.
     ``where`` names the caller in errors.
     """
     if inst.mode == "edge" and any(mask.bit_count() > inst.k for mask in inst.neighbor_masks):
         return SolveOutcome.infeasible_outcome()
     m = inst.num_elements
-    pairs = inst.conflict_pairs
     conflict = inst.conflict_masks
-    comps = []
-    rank = [0] * m  # position in its component's walk
-    seen = 0
-    for start in range(m):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        order = [start]
-        for i, u in enumerate(order):  # the list grows while it is read: breadth-first
-            rank[u] = i
-            fresh = conflict[u] & ~seen
-            seen |= fresh
-            order.extend(bits(fresh))
-        comps.append(order)
-    earlier = [[] for _ in range(m)]
-    for a, b in pairs:
-        if rank[a] < rank[b]:
-            earlier[b].append(rank[a])
-        else:
-            earlier[a].append(rank[b])
-
     units, packing = inst.units, inst.packing
-    chosen = packing.choose((_fitting_colorings(order, earlier, units, packing) for order in comps), where)
+    comps = []
+
+    def listings():
+        rank = [m] * m  # position in its component's walk, m until walked
+        seen = 0
+        for start in range(m):
+            if seen >> start & 1:
+                continue
+            seen |= 1 << start
+            order = [start]
+            earlier = []
+            for i, u in enumerate(order):  # the list grows while it is read: breadth-first
+                rank[u] = i
+                mask = conflict[u]
+                earlier.append([r for j in bits(mask) if (r := rank[j]) < i])
+                fresh = mask & ~seen
+                seen |= fresh
+                order.extend(bits(fresh))
+            comps.append(order)
+            yield _fitting_colorings(order, earlier, units, packing)
+
+    chosen = packing.choose(listings(), where)
     if chosen is None:
         return SolveOutcome.infeasible_outcome()
     color_of = [0] * m

@@ -98,7 +98,14 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
     vertex bitmasks, and each level costs one mask step per vertex.  A
     union's parts are connected and a join's co-connected, so below the
     root each module needs one pass: a part of a union splits only in the
-    complement, a part of a join only in G, and one part means prime."""
+    complement, a part of a join only in G, and one part means prime.
+
+    A module of one or two vertices closes at once, without a search: a
+    leaf, or two leaves under a join if they are adjacent and a union if not
+    (two vertices are connected only when adjacent, co-connected only when
+    not).  After a large part, the small parts that follow it fold into the
+    running node where they stand, in the order and with the node numbers
+    the frames would give them."""
     kinds, children, vertex = [], [], []
 
     def add(kind, kids=(), v=None):
@@ -106,6 +113,18 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
         children.append(tuple(kids))
         vertex.append(v)
         return len(kinds) - 1
+
+    def small(vset):
+        """The node of the module ``vset`` when it has one or two vertices,
+        else None (and no node is made)."""
+        rest = vset & (vset - 1)
+        if not rest:
+            return add("leaf", v=vset.bit_length() - 1)
+        if rest & (rest - 1):
+            return None
+        a, b = (vset ^ rest).bit_length() - 1, rest.bit_length() - 1
+        left = add("leaf", v=a)
+        return add("join" if nbr[a] >> b & 1 else "union", (left, add("leaf", v=b)))
 
     def comps(vset, complement):
         """The components of G[vset], or of its complement, lowest vertex first."""
@@ -144,18 +163,20 @@ def _cotree_or_prime(n: int, nbr) -> Cotree | list[int]:
     frames = []
     vset = (1 << n) - 1
     while True:
-        while vset & (vset - 1):
+        while (node := small(vset)) is None:
             kind, parts = split_module(vset, frames[-1][0] if frames else None)
             if kind == "prime":
                 return list(bits(vset))
             frames.append([kind, parts, 1, None])
             vset = parts[0]
-        node = add("leaf", v=vset.bit_length() - 1)
         while frames:
             frame = frames[-1]
             kind, parts, nxt, top = frame
             if top is not None:
                 node = add(kind, (top, node))
+            while nxt < len(parts) and (part := small(parts[nxt])) is not None:
+                node = add(kind, (node, part))
+                nxt += 1
             if nxt < len(parts):
                 frame[2:] = [nxt + 1, node]
                 vset = parts[nxt]

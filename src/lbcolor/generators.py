@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceFormatError, UsageError
-from .instance import ColoringInstance, _is_int, _require_list
+from .instance import ColoringInstance, _is_int, _require_list, _shown
 
 
 def _int_field(where: str, value) -> None:
     if not _is_int(value):
-        raise InstanceFormatError(f"{where}: expected an integer, got {value!r}")
+        raise InstanceFormatError(f"{where}: expected an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class OneInThreeSatSource:
         for i, clause in enumerate(self.clauses):
             for x in clause:
                 if not _is_int(x) or not 1 <= x <= self.num_variables:
-                    raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] variable {x!r} out of range")
+                    raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] variable {_shown(x)} out of range")
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise InstanceFormatError(f"one_in_three_sat: clauses[{i}] needs 3 distinct variables")
 
@@ -136,7 +136,7 @@ def source_from_doc(doc: dict) -> SourceProblem:
             return ThreeDimMatchingSource(size=doc["size"], triples=doc["triples"])
     except KeyError as exc:
         raise InstanceFormatError(f"source: missing field {exc.args[0]!r}") from exc
-    raise InstanceFormatError(f"source: unknown type {kind!r}")
+    raise InstanceFormatError(f"source: unknown type {_shown(kind)}")
 
 
 def source_to_doc(src: SourceProblem) -> dict:

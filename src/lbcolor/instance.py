@@ -13,6 +13,7 @@ colors and parts are 1-indexed everywhere, matching the file format.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -25,6 +26,22 @@ MODES = ("vertex", "edge")
 _LISTS = (list, tuple)
 _LIST_TYPES = set(_LISTS)
 _COLOR_LIST_TYPES = {list, tuple, set, frozenset}
+
+
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxlong, _SHORT.maxother = 2, 40, 40, 40
+
+
+def _shown(value) -> str:
+    """``repr(value)`` cut short for an error message: ``reprlib`` elides
+    nesting past two levels and long strings, ints and containers, so a huge
+    or deeply nested value costs little to show, and what is left past 60
+    characters is cut."""
+    try:
+        text = _SHORT.repr(value)
+    except ValueError:  # an int past the digit limit of int-to-str conversion
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _is_int(x) -> bool:
@@ -101,9 +118,9 @@ def _scan_edges(n: int, edges) -> None:
 def _scan_parts(p: int, part_of, weight) -> None:
     for e, (h, w) in enumerate(zip(part_of, weight)):
         if not _is_int(h) or not 1 <= h <= p:
-            raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{p}, got {h!r}")
+            raise InstanceFormatError(f"part_of[{e}]: expected a part in 1..{p}, got {_shown(h)}")
         if not _is_int(w) or w < 1:
-            raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {w!r}")
+            raise InstanceFormatError(f"weight[{e}]: weights must be positive integers, got {_shown(w)}")
 
 
 def _scan_colors(k: int, allowed) -> None:
@@ -115,7 +132,7 @@ def _scan_colors(k: int, allowed) -> None:
             raise InstanceFormatError(f"allowed[{e}]: color list is empty")
         for c in colors:
             if not _is_int(c) or not 1 <= c <= k:
-                raise InstanceFormatError(f"allowed[{e}]: color {c!r} outside 1..{k}")
+                raise InstanceFormatError(f"allowed[{e}]: color {_shown(c)} outside 1..{k}")
 
 
 def _scan_bounds(k: int, bounds) -> None:
@@ -126,7 +143,7 @@ def _scan_bounds(k: int, bounds) -> None:
             raise InstanceFormatError(f"bounds[{h}]: expected {k} entries, got {len(row)}")
         for c, b in enumerate(row, start=1):
             if not _is_int(b) or b < 0:
-                raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {b!r}")
+                raise InstanceFormatError(f"bounds[{h}][{c}]: expected a non-negative integer, got {_shown(b)}")
 
 
 def _scan_profit(k: int, profit) -> None:
@@ -159,7 +176,7 @@ class RawDecomposition:
                 if not isinstance(pair, _LISTS) or len(pair) != 2 or not _all_ints(pair):
                     raise InstanceFormatError(f"decomposition.tree_edges[{i}]: expected a pair of integers")
         if not _is_int(self.root):
-            raise InstanceFormatError(f"decomposition.root: expected an integer, got {self.root!r}")
+            raise InstanceFormatError(f"decomposition.root: expected an integer, got {_shown(self.root)}")
         object.__setattr__(self, "bags", tuple(map(tuple, bags)))
         object.__setattr__(self, "tree_edges", tuple(map(tuple, tree_edges)))
 
@@ -184,13 +201,13 @@ class ColoringInstance:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InstanceFormatError(f"mode: expected one of {MODES}, got {self.mode!r}")
+            raise InstanceFormatError(f"mode: expected one of {MODES}, got {_shown(self.mode)}")
         if not _is_int(self.n) or self.n < 0:
-            raise InstanceFormatError(f"n: expected a non-negative integer, got {self.n!r}")
+            raise InstanceFormatError(f"n: expected a non-negative integer, got {_shown(self.n)}")
         if not _is_int(self.k) or self.k < 1:
-            raise InstanceFormatError(f"k: expected a positive integer, got {self.k!r}")
+            raise InstanceFormatError(f"k: expected a positive integer, got {_shown(self.k)}")
         if not _is_int(self.p) or self.p < 1:
-            raise InstanceFormatError(f"p: expected a positive integer, got {self.p!r}")
+            raise InstanceFormatError(f"p: expected a positive integer, got {_shown(self.p)}")
         n, k, p = self.n, self.k, self.p
 
         # Each field is checked in a few passes over the whole field; when a
@@ -282,13 +299,20 @@ class ColoringInstance:
     def units(self) -> tuple[dict[int, int], ...]:
         """Per element, the packed weight vector each allowed color adds, colors
         in increasing order: its weight shifted to the field of its (part,
-        color) slot, ``PackedBounds.unit(flat_index(h, c), w)``."""
+        color) slot, ``PackedBounds.unit(flat_index(h, c), w)``.  Elements
+        with the same part, weight and list share one map, built once; no
+        reader changes it."""
         width, k = self.packing.width, self.k
-        shift = [slot * width for slot in range(self.p * k)]  # per flat_index(h, c)
-        return tuple(
-            {c: w << shift[base + c] for c in sorted(colors)}  # base + c is flat_index(h, c)
-            for base, w, colors in zip([(h - 1) * k - 1 for h in self.part_of], self.weight, self.allowed)
-        )
+        shared = {}
+        units = []
+        for key in zip(self.part_of, self.weight, self.allowed):
+            found = shared.get(key)
+            if found is None:
+                h, w, colors = key
+                base = (h - 1) * k - 1  # base + c is flat_index(h, c)
+                found = shared[key] = {c: w << (base + c) * width for c in sorted(colors)}
+            units.append(found)
+        return tuple(units)
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -432,7 +456,7 @@ def validate_coloring(inst: ColoringInstance, col: Coloring) -> ValidationReport
     """
     if not _all_ints(col.color_of):
         e, c = next((e, c) for e, c in enumerate(col.color_of) if not _is_int(c))
-        raise UsageError(f"color_of[{e}]: expected an integer color, got {c!r}")
+        raise UsageError(f"color_of[{e}]: expected an integer color, got {_shown(c)}")
     m = inst.num_elements
     if len(col.color_of) != m:
         raise UsageError(f"coloring assigns {len(col.color_of)} elements, instance has {m}")

@@ -455,6 +455,16 @@ def relabel(rng, n, edges):
     return tuple(sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges))
 
 
+def squares_and_edges(squares, singles):
+    """(n, edges): ``squares`` disjoint 4-cycles and then ``singles``
+    disjoint edges, the shape of the one-in-three ``cycles_edges`` graphs;
+    in the line graph each single edge is a component of one element."""
+    n = 4 * squares + 2 * singles
+    edges = [(b, b + 1) for b in range(0, n, 2)]  # the single edges and two sides of each square
+    edges += [e for b in range(0, 4 * squares, 4) for e in ((b + 1, b + 2), (b, b + 3))]
+    return n, edges
+
+
 def threshold_edges(rng, n):
     """A random threshold graph with shuffled labels: each vertex in turn
     joins as an isolated vertex or as one adjacent to all earlier ones."""
@@ -929,6 +939,80 @@ def exhaustive_assignment(ap):
     if best is None:
         return None
     return AssignmentResult(columns=tuple(best), total=best_total)
+
+
+def solve_by_components_by_pairs(inst, where):
+    """``basic.solve_by_components`` as it was built from the conflict pair
+    list: every component walked and ranked up front, each element's earlier
+    conflicts gathered from ``inst.conflict_pairs``, and every component,
+    one-element ones included, listed by the depth-first search.  The
+    reference for the enumerator that walks the conflict masks one
+    component at a time."""
+    if inst.mode == "edge" and any(mask.bit_count() > inst.k for mask in inst.neighbor_masks):
+        return SolveOutcome.infeasible_outcome()
+    m = inst.num_elements
+    conflict = inst.conflict_masks
+    comps = []
+    rank = [0] * m
+    seen = 0
+    for start in range(m):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        order = [start]
+        for i, u in enumerate(order):
+            rank[u] = i
+            fresh = conflict[u] & ~seen
+            seen |= fresh
+            order.extend(bits(fresh))
+        comps.append(order)
+    earlier = [[] for _ in range(m)]
+    for a, b in inst.conflict_pairs:
+        if rank[a] < rank[b]:
+            earlier[b].append(rank[a])
+        else:
+            earlier[a].append(rank[b])
+    units, packing = inst.units, inst.packing
+    offset, guard = packing.offset, packing.guard
+
+    def fitting(order):
+        last = len(order) - 1
+        color = [0] * len(order)
+
+        def candidates(i, state):
+            taken = {color[j] for j in earlier[order[i]]}
+            return [
+                (c, x)
+                for c, unit in reversed(units[order[i]].items())
+                if c not in taken and not ((x := state + unit) + offset) & guard
+            ]
+
+        found = {}
+        stack = [candidates(0, 0)]
+        while stack:
+            options = stack[-1]
+            if not options:
+                stack.pop()
+                continue
+            c, state = options.pop()
+            i = len(stack) - 1
+            color[i] = c
+            if i == last:
+                found.setdefault(state, tuple(color))
+                if state == packing.target:
+                    break
+            else:
+                stack.append(candidates(i + 1, state))
+        return found
+
+    chosen = packing.choose((fitting(order) for order in comps), where)
+    if chosen is None:
+        return SolveOutcome.infeasible_outcome()
+    color_of = [0] * m
+    for order, colors in zip(comps, chosen):
+        for e, c in zip(order, colors):
+            color_of[e] = c
+    return SolveOutcome.feasible_from(inst, color_of)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,14 @@ from corpus import (
     assert_outcome,
     part_weight_assignment_unfolded,
     random_bipartite_k2_instance,
+    random_cograph_edges,
+    random_edge_instance,
     random_edgeless_instance,
+    random_split_instance,
     random_vertex_instance,
+    relabel,
+    solve_by_components_by_pairs,
+    squares_and_edges,
 )
 
 
@@ -245,6 +251,53 @@ def test_components_after_an_empty_layer_are_never_enumerated(monkeypatch):
                             bounds=((2, 2), (2, 2)), allowed=(full(2),) * 6)
     assert not solve_components_k2(inst).feasible
     assert listed == [[0, 1]]
+
+
+def _forest(rng, n):
+    """A random forest on n vertices: each vertex after the first hangs off
+    an earlier one, or starts a tree of its own, one time in three."""
+    return relabel(rng, n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 2 / 3])
+
+
+@st.composite
+def enumerator_instances(draw):
+    """Instances that ``solve_by_components`` serves: edge-mode cographs,
+    split graphs and matchings with squares at k = 2-4, and k = 2 vertex
+    forests and bipartite graphs.  Half plant a proper coloring; the others
+    take their bounds from any coloring, so their layers often empty early."""
+    shape = draw(st.sampled_from(("cograph", "split", "squares", "forest", "bipartite")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    planted = draw(st.booleans())
+    if shape == "bipartite":
+        return random_bipartite_k2_instance(rng, n_max=9)
+    if shape == "forest":
+        n = rng.randint(1, 10)
+        return random_vertex_instance(rng, n=n, edges=_forest(rng, n), k=2, planted=planted)
+    if shape == "cograph":
+        n = rng.randint(2, 7)
+        edges = relabel(rng, n, random_cograph_edges(rng, n))
+    elif shape == "split":
+        graph = random_split_instance(rng)
+        n, edges = graph.n, graph.edges
+    else:
+        n, edges = squares_and_edges(rng.randint(0, 2), rng.randint(0, 4))
+        edges = relabel(rng, n, edges)
+    k = draw(st.integers(2, 4))
+    return random_edge_instance(rng, n=n, edges=edges, k=k, planted=planted)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(enumerator_instances())
+@example(ColoringInstance(mode="vertex", n=6, edges=((0, 1), (2, 3), (4, 5)), k=2, p=2,
+                          part_of=(1, 1, 2, 2, 2, 2), weight=(1, 3, 1, 1, 1, 1),
+                          bounds=((2, 2), (2, 2)), allowed=(full(2),) * 6))
+@example(ColoringInstance(mode="edge", n=4, edges=((0, 1), (2, 3)), k=2, p=1, part_of=(1, 1),
+                          weight=(2, 1), bounds=((1, 2),), allowed=(full(2),) * 2))
+def test_enumerator_matches_the_pair_based_build(inst):
+    # walking the conflict masks one component at a time, and listing a
+    # one-element component without a stack, changes no outcome, status or
+    # witness
+    assert basic.solve_by_components(inst, "test") == solve_by_components_by_pairs(inst, "test")
 
 
 def test_components_k2_requires_two_colors():

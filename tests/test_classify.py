@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -17,6 +17,7 @@ from corpus import (
     random_vertex_instance,
     relabel,
     split_partition_sets,
+    squares_and_edges,
     threshold_edges,
     treewidth_by_elimination_orders,
 )
@@ -196,9 +197,30 @@ def _recognition_corpus(rng):
         yield n, threshold_edges(rng, n)
 
 
+def _short_module_corpus(rng):
+    """480 graphs made of modules of one and two vertices: perfect
+    matchings, disjoint unions of 4-cycles and single edges, stars and
+    cocktail-party graphs (K_2t less a perfect matching), every other one
+    with up to three isolated vertices added, all relabelled."""
+    for i in range(480):
+        shape, t = i % 4, rng.randint(1, 16)
+        if shape == 0:
+            n, edges = 2 * t, [(2 * j, 2 * j + 1) for j in range(t)]
+        elif shape == 1:
+            n, edges = squares_and_edges(rng.randint(0, 12), t)
+        elif shape == 2:
+            n, edges = t + 1, [(0, v) for v in range(1, t + 1)]
+        else:
+            n, edges = 2 * t, [(u, v) for u in range(2 * t) for v in range(u + 1, 2 * t) if v != u + 1 or u % 2]
+        if i % 8 >= 4:
+            n += rng.randint(1, 3)
+        yield n, relabel(rng, n, edges)
+
+
 def test_bitmask_class_tests_match_the_set_based_ones():
     cographs_seen = primes_seen = split_seen = bipartite_seen = 0
-    for n, edges in _recognition_corpus(random.Random(113)):
+    rng = random.Random(113)
+    for n, edges in chain(_recognition_corpus(rng), _short_module_corpus(rng)):
         inst = graph_instance(n, edges)
         if n:
             found = inst.cotree_or_prime
@@ -223,6 +245,7 @@ def test_one_pass_cotree_matches_the_two_pass_build():
     graphs += [(n, _gnp(rng, n)) for n in (rng.randint(1, 14) for _ in range(1000))]
     graphs += [(n, threshold_edges(rng, n)) for n in (150, 300)]
     graphs += [(n, tuple((u, v) for v in range(1, n, 2) for u in range(v))) for n in (300, 601)]
+    graphs += _short_module_corpus(rng)
     cographs_seen = primes_seen = 0
     for n, edges in graphs:
         inst = graph_instance(n, edges)

@@ -150,6 +150,34 @@ def test_malformed_file_exits_two_without_a_traceback(tmp_path, capsys, which, c
     assert "Traceback" not in err
 
 
+OVERSIZED = {
+    "deep-n": ("n", json.loads("[" * 900 + "]" * 900)),
+    "long-mode": ("mode", "x" * 100_000),
+    "long-weight": ("weight", [1, "w" * 50_000, 1]),
+}
+
+
+@pytest.mark.parametrize("field, value", OVERSIZED.values(), ids=OVERSIZED)
+@pytest.mark.parametrize("which", ["solve", "check"])
+def test_an_oversized_bad_value_gives_a_short_error_line(tmp_path, capsys, which, field, value):
+    # the error names the field and shows the value cut short
+    path = write_doc(tmp_path, "bad.json", {**p3_doc(), field: value})
+    coloring = write_doc(tmp_path, "col.json", {"color_of": [1, 2, 1]})
+    argv = ["solve", "--input", path] if which == "solve" else ["check", "--input", path, "--coloring", coloring]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}")
+    assert len(err) < 200
+    assert "Traceback" not in err
+
+
+def test_an_oversized_source_value_gives_a_short_error_line(tmp_path, capsys):
+    path = write_doc(tmp_path, "source.json", {"type": "t" * 50_000})
+    code, out, err = run(capsys, ["generate", "--source", path, "--variant", "vertex"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: source: unknown type 'ttt") and len(err) < 200
+
+
 def test_generate_matches_library_call(tmp_path, capsys):
     src = {"type": "partition", "values": [1, 1, 2], "target": 2}
     path = write_doc(tmp_path, "part.json", src)

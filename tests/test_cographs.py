@@ -424,3 +424,14 @@ def test_cograph_edges_matches_oracle():
         assert out.status == brute_force_solve(inst).status
         assert_outcome(inst, out)
         tested += 1
+
+
+def test_cograph_edges_build_no_pair_list():
+    # the enumerator reads the conflict masks only: on a perfect matching of
+    # 200 edges, 200 one-element components, the pair list is never built
+    edges = [(2 * i, 2 * i + 1) for i in range(200)]
+    inst = edge_inst(400, edges, 2, 1, (1,) * 200, (1,) * 200, ((100, 100),))
+    out = solve_cograph_edges(inst)
+    assert "conflict_pairs" not in inst.__dict__
+    assert out.feasible
+    assert_outcome(inst, out)

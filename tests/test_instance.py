@@ -311,6 +311,16 @@ def test_a_huge_part_count_is_a_format_error():
         make(n=1, k=1, p=10**12, bounds=((1,),))
 
 
+def test_a_value_too_large_to_print_is_a_format_error():
+    # str() refuses an int past 4,300 digits; the error still names the field
+    huge = -(10**5000)
+    fields = dict(mode="vertex", n=0, edges=(), k=1, p=1, part_of=(), weight=(), bounds=((0,),), allowed=())
+    with pytest.raises(InstanceFormatError, match=r"^n: expected a non-negative integer, got <int too large to show>$"):
+        ColoringInstance(**{**fields, "n": huge})
+    with pytest.raises(InstanceFormatError, match=r"^k: expected a positive integer, got <list too large to show>$"):
+        ColoringInstance(**{**fields, "k": [1, huge]})
+
+
 Small = enum.IntEnum("Small", ["ZERO", "ONE", "TWO", "THREE", "FOUR"], start=0)
 ODD_VALUES = [True, False, 1.0, 2.5, "1", None, Small.ONE, Small.TWO, -1, 0, 1, 2, 3, 7, 10**20]
 
