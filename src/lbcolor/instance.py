@@ -77,12 +77,35 @@ def adjacency_masks(n: int, edges) -> list[int]:
     return masks
 
 
+def _incidence_masks(n: int, edges) -> list[int]:
+    """Per vertex, the bitmask of the ids of the edges at it."""
+    masks = [0] * n
+    for idx, (u, v) in enumerate(edges):
+        masks[u] |= 1 << idx
+        masks[v] |= 1 << idx
+    return masks
+
+
 def bits(mask: int):
     """The set bits of ``mask`` in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _first_conflict(inst: ColoringInstance, clash) -> tuple[int, int] | None:
+    """The first pair (a, b) with b in ``clash[a]``, a symmetric subset of the
+    conflict masks, or None: in vertex mode the first such edge of
+    ``inst.edges``, in edge mode the least (shared vertex, a, b), a < b."""
+    if not any(clash):
+        return None
+    if inst.mode == "vertex":
+        return next((u, v) for u, v in inst.edges if clash[u] >> v & 1)
+    for at in _incidence_masks(inst.n, inst.edges):
+        for a in bits(at):
+            if later := clash[a] & at & -(2 << a):  # the edges past a at this vertex
+                return a, (later & -later).bit_length() - 1
 
 
 def _require_list(name: str, value):
@@ -324,13 +347,10 @@ class ColoringInstance:
     def conflict_masks(self) -> tuple[int, ...]:
         """Per element, the bitmask of the elements it conflicts with: its
         neighbors in vertex mode, the edges sharing an end with it in edge
-        mode."""
+        mode; the one form of the conflicts, which every reader uses."""
         if self.mode == "vertex":
             return self.neighbor_masks
-        incident = [0] * self.n
-        for idx, (u, v) in enumerate(self.edges):
-            incident[u] |= 1 << idx
-            incident[v] |= 1 << idx
+        incident = _incidence_masks(self.n, self.edges)
         return tuple([(incident[u] | incident[v]) & ~(1 << idx) for idx, (u, v) in enumerate(self.edges)])
 
     @cached_property
@@ -356,22 +376,6 @@ class ColoringInstance:
         from . import cographs  # cographs imports this module
 
         return cographs.complete_bipartite_masks(self.neighbor_masks)
-
-    @cached_property
-    def conflict_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of elements that must receive different colors."""
-        if self.mode == "vertex":
-            return self.edges
-        incident = [[] for _ in range(self.n)]
-        for idx, (u, v) in enumerate(self.edges):
-            incident[u].append(idx)
-            incident[v].append(idx)
-        pairs = []
-        for ids in incident:
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    pairs.append((ids[a], ids[b]))
-        return tuple(pairs)
 
     def _derived(self, **changes) -> "ColoringInstance":
         """A copy of this instance with some fields replaced, built without
@@ -449,7 +453,9 @@ def validate_coloring(inst: ColoringInstance, col: Coloring) -> ValidationReport
     """Check a coloring against an instance.
 
     Returns a report whose ``violation`` names the first failed condition:
-    properness, then list membership, then the exact per-part weight bounds.
+    properness (an element's conflict mask meets its color's elements; the
+    pair ``_first_conflict`` names), then list membership, then the exact
+    per-part weight bounds.
     A non-integer color or a coloring over the wrong element set raises
     UsageError instead, since that is a structural mismatch rather than an
     invalid coloring.
@@ -457,28 +463,23 @@ def validate_coloring(inst: ColoringInstance, col: Coloring) -> ValidationReport
     if not _all_ints(col.color_of):
         e, c = next((e, c) for e, c in enumerate(col.color_of) if not _is_int(c))
         raise UsageError(f"color_of[{e}]: expected an integer color, got {_shown(c)}")
-    m = inst.num_elements
-    if len(col.color_of) != m:
-        raise UsageError(f"coloring assigns {len(col.color_of)} elements, instance has {m}")
-
-    for a, b in inst.conflict_pairs:
-        if col.color_of[a] == col.color_of[b]:
-            what = "adjacent vertices" if inst.mode == "vertex" else "edges sharing a vertex"
-            return ValidationReport(False, f"properness: {what} {a} and {b} both have color {col.color_of[a]}")
-    for e in range(m):
-        if col.color_of[e] not in inst.allowed[e]:
-            return ValidationReport(
-                False, f"list: element {e} has color {col.color_of[e]}, allowed {sorted(inst.allowed[e])}"
-            )
+    if len(col.color_of) != inst.num_elements:
+        raise UsageError(f"coloring assigns {len(col.color_of)} elements, instance has {inst.num_elements}")
+    classes = {}  # per color value, the mask of its elements
+    for e, c in enumerate(col.color_of):
+        classes[c] = classes.get(c, 0) | 1 << e
+    if clash := _first_conflict(inst, [mask & classes[c] for mask, c in zip(inst.conflict_masks, col.color_of)]):
+        a, b = clash
+        what = "adjacent vertices" if inst.mode == "vertex" else "edges sharing a vertex"
+        return ValidationReport(False, f"properness: {what} {a} and {b} both have color {col.color_of[a]}")
+    for e, (c, colors) in enumerate(zip(col.color_of, inst.allowed)):
+        if c not in colors:
+            return ValidationReport(False, f"list: element {e} has color {c}, allowed {sorted(colors)}")
     tally = [0] * (inst.p * inst.k)
-    for e in range(m):
-        tally[inst.flat_index(inst.part_of[e], col.color_of[e])] += inst.weight[e]
-    for h in range(1, inst.p + 1):
-        for c in range(1, inst.k + 1):
-            got = tally[inst.flat_index(h, c)]
-            want = inst.bounds[h - 1][c - 1]
-            if got != want:
-                return ValidationReport(
-                    False, f"bounds: part {h} color {c} carries weight {got}, required {want}"
-                )
+    for h, c, w in zip(inst.part_of, col.color_of, inst.weight):
+        tally[inst.flat_index(h, c)] += w
+    for i, (got, want) in enumerate(zip(tally, inst.bounds_flat)):
+        if got != want:
+            h, c = divmod(i, inst.k)
+            return ValidationReport(False, f"bounds: part {h + 1} color {c + 1} carries weight {got}, required {want}")
     return ValidationReport(True, None)

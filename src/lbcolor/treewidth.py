@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import DecompositionError, UsageError
-from .instance import ColoringInstance, RawDecomposition, SolveOutcome, bits
+from .instance import ColoringInstance, RawDecomposition, SolveOutcome, _first_conflict, _incidence_masks, bits
 from .packed import first_predecessor
 
 
@@ -310,10 +310,7 @@ def _edges_inside(n: int, edges, bags) -> list[int]:
     two subtrees and so a subtree; once every two adjacent edges share a bag,
     the lifted bags form a tree decomposition of the line graph.
     """
-    incident = [0] * n
-    for idx, (u, v) in enumerate(edges):
-        incident[u] |= 1 << idx
-        incident[v] |= 1 << idx
+    incident = _incidence_masks(n, edges)
     lifted = []
     for bag in bags:
         once = inside = 0  # edges meeting the bag at one end so far, at both ends
@@ -422,7 +419,8 @@ def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int
     (``inst.decomposition``, always one of G) is checked and rooted by
     ``check_raw_decomposition``; in edge mode its bags are replaced by their
     lift, the edges inside them, which must gather every two adjacent
-    edges into one bag, or UsageError is raised.
+    edges into one bag (the OR of the bags holding an edge covers its
+    conflict mask), or UsageError names the first pair left apart.
     """
     raw = inst.decomposition
     if raw is None:
@@ -431,14 +429,17 @@ def decomposition_tree(inst: ColoringInstance) -> tuple[list[int], list[list[int
         return elimination_tree(nbr, min_fill_order(nbr))
     bags, children, lifted = check_raw_decomposition(inst.n, inst.edges, raw)
     if inst.mode == "edge":
-        for a, b in inst.conflict_pairs:
-            pair = 1 << a | 1 << b
-            if not any(pair & bag == pair for bag in lifted):
-                raise UsageError(
-                    "dp_edge: the decomposition never gathers adjacent edges "
-                    f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
-                    "over the conflict closure (omit the supplied decomposition)"
-                )
+        gathered = [0] * len(inst.edges)  # per edge, the OR of the bags holding it
+        for bag in lifted:
+            for a in bits(bag):
+                gathered[a] |= bag
+        if split := _first_conflict(inst, [mask & ~got for mask, got in zip(inst.conflict_masks, gathered)]):
+            a, b = split
+            raise UsageError(
+                "dp_edge: the decomposition never gathers adjacent edges "
+                f"{inst.edges[a]} and {inst.edges[b]} into one bag; build one "
+                "over the conflict closure (omit the supplied decomposition)"
+            )
         bags = lifted
     return bags, children, raw.root
 

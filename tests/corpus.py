@@ -67,6 +67,21 @@ def order_to_raw(n, edges, order):
     return RawDecomposition(bags=(*bags, ()), tree_edges=tuple(tree_edges), root=root)
 
 
+def conflict_pairs(inst):
+    """The pairs of elements that must receive different colors, built from
+    the edge list alone: in vertex mode the edges, in ``inst.edges`` order;
+    in edge mode, per vertex in increasing order, every two edges at it,
+    ids increasing.  The reference for the conflict masks' readers, whose
+    named pair is the first of this list that fails."""
+    if inst.mode == "vertex":
+        return inst.edges
+    incident = [[] for _ in range(inst.n)]
+    for idx, (u, v) in enumerate(inst.edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    return tuple(pair for ids in incident for pair in combinations(ids, 2))
+
+
 def line_graph_instance(inst):
     """The vertex-mode instance on the line graph L(G) of an edge-mode
     instance, built through the checking constructor: vertex i is edge i,
@@ -796,7 +811,7 @@ def loose_sums(inst, dec):
     within the bounds."""
     dim = len(inst.bounds_flat)
     covered = {v for bag in dec.bags for v in bag}
-    adj = _adjacency_sets(inst.num_elements, inst.conflict_pairs)
+    adj = _adjacency_sets(inst.num_elements, conflict_pairs(inst))
     sums = {(0,) * dim}
     seen = set(covered)
     for start in range(inst.num_elements):
@@ -944,7 +959,7 @@ def exhaustive_assignment(ap):
 def solve_by_components_by_pairs(inst, where):
     """``basic.solve_by_components`` as it was built from the conflict pair
     list: every component walked and ranked up front, each element's earlier
-    conflicts gathered from ``inst.conflict_pairs``, and every component,
+    conflicts gathered from ``conflict_pairs(inst)``, and every component,
     one-element ones included, listed by the depth-first search.  The
     reference for the enumerator that walks the conflict masks one
     component at a time."""
@@ -967,7 +982,7 @@ def solve_by_components_by_pairs(inst, where):
             order.extend(bits(fresh))
         comps.append(order)
     earlier = [[] for _ in range(m)]
-    for a, b in inst.conflict_pairs:
+    for a, b in conflict_pairs(inst):
         if rank[a] < rank[b]:
             earlier[b].append(rank[a])
         else:

@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 import textwrap
+import tracemalloc
 from functools import cached_property
 
 import pytest
@@ -20,9 +21,9 @@ from lbcolor import (
     instance_from_doc,
     validate_coloring,
 )
-from lbcolor.instance import RawDecomposition
+from lbcolor.instance import RawDecomposition, ValidationReport
 
-from corpus import random_edge_instance, random_vertex_instance
+from corpus import conflict_pairs, random_edge_instance, random_vertex_instance
 
 
 def make(mode="vertex", n=1, edges=(), k=1, p=1, part_of=None, weight=None,
@@ -558,3 +559,103 @@ def test_units_are_the_packed_unit_of_each_slot():
         )
         assert inst.units == want
         assert [list(row) for row in inst.units] == [sorted(colors) for colors in inst.allowed]
+
+
+def validate_coloring_by_pairs(inst, col):
+    """``validate_coloring`` as it was written on the pair list: the first
+    pair of ``conflict_pairs`` with equal colors is named."""
+    color_of = col.color_of
+    for a, b in conflict_pairs(inst):
+        if color_of[a] == color_of[b]:
+            what = "adjacent vertices" if inst.mode == "vertex" else "edges sharing a vertex"
+            return ValidationReport(False, f"properness: {what} {a} and {b} both have color {color_of[a]}")
+    for e in range(inst.num_elements):
+        if color_of[e] not in inst.allowed[e]:
+            return ValidationReport(False, f"list: element {e} has color {color_of[e]}, allowed {sorted(inst.allowed[e])}")
+    tally = [[0] * inst.k for _ in range(inst.p)]
+    for h, c, w in zip(inst.part_of, color_of, inst.weight):
+        tally[h - 1][c - 1] += w
+    for h in range(1, inst.p + 1):
+        for c in range(1, inst.k + 1):
+            got, want = tally[h - 1][c - 1], inst.bounds[h - 1][c - 1]
+            if got != want:
+                return ValidationReport(False, f"bounds: part {h} color {c} carries weight {got}, required {want}")
+    return ValidationReport(True, None)
+
+
+@st.composite
+def colored_instances(draw):
+    """An instance whose edges come in a drawn order, each pair either way
+    round, and a coloring of it.  Most colorings draw from one to three
+    color values, some outside 1..k, so many hold several clashes; the
+    rest is the coloring the bounds were made from, half of those with one
+    unit of weight moved between two colors of a part's bounds."""
+    mode = draw(st.sampled_from(["vertex", "edge"]))
+    n = draw(st.integers(1 if mode == "vertex" else 2, 8))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, min_size=mode == "edge", max_size=14)) if possible else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    m = n if mode == "vertex" else len(edges)
+    k, p = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    part_of = draw(st.lists(st.integers(1, p), min_size=m, max_size=m))
+    weight = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    color_of = draw(st.lists(st.integers(1, k), min_size=m, max_size=m))
+    bounds = [[0] * k for _ in range(p)]
+    for h, w, c in zip(part_of, weight, color_of):
+        bounds[h - 1][c - 1] += w
+    allowed = [{c, *draw(st.lists(st.integers(1, k), max_size=k))} for c in color_of]
+    kind = draw(st.integers(0, 5))
+    if kind == 1 and k > 1:
+        h, c = part_of[0] - 1, color_of[0] - 1
+        bounds[h][c] -= 1
+        bounds[h][(c + draw(st.integers(1, k - 1))) % k] += 1
+    elif kind > 1:
+        values = draw(st.lists(st.integers(-1, k + 1), min_size=1, max_size=3, unique=True))
+        color_of = draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
+    inst = ColoringInstance(mode=mode, n=n, edges=tuple(edges), k=k, p=p, part_of=tuple(part_of),
+                            weight=tuple(weight), bounds=tuple(map(tuple, bounds)), allowed=tuple(allowed))
+    return inst, Coloring(tuple(color_of))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(colored_instances())
+def test_check_on_the_masks_names_what_the_pair_list_names(case):
+    # properness is read from the conflict masks; the pair named must be the
+    # first of the pair list that clashes: in vertex mode the first edge in
+    # inst.edges order, in edge mode the least (shared vertex, a, b)
+    inst, col = case
+    assert validate_coloring(inst, col) == validate_coloring_by_pairs(inst, col)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_colors_outside_the_range_clash_and_then_fail_the_list(mode):
+    # two conflicting elements, k = 2: a color value outside 1..k is keyed
+    # like any other, so two equal ones clash, and a lone one fails its list
+    inst = make(mode=mode, n=2, edges=((0, 1),), k=2, bounds=((1, 1),)) if mode == "vertex" else (
+        make(mode=mode, n=3, edges=((0, 1), (1, 2)), k=2, bounds=((1, 1),))
+    )
+    what = "adjacent vertices" if mode == "vertex" else "edges sharing a vertex"
+    for c in (0, -1, 3):
+        report = validate_coloring(inst, Coloring((c, c)))
+        assert report == ValidationReport(False, f"properness: {what} 0 and 1 both have color {c}")
+    for colors in ((0, 1), (-1, 2), (5, 1)):
+        report = validate_coloring(inst, Coloring(colors))
+        assert report == ValidationReport(False, f"list: element 0 has color {colors[0]}, allowed [1, 2]")
+
+
+def test_checking_a_large_star_builds_no_pair_list():
+    # 3,000 edges at one vertex conflict pairwise: about 4.5M pairs, where
+    # the conflict masks take 3,000 masks of 3,000 bits
+    m = 3000
+    inst = ColoringInstance(mode="edge", n=m + 1, edges=tuple((0, v) for v in range(1, m + 1)), k=m, p=1,
+                            part_of=(1,) * m, weight=(1,) * m, bounds=((1,) * m,),
+                            allowed=tuple(frozenset({e + 1}) for e in range(m)))
+    col = Coloring(tuple(range(1, m + 1)))
+    tracemalloc.start()
+    try:
+        report = validate_coloring(inst, col)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20

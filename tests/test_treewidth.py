@@ -31,6 +31,7 @@ from corpus import (
     assert_outcome,
     computed_tree_reference,
     conflict_closure_sets,
+    conflict_pairs,
     cycles_with_pendant_trees,
     dp_tables,
     isolated_vertices,
@@ -170,7 +171,7 @@ def test_a_forest_decomposes_to_the_empty_root():
         paths = [(v - 1, v) for v in range(1, n) if rng.random() < 0.8]
         inst = random_edge_instance(rng, edges=tuple(paths), n=n) if paths else None
         if inst is not None:
-            assert build_nice_decomposition(inst) == (dec, 1 if inst.conflict_pairs else -1)
+            assert build_nice_decomposition(inst) == (dec, 1 if conflict_pairs(inst) else -1)
 
 
 def test_tree_plus_chords_corpus_builds_few_nice_nodes():
@@ -192,7 +193,7 @@ def test_edge_decomposition_is_min_fill_over_the_line_graph():
     rng = random.Random(67)
     for _ in range(300):
         inst = random_edge_instance(rng, n_max=rng.choice((6, 14)), m_max=rng.choice((7, 30)))
-        m, pairs = len(inst.edges), inst.conflict_pairs
+        m, pairs = len(inst.edges), conflict_pairs(inst)
         core = two_core_edges(m, pairs)  # of L(G)
         raw = computed_tree_reference(m, core, min_fill_order_rescan(m, core))
         bags = [sum(1 << e for e in bag) for bag in raw.bags]
@@ -730,7 +731,7 @@ def test_supplied_edge_decompositions_must_gather_conflicts():
         # a decomposition of G alone may split two adjacent edges
         raw = reshuffled(rng, order_to_raw(inst.n, inst.edges, rng.sample(range(inst.n), inst.n)))
         split = [
-            (a, b) for a, b in inst.conflict_pairs
+            (a, b) for a, b in conflict_pairs(inst)
             if not any(set(inst.edges[a] + inst.edges[b]) <= set(bag) for bag in raw.bags)
         ]
         if split:
