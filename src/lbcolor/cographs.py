@@ -241,11 +241,15 @@ def dp_cograph(inst: ColoringInstance, ct: Cotree, objective: str = "decide") ->
     block = k * packing.width
     first_block = packing.mask(range(k))
 
+    # shifts of 1, 2, 4, ... blocks: after j of them the first block holds
+    # the OR of the first 2^j blocks, and the blocks past the p-th are zero
+    folds = [block << j for j in range((inst.p - 1).bit_length())]
+
     def colors(state):
         """The guard bits of the colors that carry weight in some part."""
         used = (state + nonzero) & packing.guard
-        for _ in range(inst.p - 1):
-            used |= used >> block
+        for shift in folds:
+            used |= used >> shift
         return used & first_block
 
     def by_colors(table):

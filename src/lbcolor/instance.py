@@ -208,7 +208,13 @@ class RawDecomposition:
 class ColoringInstance:
     """A validated instance: construction, from a document or in code, checks
     every field's type and shape (JSON booleans are not integers) and every
-    invariant, raising InstanceFormatError that names the field."""
+    invariant, raising InstanceFormatError that names the field.
+
+    Equal colour lists share one frozenset per instance, so ``allowed``
+    holds at most 2^k - 1 distinct objects however many elements there are
+    (unless the colours mix int types, as an IntEnum among plain ints, when
+    each list keeps its own).  Lists are values: no reader mutates one, and
+    none may rely on which elements share an object."""
 
     mode: str
     n: int
@@ -267,9 +273,14 @@ class ColoringInstance:
         if not (set(map(type, allowed)) <= _COLOR_LIST_TYPES and all(allowed)):
             _scan_colors(k, allowed)
         flat = list(chain.from_iterable(allowed))
-        if not (_all_ints(flat) and _within(flat, 1, k)):
+        alike = len(set(map(type, flat))) < 2  # then the first colour's type is every colour's
+        if not (_all_ints(flat[:1] if alike else flat) and _within(flat, 1, k)):
             _scan_colors(k, allowed)
-        object.__setattr__(self, "allowed", tuple(map(frozenset, allowed)))
+        lists = map(frozenset, allowed)
+        if alike:  # equal lists share the first one's frozenset, and every colour keeps its type
+            shared = {}
+            lists = [shared.setdefault(s, s) for s in lists]
+        object.__setattr__(self, "allowed", tuple(lists))
 
         bounds = _require_list("bounds", self.bounds)
         if len(bounds) != p:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import ge
 
 from .basic import assign_parts, solve_by_components, solve_isolated_unit
 from .errors import UsageError
@@ -27,7 +28,8 @@ class SingularSpec:
 
 def split_partition_masks(nbr) -> SplitPartition | None:
     """Split partition via the degree-sequence splittance test, over the
-    neighbor bitmasks ``nbr``.
+    neighbor bitmasks ``nbr``.  The test reads only the sorted degrees; the
+    vertex order that names the sides is built for split graphs alone.
 
     Returns the partition with the largest clique side; edgeless graphs are
     reported with an empty clique.  None when the graph is not split.
@@ -36,11 +38,12 @@ def split_partition_masks(nbr) -> SplitPartition | None:
     if not any(nbr):
         return SplitPartition(clique=(), independent=tuple(range(n)))
     degree = [mask.bit_count() for mask in nbr]
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    degs = [degree[v] for v in order]
-    m = max(i + 1 for i in range(n) if degs[i] >= i)
+    degs = sorted(degree, reverse=True)
+    # degs[i] - i falls as i rises, so the i with degs[i] >= i are a prefix
+    m = sum(map(ge, degs, range(n)))
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
     clique = sorted(order[:m])
     independent = sorted(order[m:])
     # at most one independent vertex can be adjacent to the whole clique

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import enum
 import inspect
+import json
 import random
 import re
 import textwrap
@@ -19,8 +20,10 @@ from lbcolor import (
     InstanceFormatError,
     UsageError,
     instance_from_doc,
+    read_instance,
     validate_coloring,
 )
+from lbcolor.basic import forced_residual
 from lbcolor.instance import RawDecomposition, ValidationReport
 
 from corpus import conflict_pairs, random_edge_instance, random_vertex_instance
@@ -659,3 +662,37 @@ def test_checking_a_large_star_builds_no_pair_list():
         tracemalloc.stop()
     assert report.ok
     assert peak < 16 * 2**20
+
+
+def _one_frozenset_per_list(inst):
+    return len(set(map(id, inst.allowed))) == len(set(inst.allowed))
+
+
+def test_equal_colour_lists_share_one_frozenset(tmp_path):
+    # 30,000 vertices over five distinct lists: one frozenset each, where a
+    # frozenset per element would take about 6.5 MB
+    lists = ([1], [2], [3], [1, 2], [3, 2, 1])
+    m = 30_000
+    allowed = [list(lists[e % 5]) for e in range(m)]
+    colored = [colors[-1] for colors in allowed]  # {1, 2} takes 2, {1, 2, 3} takes 1
+    bounds = [[colored.count(c) for c in (1, 2, 3)]]
+    doc = {"mode": "vertex", "n": m, "edges": [], "k": 3, "p": 1, "part_of": [1] * m, "weight": [1] * m,
+           "bounds": bounds, "allowed": allowed, "profit": [[e % 3, 1, -1] for e in range(m)]}
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(doc))
+
+    inst = read_instance(str(path))
+    assert len(set(inst.allowed)) == 5 and _one_frozenset_per_list(inst)
+    assert _one_frozenset_per_list(inst.negated())
+    _, residual, kept = forced_residual(inst)
+    assert len(kept) == 2 * m // 5 and _one_frozenset_per_list(residual)
+
+    tracemalloc.start()
+    try:
+        inst = read_instance(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+        object.__setattr__(inst, "allowed", None)  # frees the tuple and its lists
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 2**19  # the tuple's 240 KB of pointers and five small frozensets
