@@ -1,7 +1,9 @@
 import argparse
+import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +14,7 @@ import pytest
 
 from lbcolor import cli, cographs, instance_to_doc, split, write_instance
 from lbcolor.codec import instance_from_doc
+from lbcolor.generators import GENERATORS, generate, source_from_doc
 from lbcolor.instance import Coloring, SolveOutcome
 from lbcolor.cli import SOLVERS, auto_solver_name, main, solve_with
 from lbcolor.oracle import brute_force_solve
@@ -211,6 +214,46 @@ def test_generated_output_feeds_solve(tmp_path, capsys):
     ipath = write_doc(tmp_path, "inst.json", json.loads(out))
     code, out, _ = run(capsys, ["solve", "--input", ipath])
     assert code == 0 and json.loads(out)["status"] == "feasible"
+
+
+def readme_generate_cases():
+    """(source document, variant) for each source type and variant that the
+    README's "File formats" section lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sources = {doc["type"]: doc for doc in map(json.loads, re.findall(r'^\{"type": .*\}$', text, re.M))}
+    listed = text.split("Variants:", 1)[1].split(". ", 1)[0]
+    cases = {}
+    for entry in listed.split(";"):
+        kind, *variants = re.findall(r"`(\w+)`", entry)
+        cases[kind] = variants
+    assert {kind: list(variants) for kind, (_, variants) in GENERATORS.items()} == cases
+    return [(sources[kind], variant) for kind, variants in cases.items() for variant in variants]
+
+
+@pytest.mark.parametrize(
+    "source, variant", readme_generate_cases(), ids=lambda case: case if isinstance(case, str) else case["type"]
+)
+def test_generate_prints_the_indented_json_of_the_document(tmp_path, capsys, source, variant):
+    path = write_doc(tmp_path, "source.json", source)
+    code, out, _ = run(capsys, ["generate", "--source", path, "--variant", variant])
+    result = generate(source_from_doc(source), variant)
+    doc = dict(instance_to_doc(result.instance), metadata=result.metadata)
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_generate_leaves_no_cyclic_garbage(tmp_path, capsys):
+    path = write_doc(tmp_path, "source.json", {"type": "partition", "values": [1, 1, 2], "target": 2})
+    argv = ["generate", "--source", path, "--variant", "vertex"]
+    assert run(capsys, argv)[0] == 0  # builds the parser and imports everything first
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and garbage == 0
 
 
 def test_check_round_trip_and_violations(tmp_path, capsys):

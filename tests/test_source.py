@@ -167,6 +167,20 @@ def test_one_layered_kernel():
     assert sums == ["packed.py"] and walks == ["packed.py"]
 
 
+def test_no_json_call_indents():
+    # the standard library indents only with its pure-Python encoder, several
+    # times slower than its C one and leaving a reference cycle per call;
+    # every indented document goes through codec._indented_json instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (_called(node, "dump") or _called(node, "dumps")) and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert len(SOURCES) > 5
+    assert found == []
+
+
 def test_no_module_names_the_pair_list():
     # the conflict masks are the one representation of the conflicts: the
     # edge-mode pair list, O(sum of deg^2) pairs, lives on only in the tests
