@@ -6,10 +6,14 @@ object on stdout.  The solver registry and auto-dispatch live in
 ``lbcolor.classify``; ``elapsed_ms`` covers dispatch and the solve.
 
 ``main(argv)`` returns the exit code and may be called in-process any number
-of times: the parser is built once per process, on the first call, and
-parsing never changes it, so no call sees another's options.  An argparse
-usage error (unknown option or choice, missing required option) raises
-``SystemExit(2)`` as argparse does.
+of times: the parsers are built once per process, on the first call, and
+parsing never changes them, so no call sees another's options.  Each call is
+parsed once: when ``argv[0]`` names a subcommand, that subcommand's parser
+alone reads the rest, and the top-level parser runs only for an ``argv`` that
+names none, which always ends in help or a usage error.  An argparse usage
+error (unknown option or choice, missing required option) raises
+``SystemExit(2)`` as argparse does, after printing the usage of the parser
+that found it: ``lbcolor solve``'s for an error after ``solve``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from .classify import SOLVERS, auto_solver_name, solve_with
 from .codec import _indented_json, _load, instance_to_doc, read_coloring, read_instance
@@ -31,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .generators import generate, source_from_doc
-from .instance import validate_coloring
+from .instance import _is_int, validate_coloring
 
 
 def cmd_solve(ns) -> int:
@@ -50,10 +55,10 @@ def solve_document(outcome, solver_used: str, elapsed_ms: int) -> str:
     """The solve output, exactly ``json.dumps(doc, indent=2)`` of the
     document {status, witness: {color_of} or null, objective, solver_used,
     elapsed_ms}, as every document the package writes (see ``lbcolor.codec``).
-    It is written out by hand, not through ``codec._indented_json``: each
-    scalar goes through the C encoder and the color list is joined directly,
-    which takes about half the generic renderer's time on this one fixed
-    shape, and every solve pays it."""
+    It is written out by hand, not through ``codec._indented_json``, and
+    every solve pays it: the color list is joined directly and each scalar
+    is rendered as the C encoder renders it (``_scalar``), with no
+    ``json.dumps`` call for a string, an int or ``None``."""
     if not outcome.witness:
         witness = "null"
     elif colors := outcome.witness.color_of:
@@ -61,10 +66,24 @@ def solve_document(outcome, solver_used: str, elapsed_ms: int) -> str:
     else:
         witness = '{\n    "color_of": []\n  }'
     return (
-        f'{{\n  "status": {json.dumps(outcome.status)},\n  "witness": {witness},\n'
-        f'  "objective": {json.dumps(outcome.objective)},\n  "solver_used": {json.dumps(solver_used)},\n'
-        f'  "elapsed_ms": {json.dumps(elapsed_ms)}\n}}'
+        f'{{\n  "status": {_scalar(outcome.status)},\n  "witness": {witness},\n'
+        f'  "objective": {_scalar(outcome.objective)},\n  "solver_used": {_scalar(solver_used)},\n'
+        f'  "elapsed_ms": {_scalar(elapsed_ms)}\n}}'
     )
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)``: a string through the encoder's own escaping,
+    an int that is not a bool through ``int.__repr__`` (which raises past
+    the digit limit, as the encoder does), and anything else through
+    ``json.dumps`` itself."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if _is_int(value):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)
 
 
 def cmd_generate(ns) -> int:
@@ -87,7 +106,8 @@ def cmd_check(ns) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared afterwards."""
+    """The CLI's parser, built on the first call and shared afterwards.  Its
+    ``commands`` attribute maps each subcommand's name to its own parser."""
     parser = argparse.ArgumentParser(
         prog="lbcolor", description="Locally bounded list-coloring solvers and generators."
     )
@@ -105,11 +125,22 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="validate a coloring against an instance")
     pc.add_argument("--input", required=True)
     pc.add_argument("--coloring", required=True)
+    parser.commands = {"solve": ps, "generate": pg, "check": pc}
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # the top-level parser would scan all of argv and hand the rest to the
+    # subcommand's parser, which scans it again; an argv that names no
+    # subcommand only gets help or a usage error from it
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        ns = parser.parse_args(argv)
+    else:
+        ns = sub.parse_args(argv[1:])
+        ns.command = argv[0]
     # looked up per call, not stored in the shared parser, so a wrapper set
     # on ``cli.cmd_solve`` later still sees every solve
     commands = {"solve": cmd_solve, "generate": cmd_generate, "check": cmd_check}

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lbcolor import cli, cographs, instance_to_doc, split, write_instance
 from lbcolor.codec import instance_from_doc
@@ -630,6 +632,67 @@ def test_interleaved_commands_print_what_they_print_alone(tmp_path, capsys, fres
 
 
 # ---------------------------------------------------------------------------
+# routing: one parse per call, by the subcommand's own parser
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The ``prog`` of every parser whose ``parse_known_args`` runs."""
+    progs = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return progs
+
+
+@pytest.mark.parametrize("command", ["solve", "generate", "check"])
+def test_a_valid_call_is_parsed_once_by_its_command_parser(tmp_path, capsys, fresh_parser, parses, command):
+    p3 = write_doc(tmp_path, "p3.json", p3_doc())
+    argv = {
+        "solve": ["solve", "--input", p3, "--objective", "decide"],
+        "generate": ["generate", "--source",
+                     write_doc(tmp_path, "part.json", {"type": "partition", "values": [1, 1, 2], "target": 2}),
+                     "--variant", "vertex"],
+        "check": ["check", "--input", p3, "--coloring", write_doc(tmp_path, "col.json", {"color_of": [1, 2, 1]})],
+    }[command]
+    assert run(capsys, argv)[0] == 0
+    assert parses == [f"lbcolor {command}"]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--input", "{path}"]])
+def test_an_argv_naming_no_command_reaches_the_top_level_parser(tmp_path, capsys, fresh_parser, parses, argv):
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == (0 if argv == ["-h"] else 2)
+    assert "usage: lbcolor [-h] {solve,generate,check}" in captured.out + captured.err
+    assert parses == ["lbcolor"]
+
+
+def test_unrecognized_arguments_print_the_subcommand_usage(tmp_path, capsys, fresh_parser):
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", path, "--bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage: lbcolor solve" in err and "unrecognized arguments: --bogus" in err
+    code, out, _ = run(capsys, ["solve", "--input", path])
+    assert code == 0 and json.loads(out)["status"] == "feasible"
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "p3.json", p3_doc())
+    monkeypatch.setattr(sys, "argv", ["lbcolor", "solve", "--input", path, "--solver", "oracle"])
+    code, out, _ = run(capsys, None)
+    assert code == 0 and json.loads(out)["solver_used"] == "oracle"
+
+
+# ---------------------------------------------------------------------------
 # one run of each class test per solve
 
 
@@ -769,3 +832,41 @@ def test_solve_document_is_the_indented_json_dump(solver):
                 "elapsed_ms": 3,
             }
             assert cli.solve_document(outcome, solver, 3) == json.dumps(doc, indent=2)
+
+
+# arbitrary text, with quotes, backslashes, control and non-ASCII characters
+# (lone surrogates too) drawn often
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\n\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+    st.characters(exclude_categories=()),
+))
+PAST_DIGIT_LIMIT = 10 ** (sys.get_int_max_str_digits() or 5000)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    TEXT,
+    st.none() | st.lists(st.integers(), max_size=60),
+    st.none() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+    TEXT,
+    st.integers(min_value=0),
+)
+@example("feasible", [1, 2], PAST_DIGIT_LIMIT, "oracle", 0)
+@example("feasible", [1, -PAST_DIGIT_LIMIT], None, "oracle", 0)
+def test_solve_document_matches_json_dumps_on_any_scalars(status, colors, objective, solver, elapsed_ms):
+    witness = None if colors is None else Coloring(tuple(colors))
+    outcome = SolveOutcome(status=status, witness=witness, objective=objective)
+    doc = {
+        "status": status,
+        "witness": None if colors is None else {"color_of": colors},
+        "objective": objective,
+        "solver_used": solver,
+        "elapsed_ms": elapsed_ms,
+    }
+    try:
+        expected = json.dumps(doc, indent=2)
+    except Exception as exc:  # an int past the digit limit
+        with pytest.raises(type(exc)):
+            cli.solve_document(outcome, solver, elapsed_ms)
+    else:
+        assert cli.solve_document(outcome, solver, elapsed_ms) == expected
